@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	als "repro"
+	"repro/internal/trace"
 )
 
 // sameFlowResult compares the deterministic fields of two flow results
@@ -292,6 +293,49 @@ func TestSessionTopKBoundsFront(t *testing.T) {
 	}
 	if len(front) != 1 {
 		t.Errorf("front size = %d, want 1 (TopK)", len(front))
+	}
+}
+
+// TestSessionPostOptimizationSpans: the best's sizing pass runs under
+// als.post_optimize with its move counts, and the other front members'
+// passes run under one als.front span.
+func TestSessionPostOptimizationSpans(t *testing.T) {
+	sess, err := als.NewSession(als.Benchmark("c880"), als.NewLibrary(),
+		als.WithMetric(als.MetricER), als.WithErrorBudget(0.05),
+		als.WithPopulation(8), als.WithIterations(4), als.WithVectors(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(trace.Options{Service: "test"})
+	root := tr.StartRoot("test")
+	_, front, err := sess.Collect(trace.ContextWith(context.Background(), root))
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string][]trace.SpanRecord{}
+	for _, r := range tr.Snapshot() {
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	post := byName["als.post_optimize"]
+	if len(post) != 1 {
+		t.Fatalf("als.post_optimize spans = %d, want 1", len(post))
+	}
+	for _, key := range []string{"trials", "upsized", "downsized", "removed_gates"} {
+		if _, ok := post[0].Attrs[key].(int64); !ok {
+			t.Errorf("als.post_optimize lacks %s: %v", key, post[0].Attrs)
+		}
+	}
+	if post[0].Attrs["trials"].(int64) == 0 {
+		t.Error("the best's sizing pass timed no trials")
+	}
+	fr := byName["als.front"]
+	if len(fr) != 1 {
+		t.Fatalf("als.front spans = %d, want 1", len(fr))
+	}
+	members, _ := fr[0].Attrs["members"].(int64)
+	if members < 1 || int(members) < len(front)-1 {
+		t.Errorf("als.front members = %d for a front of %d points", members, len(front))
 	}
 }
 

@@ -56,12 +56,14 @@ func (s *Simulator) OverlayRun(app *netlist.Circuit, unit []int) (*Result, error
 	s.reset(len(app.Gates))
 	copy(s.res.Signals, s.golden.Signals)
 	for _, id := range unit {
-		s.push(id)
+		s.queue.Push(id)
 	}
 	arenaNext := 0
-	for len(s.heap) > 0 {
-		id := s.pop()
-		s.state[id] = stateDone
+	for {
+		id, ok := s.queue.Pop()
+		if !ok {
+			break
+		}
 		g := &s.base.Gates[id]
 		for _, u := range unit { // units are tiny; a linear scan beats a map
 			if u == id {
@@ -81,12 +83,8 @@ func (s *Simulator) OverlayRun(app *netlist.Circuit, unit []int) (*Result, error
 			s.res.Signals[id] = gold
 			continue
 		}
+		s.differ(id, sig)
 		arenaNext++
-		s.res.Signals[id] = sig
-		s.differs[id] = true
-		for _, fo := range s.fanouts[id] {
-			s.push(fo)
-		}
 	}
 	return &s.res, nil
 }

@@ -18,7 +18,7 @@ import (
 // — and returns a Result that is exact, bit-for-bit, with a full Run of
 // the candidate.
 //
-// All working memory (the signal arena, the propagation heap, the
+// All working memory (the signal arena, the propagation worklist, the
 // dirty-tracking state) is preallocated and recycled across calls, so the
 // steady-state hot loop performs no per-gate allocation. The returned
 // Result is owned by the Simulator and only valid until the next call; a
@@ -32,20 +32,13 @@ type Simulator struct {
 	words   int
 	tail    uint64
 
-	res        Result     // reusable result; signals reset from golden
-	arena      [][]uint64 // recycled signal buffers, one per recomputed gate
-	differs    []bool     // gate signal differs from golden (last run)
-	state      []byte     // propagation state per gate (last run)
-	seen       []int      // gates with non-zero state/differs, for O(cone) reset
-	heap       []int      // pending-gate min-heap ordered by pos
-	allTouched bool       // full-run fallback: every signal counts as touched
+	res        Result             // reusable result; signals reset from golden
+	arena      [][]uint64         // recycled signal buffers, one per recomputed gate
+	differs    []bool             // gate signal differs from golden (last run)
+	dirty      []int              // gates with differs set, for O(cone) reset
+	queue      *netlist.TopoQueue // pending gates of the cone walk
+	allTouched bool               // full-run fallback: every signal counts as touched
 }
-
-const (
-	stateIdle   byte = iota
-	stateQueued      // in the propagation heap
-	stateDone        // recomputed this run
-)
 
 // NewSimulator builds a Simulator for candidates derived from the base
 // circuit on the given vectors. golden may be a previously computed full
@@ -66,6 +59,10 @@ func NewSimulator(base *netlist.Circuit, v *Vectors, golden *Result) (*Simulator
 	if err != nil {
 		return nil, err
 	}
+	queue, err := base.NewTopoQueue()
+	if err != nil {
+		return nil, err
+	}
 	n := len(base.Gates)
 	s := &Simulator{
 		base:    base,
@@ -76,7 +73,7 @@ func NewSimulator(base *netlist.Circuit, v *Vectors, golden *Result) (*Simulator
 		words:   v.Words(),
 		tail:    TailMask(v.N),
 		differs: make([]bool, n),
-		state:   make([]byte, n),
+		queue:   queue,
 	}
 	s.res.Signals = make([][]uint64, n)
 	s.res.N = v.N
@@ -125,12 +122,14 @@ func (s *Simulator) IncrementalRun(app *netlist.Circuit, changed []int) (*Result
 	s.reset(len(app.Gates))
 	copy(s.res.Signals, s.golden.Signals)
 	for _, id := range changed {
-		s.push(id)
+		s.queue.Push(id)
 	}
 	arenaNext := 0
-	for len(s.heap) > 0 {
-		id := s.pop()
-		s.state[id] = stateDone
+	for {
+		id, ok := s.queue.Pop()
+		if !ok {
+			break
+		}
 		g := &app.Gates[id]
 		if g.Func == cell.Input {
 			continue // PIs always carry the shared input sample
@@ -147,12 +146,8 @@ func (s *Simulator) IncrementalRun(app *netlist.Circuit, changed []int) (*Result
 			s.res.Signals[id] = gold
 			continue
 		}
+		s.differ(id, sig)
 		arenaNext++
-		s.res.Signals[id] = sig
-		s.differs[id] = true
-		for _, fo := range s.fanouts[id] {
-			s.push(fo)
-		}
 	}
 	return &s.res, nil
 }
@@ -195,12 +190,11 @@ func (s *Simulator) FullRun(app *netlist.Circuit) (*Result, error) {
 // only the state touched by the previous run.
 func (s *Simulator) reset(n int) {
 	s.allTouched = false
-	for _, id := range s.seen {
-		s.state[id] = stateIdle
+	for _, id := range s.dirty {
 		s.differs[id] = false
 	}
-	s.seen = s.seen[:0]
-	s.heap = s.heap[:0]
+	s.dirty = s.dirty[:0]
+	s.queue.Reset()
 	if cap(s.res.Signals) < n {
 		s.res.Signals = make([][]uint64, n)
 	}
@@ -218,51 +212,15 @@ func (s *Simulator) slot(k int) []uint64 {
 	return s.arena[k]
 }
 
-// push enqueues a gate for recomputation unless it is already pending or
-// done. Pushes always target gates downstream of the one being processed,
-// so a popped gate can never need re-processing.
-func (s *Simulator) push(id int) {
-	if s.state[id] != stateIdle {
-		return
+// differ records that gate id's recomputed waveform sig differs from the
+// golden one and queues the gate's fanouts.
+func (s *Simulator) differ(id int, sig []uint64) {
+	s.res.Signals[id] = sig
+	s.differs[id] = true
+	s.dirty = append(s.dirty, id)
+	for _, fo := range s.fanouts[id] {
+		s.queue.Push(fo)
 	}
-	s.state[id] = stateQueued
-	s.seen = append(s.seen, id)
-	s.heap = append(s.heap, id)
-	i := len(s.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s.pos[s.heap[parent]] <= s.pos[s.heap[i]] {
-			break
-		}
-		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
-		i = parent
-	}
-}
-
-// pop removes and returns the pending gate with the smallest topological
-// position, guaranteeing fan-ins are finalized before consumers.
-func (s *Simulator) pop() int {
-	top := s.heap[0]
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s.heap) && s.pos[s.heap[l]] < s.pos[s.heap[small]] {
-			small = l
-		}
-		if r < len(s.heap) && s.pos[s.heap[r]] < s.pos[s.heap[small]] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s.heap[i], s.heap[small] = s.heap[small], s.heap[i]
-		i = small
-	}
-	return top
 }
 
 func wordsEqual(a, b []uint64) bool {

@@ -6,9 +6,11 @@
 //
 // The sizer is a greedy slack-driven loop: each pass evaluates, for every
 // gate on (or near) the critical path, the true CPD delta of upsizing it
-// one drive step — a full re-analysis, because upsizing also loads the
-// gate's drivers — and applies the single best feasible move. When the
-// netlist exceeds the area budget, high-slack gates are downsized first.
+// one drive step, and applies the single best feasible move. Upsizing
+// also loads the gate's drivers, so each trial re-times the gate, its
+// drivers and their fanout cones with an sta.Retimer, bit-identical to a
+// full re-analysis. When the netlist exceeds the area budget, high-slack
+// gates are downsized first.
 package sizing
 
 import (
@@ -20,42 +22,27 @@ import (
 	"repro/internal/sta"
 )
 
+const (
+	// critMargin widens the candidate set to gates whose path arrival is
+	// within this fraction of the CPD.
+	critMargin = 0.05
+	// minGain is the smallest CPD improvement (ps) worth a move.
+	minGain = 0.01
+	// maxCandidates bounds how many critical gates one pass tries (worst
+	// slack first).
+	maxCandidates = 64
+	// maxMoves caps the default move budget, so post-optimization stays
+	// sub-quadratic on 10k+-gate netlists.
+	maxMoves = 300
+)
+
 // Options tunes the post-optimization loop.
 type Options struct {
 	// AreaCon is the area budget in µm² the resized netlist must respect.
 	AreaCon float64
 	// MaxMoves bounds the number of accepted resize moves; zero means the
-	// default of 4 moves per gate.
+	// default of 4 moves per gate, at most 300.
 	MaxMoves int
-	// CritMargin widens the candidate set to gates whose path arrival is
-	// within this fraction of the CPD (default 0.05).
-	CritMargin float64
-	// MinGain is the smallest CPD improvement (ps) worth a move
-	// (default 0.01).
-	MinGain float64
-	// MaxCandidates bounds how many critical gates one pass evaluates
-	// (worst slack first, default 64) — each evaluation is a full STA.
-	MaxCandidates int
-}
-
-func (o *Options) defaults(nGates int) {
-	if o.MaxMoves <= 0 {
-		o.MaxMoves = 4 * nGates
-		// Each accepted move costs one STA per candidate; cap the loop so
-		// post-optimization stays sub-quadratic on 10k+-gate netlists.
-		if o.MaxMoves > 300 {
-			o.MaxMoves = 300
-		}
-	}
-	if o.CritMargin <= 0 {
-		o.CritMargin = 0.05
-	}
-	if o.MinGain <= 0 {
-		o.MinGain = 0.01
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 64
-	}
 }
 
 // Result reports what post-optimization did.
@@ -70,13 +57,17 @@ type Result struct {
 	RemovedGates int
 	// Upsized and Downsized count accepted moves.
 	Upsized, Downsized int
+	// Trials counts the upsizing candidates timed.
+	Trials int
 }
 
 // PostOptimize deletes dangling gates and resizes the remainder under the
 // area constraint, returning the final netlist (a new compacted circuit —
 // the input is not modified) and its timing.
 func PostOptimize(c *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
-	opts.defaults(c.NumGates())
+	if opts.MaxMoves <= 0 {
+		opts.MaxMoves = min(4*c.NumGates(), maxMoves)
+	}
 	before := c.NumGates()
 	nc, _ := c.Compact()
 	res := &Result{Circuit: nc, RemovedGates: before - nc.NumGates()}
@@ -106,16 +97,20 @@ func PostOptimize(c *netlist.Circuit, lib *cell.Library, opts Options) (*Result,
 
 	// Phase 2: greedy upsizing of critical gates within the remaining
 	// headroom, accepting only moves that truly reduce the CPD.
+	rt, err := sta.NewRetimer(nc, lib, rep)
+	if err != nil {
+		return nil, fmt.Errorf("sizing: %w", err)
+	}
 	for moves := 0; moves < opts.MaxMoves; moves++ {
-		bestID, bestGain := -1, opts.MinGain
+		bestID, bestGain := -1, minGain
 		bestArea := 0.0
-		cands := rep.CriticalGates(nc, opts.CritMargin)
-		if len(cands) > opts.MaxCandidates {
+		cands := rep.CriticalGates(nc, critMargin)
+		if len(cands) > maxCandidates {
 			// Keep the worst-slack candidates: they bound the CPD.
 			sort.Slice(cands, func(i, j int) bool {
 				return rep.Slack[cands[i]] < rep.Slack[cands[j]]
 			})
-			cands = cands[:opts.MaxCandidates]
+			cands = cands[:maxCandidates]
 		}
 		for _, id := range cands {
 			g := &nc.Gates[id]
@@ -126,13 +121,8 @@ func PostOptimize(c *netlist.Circuit, lib *cell.Library, opts Options) (*Result,
 			if area+dArea > opts.AreaCon {
 				continue
 			}
-			g.Drive++
-			trial, err := sta.Analyze(nc, lib)
-			g.Drive--
-			if err != nil {
-				return nil, err
-			}
-			if gain := rep.CPD - trial.CPD; gain > bestGain {
+			res.Trials++
+			if gain := rep.CPD - rt.TrialCPD(id, g.Drive+1); gain > bestGain {
 				bestID, bestGain, bestArea = id, gain, dArea
 			}
 		}
@@ -142,10 +132,13 @@ func PostOptimize(c *netlist.Circuit, lib *cell.Library, opts Options) (*Result,
 		nc.Gates[bestID].Drive++
 		area += bestArea
 		res.Upsized++
+		// The full analysis also feeds the next pass's slack ordering
+		// and critical gates.
 		rep, err = sta.Analyze(nc, lib)
 		if err != nil {
 			return nil, err
 		}
+		rt.Rebind(rep)
 	}
 
 	res.Report = rep

@@ -1,10 +1,17 @@
 package sizing
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/gen"
+	"repro/internal/lac"
 	"repro/internal/netlist"
+	"repro/internal/sim"
 	"repro/internal/sta"
 )
 
@@ -153,5 +160,152 @@ func TestMaxMovesBound(t *testing.T) {
 	}
 	if res.Upsized > 3 {
 		t.Errorf("Upsized = %d, exceeds MaxMoves 3", res.Upsized)
+	}
+}
+
+// referencePostOptimize is PostOptimize with a full sta.Analyze per
+// upsizing trial: the plain path the re-timer replaces, kept as the
+// differential oracle.
+func referencePostOptimize(c *netlist.Circuit, lib *cell.Library, opts Options) (*Result, error) {
+	if opts.MaxMoves <= 0 {
+		opts.MaxMoves = min(4*c.NumGates(), maxMoves)
+	}
+	before := c.NumGates()
+	nc, _ := c.Compact()
+	res := &Result{Circuit: nc, RemovedGates: before - nc.NumGates()}
+	rep, err := sta.Analyze(nc, lib)
+	if err != nil {
+		return nil, err
+	}
+	area := nc.Area(lib)
+	for area > opts.AreaCon {
+		id := bestDownsize(nc, lib, rep)
+		if id < 0 {
+			break
+		}
+		nc.Gates[id].Drive--
+		res.Downsized++
+		if rep, err = sta.Analyze(nc, lib); err != nil {
+			return nil, err
+		}
+		area = nc.Area(lib)
+	}
+	for moves := 0; moves < opts.MaxMoves; moves++ {
+		bestID, bestGain := -1, minGain
+		bestArea := 0.0
+		cands := rep.CriticalGates(nc, critMargin)
+		if len(cands) > maxCandidates {
+			sort.Slice(cands, func(i, j int) bool {
+				return rep.Slack[cands[i]] < rep.Slack[cands[j]]
+			})
+			cands = cands[:maxCandidates]
+		}
+		for _, id := range cands {
+			g := &nc.Gates[id]
+			if g.Drive+1 >= cell.NumDrives {
+				continue
+			}
+			dArea := lib.Area(g.Func, g.Drive+1) - lib.Area(g.Func, g.Drive)
+			if area+dArea > opts.AreaCon {
+				continue
+			}
+			res.Trials++
+			g.Drive++
+			trial, err := sta.Analyze(nc, lib)
+			g.Drive--
+			if err != nil {
+				return nil, err
+			}
+			if gain := rep.CPD - trial.CPD; gain > bestGain {
+				bestID, bestGain, bestArea = id, gain, dArea
+			}
+		}
+		if bestID < 0 {
+			break
+		}
+		nc.Gates[bestID].Drive++
+		area += bestArea
+		res.Upsized++
+		if rep, err = sta.Analyze(nc, lib); err != nil {
+			return nil, err
+		}
+	}
+	res.Report = rep
+	res.Area = area
+	return res, nil
+}
+
+// lacApproximated returns a generated benchmark with real LACs applied,
+// the shape post-optimization sees at the end of a flow.
+func lacApproximated(t *testing.T, name string, lacs int, seed int64) *netlist.Circuit {
+	t.Helper()
+	c := gen.MustBuild(name)
+	c.Const0()
+	c.Const1()
+	rng := rand.New(rand.NewSource(seed))
+	v := sim.Random(rng, len(c.PIs), 256)
+	for k := 0; k < lacs; k++ {
+		res, err := sim.Run(c, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lac.RandomChange(c, res, rng)
+	}
+	return c
+}
+
+// TestPostOptimizeMatchesFullSTAReference requires the re-timed sizer to
+// make exactly the reference's moves: the same drives, counts, CPD and
+// area, bit for bit.
+func TestPostOptimizeMatchesFullSTAReference(t *testing.T) {
+	inflated := fanoutTree(4, 3)
+	for id := range inflated.Gates {
+		if !inflated.Gates[id].Func.IsPseudo() {
+			inflated.Gates[id].Drive = cell.X4
+		}
+	}
+	cases := []struct {
+		name string
+		c    *netlist.Circuit
+	}{
+		{"tree", fanoutTree(6, 5)},
+		{"inflated", inflated},
+		{"Adder16", gen.MustBuild("Adder16")},
+		{"c880+lac", lacApproximated(t, "c880", 8, 1)},
+		{"Adder16+lac", lacApproximated(t, "Adder16", 5, 2)},
+		{"c1908+lac", lacApproximated(t, "c1908", 10, 3)},
+		{"Max16+lac", lacApproximated(t, "Max16", 6, 4)},
+	}
+	for _, tc := range cases {
+		area := tc.c.Area(lib)
+		for _, ratio := range []float64{0.5, 1.05, 1.2, 1.5} {
+			opts := Options{AreaCon: area * ratio}
+			got, err := PostOptimize(tc.c, lib, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := referencePostOptimize(tc.c, lib, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			where := func(field string) string { return tc.name + " at " + fmt.Sprint(ratio) + "x: " + field }
+			if got.Upsized != want.Upsized || got.Downsized != want.Downsized ||
+				got.Trials != want.Trials || got.RemovedGates != want.RemovedGates {
+				t.Errorf("%s got %+v, want %+v", where("counts"),
+					[]int{got.Upsized, got.Downsized, got.Trials, got.RemovedGates},
+					[]int{want.Upsized, want.Downsized, want.Trials, want.RemovedGates})
+			}
+			if math.Float64bits(got.Report.CPD) != math.Float64bits(want.Report.CPD) {
+				t.Errorf("%s %v, want %v", where("CPD"), got.Report.CPD, want.Report.CPD)
+			}
+			if math.Float64bits(got.Area) != math.Float64bits(want.Area) {
+				t.Errorf("%s %v, want %v", where("Area"), got.Area, want.Area)
+			}
+			for id := range want.Circuit.Gates {
+				if g, w := got.Circuit.Gates[id].Drive, want.Circuit.Gates[id].Drive; g != w {
+					t.Errorf("%s gate %d at %v, want %v", where("drive"), id, g, w)
+				}
+			}
+		}
 	}
 }

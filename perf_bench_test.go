@@ -11,6 +11,9 @@
 //	                               a real generation exhibits (duplicate
 //	                               candidates + disjoint-cone changes), with
 //	                               the evaluation cache reset per iteration
+//	BenchmarkPostOptimize        — the flow's step 3, sizing.PostOptimize of
+//	                               one candidate under the accurate circuit's
+//	                               area (dangling deletion + resizing)
 //
 // All use the bench_workload_test.go workload shape (Adder16, 2048
 // vectors, LAC-mutated candidates), pinned there so the committed
@@ -24,6 +27,7 @@ import (
 	als "repro"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/sizing"
 )
 
 func BenchmarkSimRunFull(b *testing.B) {
@@ -94,5 +98,21 @@ func BenchmarkEvaluateBatchShared(b *testing.B) {
 	b.StopTimer()
 	if st := eval.CacheStats(); st.Hits == 0 || st.Composed == 0 {
 		b.Fatalf("shared batch exercised no reuse: %+v", st)
+	}
+}
+
+// BenchmarkPostOptimize sizes one candidate with the area budget a flow at
+// AreaConRatio 1.0 gives it: the accurate circuit's area.
+func BenchmarkPostOptimize(b *testing.B) {
+	base := benchBase(b)
+	lib := als.NewLibrary()
+	cand := benchCandidates(b, base, 1, benchWorkloadLACs)[0]
+	opts := sizing.Options{AreaCon: base.Area(lib)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sizing.PostOptimize(cand, lib, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -358,6 +358,12 @@ func runFlow(ctx context.Context, accurate *netlist.Circuit, lib *cell.Library, 
 
 	postSpan := trace.FromContext(ctx).StartChild("als.post_optimize")
 	post, err := sizing.PostOptimize(best.Circuit, lib, sizing.Options{AreaCon: areaCon})
+	if err == nil && postSpan != nil { // boxing the values would allocate
+		postSpan.SetAttr("trials", post.Trials)
+		postSpan.SetAttr("upsized", post.Upsized)
+		postSpan.SetAttr("downsized", post.Downsized)
+		postSpan.SetAttr("removed_gates", post.RemovedGates)
+	}
 	postSpan.End()
 	if err != nil {
 		return nil, nil, err
@@ -365,7 +371,7 @@ func runFlow(ctx context.Context, accurate *netlist.Circuit, lib *cell.Library, 
 
 	var front Front
 	if hooks.wantFront {
-		front, err = buildFront(coreFront, best, post, lib, areaCon, ref.CPD, hooks.topK)
+		front, err = buildFront(ctx, coreFront, best, post, lib, areaCon, ref.CPD, hooks.topK)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -399,7 +405,9 @@ func runFlow(ctx context.Context, accurate *netlist.Circuit, lib *cell.Library, 
 // (truncated to its topK fittest members, with best always retained) and
 // sorts the resulting solutions by ascending RatioCPD. Post-optimization
 // is deterministic, so the front never perturbs the run it summarizes.
-func buildFront(members []*core.Individual, best *core.Individual, bestPost *sizing.Result,
+// The members other than best, whose pass the caller already ran, are
+// post-optimized under one als.front span.
+func buildFront(ctx context.Context, members []*core.Individual, best *core.Individual, bestPost *sizing.Result,
 	lib *cell.Library, areaCon, refCPD float64, topK int) (Front, error) {
 
 	if topK < 1 {
@@ -422,10 +430,14 @@ func buildFront(members []*core.Individual, best *core.Individual, bestPost *siz
 	if len(members) == 0 {
 		members = []*core.Individual{best}
 	}
+	span := trace.FromContext(ctx).StartChild("als.front")
+	defer span.End()
 	front := make(Front, 0, len(members))
+	others := 0
 	for _, ind := range members {
 		post := bestPost
 		if ind != best {
+			others++
 			var err error
 			post, err = sizing.PostOptimize(ind.Circuit, lib, sizing.Options{AreaCon: areaCon})
 			if err != nil {
@@ -444,6 +456,7 @@ func buildFront(members []*core.Individual, best *core.Individual, bestPost *siz
 			Circuit:  post.Circuit,
 		})
 	}
+	span.SetAttr("members", others)
 	// Sort by the headline metric and collapse post-optimization
 	// duplicates (distinct optimizer circuits can resize to the same
 	// point).
