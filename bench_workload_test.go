@@ -17,8 +17,12 @@ import (
 // records numbers measured at exactly this shape; change these only
 // together with a baseline regeneration (`cmd/benchgate -update`).
 const (
-	// benchWorkloadCircuit is the TABLE I design every bench mutates.
+	// benchWorkloadCircuit is the TABLE I design every bench mutates,
+	// except the wide-output one.
 	benchWorkloadCircuit = "Adder16"
+	// benchWideCircuit is BenchmarkEvaluateBatchWide's design: the 128-bit
+	// adder, whose 129 POs take the error estimator's wide-output scan.
+	benchWideCircuit = "Adder"
 	// benchWorkloadVectors is the Monte-Carlo sample size.
 	benchWorkloadVectors = 2048
 	// benchWorkloadLACs is how many LACs each candidate accumulates.
@@ -38,9 +42,9 @@ const (
 
 // benchBase returns the constant-materialized workload circuit every
 // candidate derives from.
-func benchBase(b *testing.B) *netlist.Circuit {
+func benchBase(b *testing.B, name string) *netlist.Circuit {
 	b.Helper()
-	base := als.Benchmark(benchWorkloadCircuit).Clone()
+	base := als.Benchmark(name).Clone()
 	base.Const0()
 	base.Const1()
 	if err := base.Validate(); err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	als "repro"
+	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/netlist"
@@ -75,12 +76,14 @@ func requireIdentical(t *testing.T, label string, got, want *core.Individual) {
 
 // reusePopulation builds one generation's candidate slice with every reuse
 // shape present: multi-LAC random candidates, exact duplicates of them
-// (whole-candidate hits), and disjoint PO-port rewire pairs (delta
-// composition), shuffled deterministically.
+// (whole-candidate hits), disjoint PO-port rewire pairs (delta
+// composition), and resized candidates (drive changes, alone or on top of
+// a LAC, which move timing and area but not simulation), shuffled
+// deterministically.
 func reusePopulation(base *netlist.Circuit, rng *rand.Rand, n int) []*netlist.Circuit {
 	var out []*netlist.Circuit
 	for len(out) < n {
-		switch len(out) % 4 {
+		switch len(out) % 5 {
 		case 0, 1:
 			c := base.Clone()
 			for k := 0; k < 1+rng.Intn(3); k++ {
@@ -90,11 +93,23 @@ func reusePopulation(base *netlist.Circuit, rng *rand.Rand, n int) []*netlist.Ci
 		case 2:
 			// Duplicate an earlier candidate's content on a fresh clone.
 			out = append(out, out[rng.Intn(len(out))].Clone())
-		default:
+		case 3:
 			c := base.Clone()
 			k := rng.Intn(len(base.POs) / 2)
 			poPortLAC(c, 2*k)
 			poPortLAC(c, 2*k+1)
+			out = append(out, c)
+		default:
+			c := base.Clone()
+			if rng.Intn(2) == 0 {
+				benchLAC(c, rng)
+			}
+			for resized := 0; resized < 3; {
+				if g := &c.Gates[rng.Intn(len(c.Gates))]; !g.Func.IsPseudo() {
+					g.Drive = cell.Drive(rng.Intn(int(cell.NumDrives)))
+					resized++
+				}
+			}
 			out = append(out, c)
 		}
 	}
@@ -105,14 +120,18 @@ func reusePopulation(base *netlist.Circuit, rng *rand.Rand, n int) []*netlist.Ci
 // TestEvalCacheExactness drives several generations of reuse-heavy
 // populations through cached and uncached Evaluators — serially and on a
 // 4-worker pool — and requires bit-identical Individuals and evaluation
-// counts throughout.
+// counts throughout. The cached side times eligible candidates
+// incrementally; the uncached side runs a full STA on each. Max has 128
+// POs: its metrics take the wide-output scan, and it never composes.
 func TestEvalCacheExactness(t *testing.T) {
 	cases := []struct {
-		circuit string
-		metric  core.Metric
+		circuit  string
+		metric   core.Metric
+		composes bool
 	}{
-		{"c880", core.MetricER},
-		{"Adder16", core.MetricNMED},
+		{"c880", core.MetricER, true},
+		{"Adder16", core.MetricNMED, true},
+		{"Max", core.MetricNMED, false},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
@@ -153,7 +172,7 @@ func TestEvalCacheExactness(t *testing.T) {
 						cached.Count(), plain.Count())
 				}
 				st := cached.CacheStats()
-				if st.Hits == 0 || st.Composed == 0 || st.Generations != 3 {
+				if st.Hits == 0 || (st.Composed > 0) != tc.composes || st.Generations != 3 {
 					t.Fatalf("population did not exercise every reuse shape: %+v", st)
 				}
 			})

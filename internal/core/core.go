@@ -234,25 +234,30 @@ type Result struct {
 // reference delay/area. The baseline optimizers share it so every method
 // is compared on an identical substrate (as in the paper's experiments).
 //
-// Candidates are simulated by the incremental fanout-cone engine
-// (sim.Simulator) against the accurate circuit's cached golden waveforms,
-// and error metrics are recomputed only for primary outputs whose cones
-// were touched — both exact, so an Evaluator returns bit-identical
-// Individuals to full re-simulation. EvaluateBatch fans independent
-// candidates out to a GOMAXPROCS-bounded worker pool, one simulator arena
-// per worker; evaluation is pure (no RNG, no shared mutable state), so
-// batch results are deterministic and identical to serial evaluation.
+// A candidate costs what it changed. It is simulated by the incremental
+// fanout-cone engine (sim.Simulator) against the accurate circuit's cached
+// golden waveforms, its error metrics are recomputed only for primary
+// outputs whose cones were touched, and a candidate in the accurate
+// circuit's gate ID space and topological order is timed by an
+// sta.Retimer over its changed gates' cones against the accurate
+// circuit's report. All three are exact, so an Evaluator returns
+// bit-identical Individuals to full re-simulation and full STA; other
+// candidates get both. EvaluateBatch fans independent candidates out to a
+// GOMAXPROCS-bounded worker pool, one arena (simulator and re-timer) per
+// worker; evaluation is pure (no RNG, no shared mutable state), so batch
+// results are deterministic and identical to serial evaluation.
 type Evaluator struct {
 	lib      *cell.Library
 	est      *errest.Estimator
 	base     *netlist.Circuit
+	baseRep  *sta.Report
 	metric   Metric
 	wd       float64
 	refDelay float64
 	refArea  float64
 	count    int
 
-	serial *sim.Simulator // simulator for serial Evaluate/Simulate calls
+	serial *arena // arena for serial Evaluate/Simulate calls
 
 	// Generation-scoped evaluation reuse (see evalcache.go). pos and
 	// fanouts mirror the base circuit's memoized topology; cacheEnabled is
@@ -274,7 +279,15 @@ type Evaluator struct {
 	maxWorkers int
 
 	poolMu sync.Mutex
-	pool   []*sim.Simulator // recycled worker simulators for EvaluateBatch
+	pool   []*arena // recycled worker arenas for EvaluateBatch
+}
+
+// arena is one evaluation worker's private scratch: a simulator bound to
+// the accurate circuit's golden waveforms and a re-timer bound to its
+// timing report.
+type arena struct {
+	sim *sim.Simulator
+	rt  *sta.Retimer
 }
 
 // NewEvaluator simulates the accurate circuit on n sampled vectors and
@@ -300,29 +313,29 @@ func NewEvaluator(accurate *netlist.Circuit, lib *cell.Library, metric Metric,
 	if refArea <= 0 {
 		refArea = 1
 	}
-	serial, err := sim.NewSimulator(accurate, vectors, est.GoldenResult())
-	if err != nil {
-		return nil, err
-	}
 	pos, err := accurate.TopoPos()
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{
+	e := &Evaluator{
 		lib:          lib,
 		est:          est,
 		base:         accurate,
+		baseRep:      rep,
 		metric:       metric,
 		wd:           depthWeight,
 		refDelay:     refDelay,
 		refArea:      refArea,
-		serial:       serial,
 		pos:          pos,
 		fanouts:      accurate.Fanouts(),
 		cache:        newEvalCache(),
 		cacheEnabled: true,
 		reach:        make(map[int][]uint64),
-	}, nil
+	}
+	if e.serial, err = e.newArena(); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // Lib returns the cell library of this evaluation context.
@@ -370,7 +383,7 @@ func (e *Evaluator) SetCacheEnabled(on bool) { e.cacheEnabled = on }
 // Evaluator's serial simulator arena and is valid only until the next
 // Simulate or Evaluate call; it does not count as a circuit evaluation.
 func (e *Evaluator) Simulate(c *netlist.Circuit) (*sim.Result, error) {
-	return e.serial.Simulate(c)
+	return e.serial.sim.Simulate(c)
 }
 
 // Evaluate runs STA and error estimation on one circuit and fills an
@@ -384,18 +397,19 @@ func (e *Evaluator) Evaluate(c *netlist.Circuit) (*Individual, error) {
 	return ind, nil
 }
 
-// evaluateWith performs one pure candidate evaluation on the given
-// simulator, reusing cached work from equal or overlapping candidates of
+// evaluateWith performs one pure candidate evaluation in the given
+// arena, reusing cached work from equal or overlapping candidates of
 // the same generation when possible (see evalcache.go). Cache hits replay
 // stored results of identical pure evaluations and misses store what they
 // computed, so results are bit-identical at any hit pattern — which is
 // what keeps batch evaluation order-independent even with a shared cache.
-func (e *Evaluator) evaluateWith(s *sim.Simulator, c *netlist.Circuit) (*Individual, error) {
+func (e *Evaluator) evaluateWith(a *arena, c *netlist.Circuit) (*Individual, error) {
+	s := a.sim
 	if !e.cacheEnabled {
 		e.cache.fallbacks.Add(1)
 		return e.evaluateFresh(s, c)
 	}
-	simChanged, key, ok := e.candidateDiff(c, make([]byte, 0, 64))
+	changed, key, ok := e.candidateDiff(c, make([]byte, 0, 64))
 	if !ok {
 		e.cache.fallbacks.Add(1)
 		return e.evaluateFresh(s, c)
@@ -407,11 +421,11 @@ func (e *Evaluator) evaluateWith(s *sim.Simulator, c *netlist.Circuit) (*Individ
 	}
 	var m errest.Metrics
 	composed := false
-	if len(simChanged) >= 2 && e.est.ComposeOK() {
+	if len(changed) >= 2 && e.est.ComposeOK() {
 		// Provably independent change components: compose the candidate's
 		// error metrics from per-component cone deltas, skipping both the
 		// combined simulation and the touched-PO metric scan.
-		if units := e.partitionChanged(simChanged); len(units) >= 2 {
+		if units := e.partitionChanged(changed); len(units) >= 2 {
 			deltas := make([]*errest.PODelta, len(units))
 			for i, unit := range units {
 				d, err := e.unitDelta(s, c, unit)
@@ -428,7 +442,7 @@ func (e *Evaluator) evaluateWith(s *sim.Simulator, c *netlist.Circuit) (*Individ
 	if !composed {
 		// Single (or overlapping) change component: the plain incremental
 		// path, reusing the diff the key scan already computed.
-		res, err := s.IncrementalRun(c, simChanged)
+		res, err := s.IncrementalRun(c, changed)
 		if err != nil {
 			return nil, err
 		}
@@ -437,16 +451,18 @@ func (e *Evaluator) evaluateWith(s *sim.Simulator, c *netlist.Circuit) (*Individ
 			return nil, err
 		}
 	}
-	ind, err := e.finish(c, m)
-	if err != nil {
-		return nil, err
-	}
+	// The candidate shares the base's IDs and order, and differs from it
+	// exactly at the gates the key encodes: re-time only their cones.
+	poArrival := make([]float64, len(c.POs))
+	cpd, depth := a.rt.Time(c, changed, poArrival)
+	ind := e.finish(c, m, cpd, depth, poArrival)
 	e.cache.putL1(key, templateOf(ind))
 	return ind, nil
 }
 
 // evaluateFresh is the cache-ineligible evaluation: exactly the pre-reuse
-// pipeline (diff, incremental simulation, touched-PO error estimation).
+// pipeline (diff, incremental simulation, touched-PO error estimation) and
+// a full STA.
 func (e *Evaluator) evaluateFresh(s *sim.Simulator, c *netlist.Circuit) (*Individual, error) {
 	res, err := s.Simulate(c)
 	if err != nil {
@@ -456,7 +472,11 @@ func (e *Evaluator) evaluateFresh(s *sim.Simulator, c *netlist.Circuit) (*Indivi
 	if err != nil {
 		return nil, err
 	}
-	return e.finish(c, m)
+	rep, err := sta.Analyze(c, e.lib)
+	if err != nil {
+		return nil, err
+	}
+	return e.finish(c, m, rep.CPD, rep.MaxDepth, rep.POArrival), nil
 }
 
 // unitDelta returns one change component's PO-level error delta, from the
@@ -485,20 +505,16 @@ func (e *Evaluator) unitDelta(s *sim.Simulator, c *netlist.Circuit, unit []int) 
 	return d, nil
 }
 
-// finish turns a candidate's error metrics into a full Individual: STA,
-// area and the Eq. 8 fitness.
-func (e *Evaluator) finish(c *netlist.Circuit, m errest.Metrics) (*Individual, error) {
-	rep, err := sta.Analyze(c, e.lib)
-	if err != nil {
-		return nil, err
-	}
+// finish turns a candidate's error metrics and timing (CPD, logic depth,
+// per-PO arrivals) into a full Individual: area and the Eq. 8 fitness.
+func (e *Evaluator) finish(c *netlist.Circuit, m errest.Metrics, cpd float64, depth int, poArrival []float64) *Individual {
 	ind := &Individual{
 		Circuit:   c,
-		Delay:     rep.CPD,
-		Depth:     rep.MaxDepth,
+		Delay:     cpd,
+		Depth:     depth,
 		Area:      c.Area(e.lib),
 		PerPO:     m.PerPO,
-		POArrival: append([]float64(nil), rep.POArrival...),
+		POArrival: poArrival,
 	}
 	if e.metric == MetricER {
 		ind.Err = m.ER
@@ -515,15 +531,16 @@ func (e *Evaluator) finish(c *netlist.Circuit, m errest.Metrics) (*Individual, e
 		area = 1e-6
 	}
 	ind.Fit = e.wd*(e.refDelay/delay) + (1-e.wd)*(e.refArea/area)
-	return ind, nil
+	return ind
 }
 
 // EvaluateBatch evaluates independent candidates on a worker pool and
-// returns their Individuals in input order. Each worker owns a
-// sim.Simulator (a preallocated arena bound to the accurate circuit's
-// golden waveforms), workers are bounded by GOMAXPROCS, and evaluation is
-// pure, so the results — and the evaluation count, bumped once by
-// len(cs) — are bit-identical to evaluating the slice serially.
+// returns their Individuals in input order. Each worker owns an arena (a
+// sim.Simulator bound to the accurate circuit's golden waveforms and an
+// sta.Retimer bound to its timing report), workers are bounded by
+// GOMAXPROCS, and evaluation is pure, so the results — and the evaluation
+// count, bumped once by len(cs) — are bit-identical to evaluating the
+// slice serially.
 func (e *Evaluator) EvaluateBatch(cs []*netlist.Circuit) ([]*Individual, error) {
 	out := make([]*Individual, len(cs))
 	if len(cs) == 0 {
@@ -539,27 +556,27 @@ func (e *Evaluator) EvaluateBatch(cs []*netlist.Circuit) ([]*Individual, error) 
 	if workers < 1 {
 		workers = 1
 	}
-	// Borrow pooled simulators (rather than e.serial, even for one worker)
-	// so a result an outer caller obtained from Simulate stays valid across
-	// a batch regardless of GOMAXPROCS or batch size.
-	sims := make([]*sim.Simulator, workers)
-	for w := range sims {
-		s, err := e.borrowSimulator()
+	// Borrow pooled arenas (rather than e.serial, even for one worker) so
+	// a result an outer caller obtained from Simulate stays valid across a
+	// batch regardless of GOMAXPROCS or batch size.
+	arenas := make([]*arena, workers)
+	for w := range arenas {
+		a, err := e.borrowArena()
 		if err != nil {
-			for _, prev := range sims[:w] {
-				e.returnSimulator(prev)
+			for _, prev := range arenas[:w] {
+				e.returnArena(prev)
 			}
 			return nil, err
 		}
-		sims[w] = s
+		arenas[w] = a
 	}
 	defer func() {
-		for _, s := range sims {
-			e.returnSimulator(s)
+		for _, a := range arenas {
+			e.returnArena(a)
 		}
 	}()
 	err := ParallelFor(len(cs), workers, func(worker, i int) error {
-		ind, err := e.evaluateWith(sims[worker], cs[i])
+		ind, err := e.evaluateWith(arenas[worker], cs[i])
 		if err != nil {
 			return err
 		}
@@ -573,27 +590,38 @@ func (e *Evaluator) EvaluateBatch(cs []*netlist.Circuit) ([]*Individual, error) 
 	return out, nil
 }
 
-// borrowSimulator hands a worker an idle simulator, growing the pool on
-// first use (the pool is unbounded, so a GOMAXPROCS raise between batches
-// just grows it). Simulators live for the Evaluator's lifetime so their
-// arenas amortize to zero allocation. Constructing one concurrently is
-// safe: the serial simulator built in NewEvaluator already filled the
-// base circuit's memoized topology/fanout caches, so workers only read
-// them.
-func (e *Evaluator) borrowSimulator() (*sim.Simulator, error) {
+// borrowArena hands a worker an idle arena, growing the pool on first use
+// (the pool is unbounded, so a GOMAXPROCS raise between batches just grows
+// it). Arenas live for the Evaluator's lifetime so their scratch amortizes
+// to zero allocation. Constructing one concurrently is safe: NewEvaluator
+// already filled the base circuit's memoized topology/fanout caches, so
+// workers only read them.
+func (e *Evaluator) borrowArena() (*arena, error) {
 	e.poolMu.Lock()
 	if n := len(e.pool); n > 0 {
-		s := e.pool[n-1]
+		a := e.pool[n-1]
 		e.pool = e.pool[:n-1]
 		e.poolMu.Unlock()
-		return s, nil
+		return a, nil
 	}
 	e.poolMu.Unlock()
-	return sim.NewSimulator(e.base, e.est.Vectors(), e.est.GoldenResult())
+	return e.newArena()
 }
 
-func (e *Evaluator) returnSimulator(s *sim.Simulator) {
+func (e *Evaluator) returnArena(a *arena) {
 	e.poolMu.Lock()
-	e.pool = append(e.pool, s)
+	e.pool = append(e.pool, a)
 	e.poolMu.Unlock()
+}
+
+func (e *Evaluator) newArena() (*arena, error) {
+	s, err := sim.NewSimulator(e.base, e.est.Vectors(), e.est.GoldenResult())
+	if err != nil {
+		return nil, err
+	}
+	rt, err := sta.NewRetimer(e.base, e.lib, e.baseRep)
+	if err != nil {
+		return nil, err
+	}
+	return &arena{sim: s, rt: rt}, nil
 }

@@ -60,7 +60,8 @@ type CacheStats struct {
 	Composed int64
 	// Fallbacks counts evaluations that bypassed the cache entirely
 	// (candidates outside the base gate ID space, rewires breaking the
-	// base topological order, or a disabled cache).
+	// base topological order, or a disabled cache). They are the only
+	// evaluations timed by a full STA.
 	Fallbacks int64
 	// Generations counts BeginGeneration calls (cache resets).
 	Generations int64
@@ -204,16 +205,16 @@ func (c *evalCache) stats() CacheStats {
 }
 
 // candidateDiff scans the candidate against the base circuit once,
-// producing (a) the simulation-relevant changed set — gates whose function
-// or fan-in adjacency differs, exactly netlist.DiffGates semantics — and
-// (b) the whole-candidate cache key covering those gates plus any
-// drive-only differences (drive never affects simulation but does affect
-// timing and area, so it must distinguish keys). ok is false when the
-// candidate cannot be cached or incrementally overlaid: a different gate
-// ID space, mismatched port lists, or a rewire that broke the base
-// topological order (LACs never do; greedy inverted-wire substitutions
-// append gates and land here).
-func (e *Evaluator) candidateDiff(c *netlist.Circuit, key []byte) (simChanged []int, outKey []byte, ok bool) {
+// producing (a) the change set — every gate whose function, fan-in
+// adjacency or drive differs, ascending — and (b) the whole-candidate cache
+// key covering it (drive never affects simulation but does affect timing
+// and area, so it must distinguish keys). Simulation takes the change set
+// as it is: a drive-only gate re-simulates to its golden waveform and
+// prunes at once. ok is false when the candidate cannot be cached or
+// incrementally overlaid: a different gate ID space, mismatched port
+// lists, or a rewire that broke the base topological order (LACs never do;
+// greedy inverted-wire substitutions append gates and land here).
+func (e *Evaluator) candidateDiff(c *netlist.Circuit, key []byte) (changed []int, outKey []byte, ok bool) {
 	if len(c.Gates) != len(e.base.Gates) ||
 		!equalInts(c.PIs, e.base.PIs) || !equalInts(c.POs, e.base.POs) {
 		return nil, key, false
@@ -226,13 +227,13 @@ func (e *Evaluator) candidateDiff(c *netlist.Circuit, key []byte) (simChanged []
 					return nil, key, false
 				}
 			}
-			simChanged = append(simChanged, id)
-			key = sim.AppendGateSig(key, id, g)
-		} else if g.Drive != r.Drive {
-			key = sim.AppendGateSig(key, id, g)
+		} else if g.Drive == r.Drive {
+			continue
 		}
+		changed = append(changed, id)
+		key = sim.AppendGateSig(key, id, g)
 	}
-	return simChanged, key, true
+	return changed, key, true
 }
 
 // sameLogic reports whether two same-ID gates are simulation-equivalent

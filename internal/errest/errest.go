@@ -89,7 +89,11 @@ func (e *Estimator) Evaluate(app *netlist.Circuit) (Metrics, *sim.Result, error)
 }
 
 // MetricsFromResult computes metrics from an existing simulation result of
-// the approximate circuit.
+// the approximate circuit. NMED decodes each differing vector's golden and
+// approximate output values exactly as sim.OutputValue does, at any output
+// width: every word holding a differing vector is transposed into
+// per-vector rows, so a value costs its set bits above bit 52 rather than
+// a walk over every PO.
 func (e *Estimator) MetricsFromResult(app *netlist.Circuit, res *sim.Result) (Metrics, error) {
 	if len(app.POs) != e.nPO {
 		return Metrics{}, fmt.Errorf("errest: circuit %q has %d POs, accurate has %d", app.Name, len(app.POs), e.nPO)
@@ -105,6 +109,9 @@ func (e *Estimator) MetricsFromResult(app *netlist.Circuit, res *sim.Result) (Me
 
 	// ER and NMED share a scan over differing vectors: for each word,
 	// OR the per-PO XOR words; set bits mark vectors with any mismatch.
+	blocks := (e.nPO + 63) / 64
+	rows := make([]uint64, 2*64*blocks)
+	goldRows, appRows := rows[:64*blocks], rows[64*blocks:]
 	erCount := 0
 	sumED := 0.0
 	for w := 0; w < words; w++ {
@@ -116,11 +123,11 @@ func (e *Estimator) MetricsFromResult(app *netlist.Circuit, res *sim.Result) (Me
 			continue
 		}
 		erCount += bits.OnesCount64(anyDiff)
+		transposeWord(goldRows, e.goldenPO, w)
+		transposeWord(appRows, appPO, w)
 		for rest := anyDiff; rest != 0; rest &= rest - 1 {
-			k := w*64 + bits.TrailingZeros64(rest)
-			vOri := sim.OutputValue(e.goldenPO, k)
-			vApp := sim.OutputValue(appPO, k)
-			sumED += math.Abs(vOri - vApp)
+			b := bits.TrailingZeros64(rest)
+			sumED += math.Abs(e.rowValue(goldRows, b) - e.rowValue(appRows, b))
 		}
 	}
 	return Metrics{
@@ -130,23 +137,72 @@ func (e *Estimator) MetricsFromResult(app *netlist.Circuit, res *sim.Result) (Me
 	}, nil
 }
 
+// transposeWord fills rows with word w of the PO waveforms, transposed in
+// 64×64 bit blocks: afterwards bit i of rows[64k+b] is bit b of
+// po[64k+i][w], so rows[64k+b] holds POs 64k..64k+63 of the word's vector b.
+func transposeWord(rows []uint64, po [][]uint64, w int) {
+	for k := 0; k < len(rows); k += 64 {
+		blk := (*[64]uint64)(rows[k : k+64])
+		for i := range blk {
+			blk[i] = 0
+			if k+i < len(po) {
+				blk[i] = po[k+i][w]
+			}
+		}
+		transpose64(blk)
+	}
+}
+
+// transpose64 transposes a 64×64 bit matrix in place (bit c of m[r] moves
+// to bit r of m[c]) by swapping off-diagonal blocks of halving size.
+func transpose64(m *[64]uint64) {
+	mask := uint64(0x00000000FFFFFFFF)
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (m[k]>>j ^ m[k+j]) & mask
+			m[k+j] ^= t
+			m[k] ^= t << j
+		}
+		mask ^= mask << (j >> 1)
+	}
+}
+
+// rowValue decodes vector b's output value from transposed rows with the
+// float additions of sim.OutputValue, in the same order. The low 53 bits
+// convert in one step: OutputValue's partial sums over them are integers
+// below 2^53, so every one is exact. Each higher set bit then adds its
+// power of two, in ascending order, rounding as OutputValue does.
+func (e *Estimator) rowValue(rows []uint64, b int) float64 {
+	const exact = 53
+	v := float64(rows[b] & (1<<exact - 1))
+	for hi := rows[b] >> exact; hi != 0; hi &= hi - 1 {
+		v += e.pow2[exact+bits.TrailingZeros64(hi)]
+	}
+	for k := 64; k < len(rows); k += 64 {
+		for x := rows[k+b]; x != 0; x &= x - 1 {
+			v += e.pow2[k+bits.TrailingZeros64(x)]
+		}
+	}
+	return v
+}
+
 // MetricsDelta computes metrics from a simulation of the approximate
 // circuit given an oracle telling which PO gates' waveforms may differ
 // from the accurate circuit's (an over-approximation is fine; typically
 // sim.(*Simulator).SignalDiffers after an incremental run). POs outside
 // the touched set contribute exactly nothing to ER, NMED and PerPO — their
-// waveforms equal the golden ones — so the scan runs over the touched POs
-// only. The result is bit-identical to MetricsFromResult on the same
-// simulation: the per-vector error distance restricted to touched POs is
-// the same exact integer, and it is accumulated in the same vector order.
+// waveforms equal the golden ones — so for up to 53 POs the scan runs over
+// the touched POs only. The result is bit-identical to MetricsFromResult
+// on the same simulation: the per-vector error distance restricted to
+// touched POs is the same exact integer, and it is accumulated in the same
+// vector order. Beyond 53 POs an output value rounds, and how it rounds
+// depends on untouched bits too, so MetricsDelta runs MetricsFromResult,
+// as it does without an oracle.
 func (e *Estimator) MetricsDelta(app *netlist.Circuit, res *sim.Result, touched func(gateID int) bool) (Metrics, error) {
 	if len(app.POs) != e.nPO {
 		return Metrics{}, fmt.Errorf("errest: circuit %q has %d POs, accurate has %d", app.Name, len(app.POs), e.nPO)
 	}
 	if touched == nil || e.nPO > 53 {
-		// Beyond 53 POs the full path's float64 rounding of Vori and Vapp
-		// is no longer exactly recoverable from the touched bits alone;
-		// keep bit-identical results by running the full scan.
 		return e.MetricsFromResult(app, res)
 	}
 	idx := make([]int, 0, e.nPO) // touched PO port indices

@@ -7,23 +7,29 @@ import (
 	"repro/internal/netlist"
 )
 
-// Retimer answers the sizing step's what-if question — what would the CPD
-// be with one gate at another drive? — without a full re-analysis. It
-// works against the full Report of the unchanged netlist and re-times only
-// the gates whose arrival can move:
+// Retimer answers what-if timing questions about a base netlist without a
+// full re-analysis. It works against the full Report of the base and times
+// a candidate: a netlist that shares the base's gate IDs, ports and
+// topological order (every fan-in precedes its consumer in the base's
+// order) and differs from it only at a sorted change set of gates, each
+// with a new function, fan-ins or drive. Only the gates whose timing can
+// move are re-timed:
 //
-//   - the resized gate, whose delay changes at its unchanged load;
-//   - its fan-in drivers, whose load is re-summed with the resized gate's
-//     new input cap;
-//   - the forward cone of both, in topological order, pruned wherever a
-//     recomputed arrival equals the report's exactly.
+//   - every old and new fan-in driver of a changed gate, whose load is
+//     re-summed over its candidate consumers;
+//   - the changed gates and those drivers, whose delays are recomputed;
+//   - the forward cone of both, in the base's topological order, pruned
+//     wherever a recomputed arrival and depth both equal the report's
+//     (depths are recomputed only when some changed gate has a new
+//     function or new fan-ins: drives alone cannot move them).
 //
 // Every recomputation repeats Analyze's float operations in Analyze's
-// order: loads are summed over Circuit.Fanouts (consumer ID ascending, one
-// entry per pin, as Analyze accumulates them), fan-in maxima start from 0
-// and take strictly greater arrivals, and the CPD is folded over the POs in
-// port order. TrialCPD is therefore bit-identical to the CPD of Analyze on
-// the resized netlist. All working memory is allocated once, so a trial
+// order: a load is summed over consumers in ascending ID, one term per pin,
+// as Analyze accumulates it; fan-in maxima start from 0 and take strictly
+// greater arrivals; the CPD and depth are folded over the POs in port
+// order. Time is therefore bit-identical to Analyze of the candidate, and
+// TrialCPD, the sizing step's one-gate case, to Analyze of the resized
+// netlist. Working memory is reused across timings, so once warm a timing
 // allocates nothing. A Retimer is not safe for concurrent use.
 type Retimer struct {
 	c       *netlist.Circuit
@@ -31,9 +37,31 @@ type Retimer struct {
 	rep     *Report
 	fanouts [][]int
 	queue   *netlist.TopoQueue
-	arrival []float64 // trial arrivals; equal to rep.Arrival between trials
-	moved   []int     // gates whose trial arrival differs from rep's
+	arrival []float64 // candidate arrivals; equal to rep.Arrival between timings
+	moved   []int     // gates whose candidate arrival or depth differs from rep's
+	flags   []uint8   // changedGate / rewired / reloaded marks of the current timing
+	marked  []int     // gates with nonzero flags
+
+	// Scratch for candidates with new functions or fan-ins, allocated by
+	// the first one, so sizing trials never pay for it. depth equals
+	// rep.Depth between timings. pinHead[drv] heads a list in pins
+	// (1-based, 0 = empty) of the rewired gates reading drv in the
+	// candidate, ascending, one entry per pin.
+	depth   []int
+	pinHead []int32
+	pins    []pin
 }
+
+type pin struct {
+	gate int
+	next int32
+}
+
+const (
+	changedGate uint8 = 1 << iota // in the change set
+	rewired                       // in the change set, with new fan-ins
+	reloaded                      // an old or new fan-in of a changed gate
+)
 
 // NewRetimer binds a re-timer to circuit c and rep, a full Analyze of c.
 // c's structure must not change while the re-timer is in use. Drives may:
@@ -51,6 +79,8 @@ func NewRetimer(c *netlist.Circuit, lib *cell.Library, rep *Report) (*Retimer, e
 		queue:   queue,
 		arrival: make([]float64, n),
 		moved:   make([]int, 0, n),
+		flags:   make([]uint8, n),
+		marked:  make([]int, 0, 16),
 	}
 	t.Rebind(rep)
 	return t, nil
@@ -61,18 +91,57 @@ func NewRetimer(c *netlist.Circuit, lib *cell.Library, rep *Report) (*Retimer, e
 func (t *Retimer) Rebind(rep *Report) {
 	t.rep = rep
 	copy(t.arrival, rep.Arrival)
+	copy(t.depth, rep.Depth)
 }
 
 // TrialCPD returns the CPD that Analyze would report if gate id were at
-// drive d, every other gate keeping its drive. The circuit is not
-// modified.
+// drive d, every other gate keeping its drive. The re-timer's circuit is
+// resized for the duration of the call and restored before it returns.
 func (t *Retimer) TrialCPD(id int, d cell.Drive) float64 {
-	gates, rep := t.c.Gates, t.rep
-	fanin := gates[id].Fanin
-	t.queue.Push(id)
-	for _, fi := range fanin {
-		t.queue.Push(fi)
+	g := &t.c.Gates[id]
+	old := g.Drive
+	g.Drive = d
+	cpd, _ := t.Time(t.c, []int{id}, nil)
+	g.Drive = old
+	return cpd
+}
+
+// Time returns the CPD and logic depth that Analyze would report for
+// candidate c, which differs from the re-timer's circuit only at the gates
+// in changed (ascending). When poArrival is non-nil it receives the
+// candidate's per-PO arrivals in port order.
+func (t *Retimer) Time(c *netlist.Circuit, changed []int, poArrival []float64) (cpd float64, maxDepth int) {
+	base, gates, rep := t.c.Gates, c.Gates, t.rep
+	// Depths move only through a new function or new fan-ins; a change set
+	// of drives alone, like every sizing trial, skips them.
+	logic := false
+	for _, id := range changed {
+		g, b := &gates[id], &base[id]
+		t.mark(id, changedGate)
+		t.reload(b.Fanin)
+		logic = logic || g.Func != b.Func
+		if !slices.Equal(g.Fanin, b.Fanin) {
+			logic = true
+			t.mark(id, rewired)
+			t.reload(g.Fanin)
+		}
 	}
+	if logic && t.depth == nil {
+		t.depth = slices.Clone(rep.Depth)
+		t.pinHead = make([]int32, len(base))
+	}
+	// Pin lists are built back to front, so each reads in ascending order.
+	for i := len(changed) - 1; i >= 0; i-- {
+		id := changed[i]
+		if t.flags[id]&rewired == 0 {
+			continue
+		}
+		for _, fi := range gates[id].Fanin {
+			t.pins = append(t.pins, pin{gate: id, next: t.pinHead[fi]})
+			t.pinHead[fi] = int32(len(t.pins))
+		}
+	}
+
 	poMoved := false
 	for {
 		gid, ok := t.queue.Pop()
@@ -81,11 +150,12 @@ func (t *Retimer) TrialCPD(id int, d cell.Drive) float64 {
 		}
 		g := &gates[gid]
 		delay := rep.Delay[gid]
-		switch {
-		case gid == id:
-			delay = t.lib.Delay(g.Func, d, rep.Load[gid])
-		case !g.Func.IsPseudo() && slices.Contains(fanin, gid):
-			delay = t.lib.Delay(g.Func, g.Drive, t.load(gid, id, d))
+		if f := t.flags[gid]; f != 0 {
+			load := rep.Load[gid]
+			if f&reloaded != 0 && !g.Func.IsPseudo() { // a pseudo-cell's delay ignores its load
+				load = t.load(gates, gid)
+			}
+			delay = t.lib.Delay(g.Func, g.Drive, load)
 		}
 		maxA := 0.0
 		for _, fi := range g.Fanin {
@@ -94,7 +164,19 @@ func (t *Retimer) TrialCPD(id int, d cell.Drive) float64 {
 			}
 		}
 		a := maxA + delay
-		if a == rep.Arrival[gid] {
+		depthMoved := false
+		if logic {
+			d := 0
+			for _, fi := range g.Fanin {
+				d = max(d, t.depth[fi])
+			}
+			if !g.Func.IsPseudo() {
+				d++
+			}
+			t.depth[gid] = d
+			depthMoved = d != rep.Depth[gid]
+		}
+		if a == rep.Arrival[gid] && !depthMoved {
 			continue // nothing downstream can move through this gate
 		}
 		t.arrival[gid] = a
@@ -105,7 +187,7 @@ func (t *Retimer) TrialCPD(id int, d cell.Drive) float64 {
 		}
 	}
 
-	cpd := rep.CPD
+	cpd, maxDepth = rep.CPD, rep.MaxDepth
 	if poMoved {
 		// Analyze's fold: the first PO's arrival, then any strictly greater one.
 		for i, po := range t.c.POs {
@@ -113,29 +195,80 @@ func (t *Retimer) TrialCPD(id int, d cell.Drive) float64 {
 				cpd = a
 			}
 		}
+		if logic {
+			maxDepth = 0
+			for _, po := range t.c.POs {
+				maxDepth = max(maxDepth, t.depth[po])
+			}
+		}
 	}
+	if poArrival != nil {
+		for i, po := range t.c.POs {
+			poArrival[i] = t.arrival[po]
+		}
+	}
+
 	for _, gid := range t.moved {
 		t.arrival[gid] = rep.Arrival[gid]
+		if logic {
+			t.depth[gid] = rep.Depth[gid]
+		}
 	}
 	t.moved = t.moved[:0]
-	return cpd
+	for _, id := range t.marked {
+		t.flags[id] = 0
+		if logic {
+			t.pinHead[id] = 0
+		}
+	}
+	t.marked = t.marked[:0]
+	t.pins = t.pins[:0]
+	return cpd, maxDepth
 }
 
-// load re-sums the load gate drv drives, exactly as Analyze does, with
-// consumer id at drive d.
-func (t *Retimer) load(drv, id int, d cell.Drive) float64 {
-	load := 0.0
+// mark flags gate id for the current timing and queues it.
+func (t *Retimer) mark(id int, f uint8) {
+	if t.flags[id] == 0 {
+		t.marked = append(t.marked, id)
+	}
+	t.flags[id] |= f
+	t.queue.Push(id)
+}
+
+// reload marks the drivers of fan-in list fanin.
+func (t *Retimer) reload(fanin []int) {
+	for _, fi := range fanin {
+		t.mark(fi, reloaded)
+	}
+}
+
+// load re-sums the load gate drv drives in the candidate gates, exactly as
+// Analyze does. Its consumers are the base's, minus the rewired gates,
+// merged with the rewired gates that read it in the candidate, in
+// ascending ID.
+func (t *Retimer) load(gates []netlist.Gate, drv int) float64 {
+	load, k := 0.0, int32(0)
+	if t.pinHead != nil {
+		k = t.pinHead[drv]
+	}
 	for _, fo := range t.fanouts[drv] {
-		g := &t.c.Gates[fo]
-		if g.Func == cell.OutPort {
-			load += t.lib.DefaultPOLoad
-			continue
+		for ; k != 0 && t.pins[k-1].gate < fo; k = t.pins[k-1].next {
+			load += t.pinCap(&gates[t.pins[k-1].gate])
 		}
-		drive := g.Drive
-		if fo == id {
-			drive = d
+		if t.flags[fo]&rewired == 0 {
+			load += t.pinCap(&gates[fo])
 		}
-		load += t.lib.InputCap(g.Func, drive) + t.lib.WireCap
+	}
+	for ; k != 0; k = t.pins[k-1].next {
+		load += t.pinCap(&gates[t.pins[k-1].gate])
 	}
 	return load
+}
+
+// pinCap is the load one fan-in pin of consumer g presents, as in Analyze.
+func (t *Retimer) pinCap(g *netlist.Gate) float64 {
+	if g.Func == cell.OutPort {
+		return t.lib.DefaultPOLoad
+	}
+	return t.lib.InputCap(g.Func, g.Drive) + t.lib.WireCap
 }

@@ -3,6 +3,7 @@ package sta_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cell"
@@ -178,5 +179,162 @@ func TestTrialCPDAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("TrialCPD allocates %v times per trial, want 0", allocs)
+	}
+}
+
+// relabeled renumbers c's gates by a random permutation, so gate IDs stop
+// following the topological order (the ascending change set then lists
+// consumers before their drivers).
+func relabeled(rng *rand.Rand, c *netlist.Circuit) *netlist.Circuit {
+	perm := rng.Perm(len(c.Gates))
+	out := netlist.New(c.Name)
+	out.Gates = make([]netlist.Gate, len(c.Gates))
+	for id, g := range c.Gates {
+		fanin := make([]int, len(g.Fanin))
+		for pin, fi := range g.Fanin {
+			fanin[pin] = perm[fi]
+		}
+		g.Fanin = fanin
+		out.Gates[perm[id]] = g
+	}
+	for _, id := range c.PIs {
+		out.PIs = append(out.PIs, perm[id])
+	}
+	for _, id := range c.POs {
+		out.POs = append(out.POs, perm[id])
+	}
+	return out
+}
+
+// lacCandidate derives a candidate of c the way the optimizers do: rewires
+// whose switch is a gate of the target's transitive fan-in or a constant
+// (the latter only where it precedes every consumer in c's topological
+// order), and drive changes. A retype gives one gate another function of
+// its arity, port pseudo-cells included, which Analyze times like any
+// other candidate. lacCandidate returns the candidate and its change set:
+// every gate whose function, fan-ins or drive differ, in ascending ID.
+func lacCandidate(t testing.TB, rng *rand.Rand, c *netlist.Circuit, rewires, resizes, retypes int) (*netlist.Circuit, []int) {
+	t.Helper()
+	pos, err := c.TopoPos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := c.Clone()
+	for k := 0; k < rewires; k++ {
+		target := rng.Intn(len(cand.Gates))
+		if cand.Gates[target].Func.IsPseudo() {
+			continue
+		}
+		tfi := cand.TFI(target)
+		var switches []int
+	gates:
+		for id, g := range cand.Gates {
+			switch {
+			case tfi[id] && id != target:
+				switches = append(switches, id)
+			case g.Func.IsConst():
+				for _, fo := range cand.Fanouts()[target] {
+					if pos[id] >= pos[fo] {
+						continue gates
+					}
+				}
+				switches = append(switches, id)
+			}
+		}
+		if len(switches) > 0 {
+			cand.ReplaceFanin(target, switches[rng.Intn(len(switches))])
+		}
+	}
+	for k := 0; k < resizes; k++ {
+		if id := rng.Intn(len(cand.Gates)); !cand.Gates[id].Func.IsPseudo() {
+			cand.Gates[id].Drive = cell.Drive(rng.Intn(int(cell.NumDrives)))
+		}
+	}
+	for k := 0; k < retypes; k++ {
+		g := &cand.Gates[rng.Intn(len(cand.Gates))]
+		if f := cell.Func(rng.Intn(int(cell.NumFuncs))); g.Func != cell.OutPort && f.Arity() == len(g.Fanin) {
+			g.Func = f
+		}
+	}
+	var changed []int
+	for id := range cand.Gates {
+		g, r := &cand.Gates[id], &c.Gates[id]
+		if g.Func != r.Func || g.Drive != r.Drive || !slices.Equal(g.Fanin, r.Fanin) {
+			changed = append(changed, id)
+		}
+	}
+	return cand, changed
+}
+
+// checkCandidate requires the re-timer's CPD, logic depth and every PO
+// arrival of the candidate to equal a full Analyze bit for bit.
+func checkCandidate(t testing.TB, rt *sta.Retimer, cand *netlist.Circuit, changed []int) {
+	t.Helper()
+	want, err := sta.Analyze(cand, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poArrival := make([]float64, len(cand.POs))
+	cpd, depth := rt.Time(cand, changed, poArrival)
+	if math.Float64bits(cpd) != math.Float64bits(want.CPD) || depth != want.MaxDepth {
+		t.Fatalf("%s, changed %v: Time = (%v, %d), Analyze = (%v, %d)", cand.Name, changed, cpd, depth, want.CPD, want.MaxDepth)
+	}
+	for i, a := range poArrival {
+		if math.Float64bits(a) != math.Float64bits(want.POArrival[i]) {
+			t.Fatalf("%s, changed %v: PO %d arrival = %v, Analyze = %v", cand.Name, changed, i, a, want.POArrival[i])
+		}
+	}
+}
+
+// FuzzCandidateTiming is the candidate walk's differential oracle: on a
+// random DAG, with gate IDs in creation order or relabeled at random, two
+// successive LAC-style candidates (rewires, drive changes and sometimes a
+// function change; the second checks the first left no trace) and a resize
+// trial must each match a full Analyze bit for bit. The seed corpus is under
+// testdata/fuzz/FuzzCandidateTiming.
+func FuzzCandidateTiming(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, rewires uint8, resizes uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		c := randomDAG(rng, int(size)%96+1)
+		if seed%2 != 0 {
+			c = relabeled(rng, c)
+		}
+		rt, _ := newRetimer(t, c)
+		cand, changed := lacCandidate(t, rng, c, int(rewires)%8, int(resizes)%8, int(rewires)/128)
+		checkCandidate(t, rt, cand, changed)
+		cand, changed = lacCandidate(t, rng, c, rng.Intn(4), rng.Intn(4), rng.Intn(2))
+		checkCandidate(t, rt, cand, changed)
+		checkTrial(t, c, rt, rng.Intn(len(c.Gates)), cell.Drive(rng.Intn(int(cell.NumDrives))))
+	})
+}
+
+// TestCandidateTimingSweep times LAC candidates of real circuits, with and
+// without drive changes, against a full Analyze.
+func TestCandidateTimingSweep(t *testing.T) {
+	for _, name := range []string{"c880", "Adder16", "c6288", "Max16"} {
+		c := gen.MustBuild(name)
+		c.Const0()
+		c.Const1()
+		rt, _ := newRetimer(t, c)
+		rng := rand.New(rand.NewSource(5))
+		for k := 0; k < 40; k++ {
+			cand, changed := lacCandidate(t, rng, c, 1+k%6, k%3, 0)
+			checkCandidate(t, rt, cand, changed)
+		}
+	}
+}
+
+func TestCandidateTimingAllocatesNothing(t *testing.T) {
+	c := gen.MustBuild("c880")
+	c.Const0()
+	c.Const1()
+	rt, _ := newRetimer(t, c)
+	cand, changed := lacCandidate(t, rand.New(rand.NewSource(2)), c, 6, 4, 0)
+	poArrival := make([]float64, len(cand.POs))
+	allocs := testing.AllocsPerRun(200, func() {
+		rt.Time(cand, changed, poArrival)
+	})
+	if allocs != 0 {
+		t.Errorf("Time allocates %v times per candidate, want 0", allocs)
 	}
 }

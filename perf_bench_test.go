@@ -11,13 +11,17 @@
 //	                               a real generation exhibits (duplicate
 //	                               candidates + disjoint-cone changes), with
 //	                               the evaluation cache reset per iteration
+//	BenchmarkEvaluateBatchWide   — a population's worth of candidates of the
+//	                               128-bit Adder, whose 129 POs take the
+//	                               error estimator's wide-output scan, with
+//	                               the evaluation cache reset per iteration
 //	BenchmarkPostOptimize        — the flow's step 3, sizing.PostOptimize of
 //	                               one candidate under the accurate circuit's
 //	                               area (dangling deletion + resizing)
 //
-// All use the bench_workload_test.go workload shape (Adder16, 2048
-// vectors, LAC-mutated candidates), pinned there so the committed
-// benchgate baselines provably measure the same shape.
+// All use the bench_workload_test.go workload shape (Adder16 — Adder for
+// the wide bench — 2048 vectors, LAC-mutated candidates), pinned there so
+// the committed benchgate baselines provably measure the same shape.
 package als_test
 
 import (
@@ -31,7 +35,7 @@ import (
 )
 
 func BenchmarkSimRunFull(b *testing.B) {
-	base := benchBase(b)
+	base := benchBase(b, benchWorkloadCircuit)
 	v := sim.Random(rand.New(rand.NewSource(benchWorkloadSeed)), len(base.PIs), benchWorkloadVectors)
 	cand := benchCandidates(b, base, 1, benchWorkloadLACs)[0]
 	b.ResetTimer()
@@ -43,7 +47,7 @@ func BenchmarkSimRunFull(b *testing.B) {
 }
 
 func BenchmarkSimRunIncremental(b *testing.B) {
-	base := benchBase(b)
+	base := benchBase(b, benchWorkloadCircuit)
 	v := sim.Random(rand.New(rand.NewSource(benchWorkloadSeed)), len(base.PIs), benchWorkloadVectors)
 	cand := benchCandidates(b, base, 1, benchWorkloadLACs)[0]
 	s, err := sim.NewSimulator(base, v, nil)
@@ -59,7 +63,7 @@ func BenchmarkSimRunIncremental(b *testing.B) {
 }
 
 func BenchmarkEvaluateBatch(b *testing.B) {
-	base := benchBase(b)
+	base := benchBase(b, benchWorkloadCircuit)
 	v := sim.Random(rand.New(rand.NewSource(benchWorkloadSeed)), len(base.PIs), benchWorkloadVectors)
 	eval, err := core.NewEvaluator(base, als.NewLibrary(), core.MetricNMED, 0.8, v)
 	if err != nil {
@@ -74,6 +78,28 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateBatchWide evaluates a population slice of LAC
+// candidates of the 128-bit Adder with the cache cold at the start of
+// every iteration (BeginGeneration), so each candidate pays its
+// simulation, its wide-output error scan over 129 POs and its timing.
+func BenchmarkEvaluateBatchWide(b *testing.B) {
+	base := benchBase(b, benchWideCircuit)
+	v := sim.Random(rand.New(rand.NewSource(benchWorkloadSeed)), len(base.PIs), benchWorkloadVectors)
+	eval, err := core.NewEvaluator(base, als.NewLibrary(), core.MetricNMED, 0.8, v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := benchCandidates(b, base, benchWorkloadBatch, benchWorkloadLACs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eval.BeginGeneration()
+		if _, err := eval.EvaluateBatch(cands); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEvaluateBatchShared measures one generation's worth of
 // redundant candidates with the cache cold at the start of every
 // iteration (BeginGeneration), so the number reflects steady-state
@@ -81,7 +107,7 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 // memo and disjoint-cone candidates composing cached per-change deltas —
 // rather than cross-iteration accumulation.
 func BenchmarkEvaluateBatchShared(b *testing.B) {
-	base := benchBase(b)
+	base := benchBase(b, benchWorkloadCircuit)
 	v := sim.Random(rand.New(rand.NewSource(benchWorkloadSeed)), len(base.PIs), benchWorkloadVectors)
 	eval, err := core.NewEvaluator(base, als.NewLibrary(), core.MetricNMED, 0.8, v)
 	if err != nil {
@@ -104,7 +130,7 @@ func BenchmarkEvaluateBatchShared(b *testing.B) {
 // BenchmarkPostOptimize sizes one candidate with the area budget a flow at
 // AreaConRatio 1.0 gives it: the accurate circuit's area.
 func BenchmarkPostOptimize(b *testing.B) {
-	base := benchBase(b)
+	base := benchBase(b, benchWorkloadCircuit)
 	lib := als.NewLibrary()
 	cand := benchCandidates(b, base, 1, benchWorkloadLACs)[0]
 	opts := sizing.Options{AreaCon: base.Area(lib)}
