@@ -23,8 +23,15 @@ const (
 	// benchWideCircuit is BenchmarkEvaluateBatchWide's design: the 128-bit
 	// adder, whose 129 POs take the error estimator's wide-output scan.
 	benchWideCircuit = "Adder"
+	// benchPaperCircuit and benchSearchCircuit are the paper-preset
+	// benches' designs: BenchmarkEvaluateBatchPaper evaluates Max16
+	// candidates, BenchmarkLACSearchPaper searches Cavlc candidates.
+	benchPaperCircuit  = "Max16"
+	benchSearchCircuit = "Cavlc"
 	// benchWorkloadVectors is the Monte-Carlo sample size.
 	benchWorkloadVectors = 2048
+	// benchPaperVectors is the paper preset's sample size.
+	benchPaperVectors = 1 << 17
 	// benchWorkloadLACs is how many LACs each candidate accumulates.
 	benchWorkloadLACs = 2
 	// benchWorkloadBatch is the EvaluateBatch population slice size.

@@ -677,6 +677,15 @@ func TestWebhookRedeliveryAfterRestart(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// The sink counts the POST before c2 has appended the WAL Delivered
+	// record; closing now could cancel the delivery in between. The
+	// deliveries counter moves only after the append.
+	for c2.met.deliveries.Value() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("restarted coordinator never recorded the delivery")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	// A third lifetime must NOT deliver again: the delivery is now in the
 	// WAL.

@@ -22,6 +22,9 @@ type Optimizer struct {
 	eval *Evaluator
 	rng  *rand.Rand
 	wt   float64 // Level weight wt = 0.9·CPDori
+	// memo holds the run's golden diff counts for switch selection. Only
+	// the optimizer goroutine searches, so it needs no lock.
+	memo *lac.Memo
 }
 
 // New prepares a DCGWO run: it clones the accurate circuit, materializes
@@ -51,6 +54,7 @@ func New(accurate *netlist.Circuit, lib *cell.Library, cfg Config) (*Optimizer, 
 		rng:  rng,
 		wt:   0.9 * eval.RefDelay(),
 		eval: eval,
+		memo: lac.NewMemo(eval.est.GoldenResult()),
 	}, nil
 }
 
@@ -74,13 +78,15 @@ func (o *Optimizer) RefArea() float64 { return o.eval.RefArea() }
 // critical path is a bare wire) it falls back to a random LAC. The clone
 // is simulated by the incremental engine (it differs from the accurate
 // circuit only by the parent's accumulated LACs), which is exact, so the
-// similarity-guided pick is identical to one made on a full simulation.
+// similarity-guided pick is identical to one made on a full simulation;
+// the run's memo and the search's bound leave it unchanged too.
 func (o *Optimizer) searchClone(ind *Individual) (*netlist.Circuit, error) {
 	clone := ind.Circuit.Clone()
 	res, err := o.eval.Simulate(clone)
 	if err != nil {
 		return nil, err
 	}
+	differs := o.eval.serial.sim.SignalDiffers
 	rep, err := sta.Analyze(clone, o.lib)
 	if err != nil {
 		return nil, err
@@ -89,8 +95,8 @@ func (o *Optimizer) searchClone(ind *Individual) (*netlist.Circuit, error) {
 	if tries < 1 {
 		tries = 1
 	}
-	if _, ok := lac.SearchN(clone, res, rep, o.rng, o.cfg.CritMargin, tries); !ok {
-		lac.RandomChange(clone, res, o.rng)
+	if _, ok := o.memo.SearchN(clone, res, differs, rep, o.rng, o.cfg.CritMargin, tries); !ok {
+		o.memo.RandomChange(clone, res, differs, o.rng)
 	}
 	return clone, nil
 }
@@ -146,7 +152,7 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			lac.RandomChange(clone, res, o.rng)
+			o.memo.RandomChange(clone, res, o.eval.serial.sim.SignalDiffers, o.rng)
 		}
 		clones = append(clones, clone)
 	}

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/gen"
 	"repro/internal/lac"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -243,5 +247,61 @@ func TestSuperiorPicksStrictlyBetter(t *testing.T) {
 	}
 	if superior(pop, pop[0], rng) != pop[0] {
 		t.Error("the leader falls back to itself")
+	}
+}
+
+// TestConcurrentOptimizersMatchSerial runs two DCGWO optimizations on
+// different circuits at once — each owns its switch-selection memo — and
+// requires each to reproduce its serial run exactly. The concurrent runs
+// go first, while every memo is empty: a memo shared between runs would
+// then be filled from both goroutines, which -race reports.
+func TestConcurrentOptimizersMatchSerial(t *testing.T) {
+	runs := []struct {
+		circuit string
+		cfg     Config
+	}{
+		{"c880", smallConfig(MetricER, 0.05)},
+		{"Max16", smallConfig(MetricNMED, 0.0244)},
+	}
+	run := func(i int) (string, error) {
+		opt, err := New(gen.MustBuild(runs[i].circuit), lib, runs[i].cfg)
+		if err != nil {
+			return "", err
+		}
+		res, err := opt.Run()
+		if err != nil {
+			return "", err
+		}
+		b := res.Best
+		fp := fmt.Sprintf("fit %x delay %x area %x err %x evals %d front %d",
+			math.Float64bits(b.Fit), math.Float64bits(b.Delay), math.Float64bits(b.Area),
+			math.Float64bits(b.Err), res.Evaluations, len(res.Front))
+		for _, h := range res.History {
+			fp += fmt.Sprintf(" %x", math.Float64bits(h.BestFit))
+		}
+		return fp, nil
+	}
+	concurrent := make([]string, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			concurrent[i], errs[i] = run(i)
+		}(i)
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		serial, err := run(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if concurrent[i] != serial {
+			t.Errorf("%s: concurrent run %s, serial run %s", runs[i].circuit, concurrent[i], serial)
+		}
 	}
 }

@@ -2,12 +2,12 @@
 // recombination into whole-candidate metrics.
 //
 // A PODelta captures everything one localized change contributes to the
-// error metrics: which POs its cone touched, the per-PO XOR waveforms
-// against the golden outputs, and the precomputed ER/NMED partial sums.
-// When a multi-change candidate's changes have provably disjoint fanout
-// cones, each PO is touched by at most one change, so the candidate's
-// metrics are recombined from the per-change deltas without re-simulating
-// or re-scanning anything:
+// error metrics: which POs its cone touched, their approximate waveforms,
+// and the precomputed ER/NMED partial sums. When a multi-change
+// candidate's changes have provably disjoint fanout cones, each PO is
+// touched by at most one change, so the candidate's metrics are
+// recombined from the per-change deltas without re-simulating or
+// re-scanning anything:
 //
 //   - PerPO scatters directly (PO sets are disjoint).
 //   - ER counts the popcount of the OR of the per-delta any-diff masks.
@@ -16,16 +16,16 @@
 //     distance is |Σ d_u|, not Σ |d_u|.
 //
 // All quantities involved are integers below 2^53 whenever ComposeOK
-// reports true, so every float64 partial sum is exact and the recombined
-// metrics are bit-identical to MetricsDelta on a full incremental
-// simulation of the candidate — the invariant the evaluation cache's
-// exactness tests pin down.
+// reports true, so the recombined metrics are bit-identical to
+// MetricsDelta on a full incremental simulation of the candidate — the
+// invariant the evaluation cache's exactness tests pin down.
 package errest
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -36,32 +36,25 @@ import (
 // simulation. It is immutable after construction and safe to share across
 // evaluation workers.
 type PODelta struct {
-	// POIdx lists the touched PO port indices in ascending order — the POs
-	// whose waveform the change altered.
-	POIdx []int
-	// Xor holds, per touched PO, the XOR of the approximate and golden
-	// waveforms (one row per POIdx entry, backed by a single array).
-	Xor [][]uint64
-	// Counts holds, per touched PO, the number of differing vectors.
-	Counts []int
-	// AnyDiff is the word-wise OR of the Xor rows: set bits mark vectors
-	// where this change flips at least one PO.
-	AnyDiff []uint64
-	// ERCount is the popcount of AnyDiff.
-	ERCount int
-	// SumED is the sum over differing vectors of |Vori - Vapp| restricted
-	// to the touched POs — an exact integer below 2^53 when ComposeOK
-	// holds.
-	SumED float64
+	// planes holds the touched POs — those whose waveform the change
+	// altered — in ascending order, each with its own copy of the
+	// approximate waveform (one row per plane, backed by a single array).
+	planes []plane
+	// counts holds, per plane, the number of differing vectors.
+	counts []int
+	// anyDiff is the word-wise OR of the planes' differences: set bits
+	// mark vectors where this change flips at least one PO.
+	anyDiff []uint64
+	// erCount is the popcount of anyDiff.
+	erCount int
+	// sumED is the sum over vectors of |Vori - Vapp| restricted to the
+	// touched POs — an exact integer below 2^53 when ComposeOK holds.
+	sumED int64
 }
 
 // MemBytes approximates the delta's memory footprint for cache accounting.
 func (d *PODelta) MemBytes() int {
-	words := 0
-	for _, row := range d.Xor {
-		words += len(row)
-	}
-	return 8*(words+len(d.AnyDiff)) + 16*len(d.POIdx) + 64
+	return 8*(len(d.planes)+1)*len(d.anyDiff) + 16*len(d.planes) + 64
 }
 
 // ComposeOK reports whether per-change deltas can be recombined exactly:
@@ -77,74 +70,39 @@ func (e *Estimator) ComposeOK() bool {
 
 // ExtractPODelta builds the PO-level delta of one overlay simulation:
 // res must come from (*sim.Simulator).OverlayRun (or IncrementalRun) of a
-// single change unit, and touched must be the simulator's SignalDiffers.
-// The returned delta owns its storage — it stays valid after the simulator
-// arena is reused.
+// single change unit, touched must be the simulator's SignalDiffers, and
+// the caller must have checked ComposeOK. The returned delta owns its
+// storage — it stays valid after the simulator arena is reused.
 func (e *Estimator) ExtractPODelta(app *netlist.Circuit, res *sim.Result, touched func(gateID int) bool) (*PODelta, error) {
 	if len(app.POs) != e.nPO {
 		return nil, fmt.Errorf("errest: circuit %q has %d POs, accurate has %d", app.Name, len(app.POs), e.nPO)
 	}
-	d := &PODelta{}
-	for i, po := range app.POs {
-		if touched(po) {
-			d.POIdx = append(d.POIdx, i)
-		}
-	}
-	if len(d.POIdx) == 0 {
+	d := &PODelta{planes: e.touchedPlanes(app, res, touched)}
+	if len(d.planes) == 0 {
 		return d, nil // the change simplified away: bit-identical outputs
 	}
 	words := e.vectors.Words()
-	appPO := sim.POSignals(app, res)
-	backing := make([]uint64, (len(d.POIdx)+1)*words)
-	d.AnyDiff = backing[len(d.POIdx)*words:]
-	d.Xor = make([][]uint64, len(d.POIdx))
-	d.Counts = make([]int, len(d.POIdx))
-	for j, i := range d.POIdx {
+	backing := make([]uint64, (len(d.planes)+1)*words)
+	d.anyDiff = backing[len(d.planes)*words:]
+	d.counts = make([]int, len(d.planes))
+	for j := range d.planes {
+		p := &d.planes[j]
 		row := backing[j*words : (j+1)*words]
-		count := 0
-		for w := 0; w < words; w++ {
-			x := appPO[i][w] ^ e.goldenPO[i][w]
-			row[w] = x
-			d.AnyDiff[w] |= x
-			count += bits.OnesCount64(x)
+		copy(row, p.app)
+		p.app = row
+		for w, a := range p.app {
+			x := a ^ p.gold[w]
+			d.anyDiff[w] |= x
+			d.counts[j] += bits.OnesCount64(x)
 		}
-		d.Xor[j] = row
-		d.Counts[j] = count
 	}
-	// ER and NMED partial sums, in the same per-word, per-bit order the
-	// full MetricsDelta scan uses, so the integers agree term by term.
-	for w := 0; w < words; w++ {
-		any := d.AnyDiff[w]
-		if any == 0 {
-			continue
-		}
-		d.ERCount += bits.OnesCount64(any)
-		for rest := any; rest != 0; rest &= rest - 1 {
-			b := uint(bits.TrailingZeros64(rest))
-			d.SumED += math.Abs(d.vectorED(e, w, b))
+	for w, diff := range d.anyDiff {
+		if diff != 0 {
+			d.erCount += bits.OnesCount64(diff)
+			d.sumED += distance(d.planes, w, ^uint64(0))
 		}
 	}
 	return d, nil
-}
-
-// vectorED returns the signed error distance Vori - Vapp this delta
-// contributes at bit b of word w, restricted to its touched POs — an exact
-// integer with |d| ≤ 2^nPO - 1.
-func (d *PODelta) vectorED(e *Estimator, w int, b uint) float64 {
-	v := 0.0
-	for j, i := range d.POIdx {
-		if d.Xor[j][w]>>b&1 == 0 {
-			continue
-		}
-		// The bit differs: golden 1 means the approximation lost 2^i,
-		// golden 0 means it gained 2^i.
-		if e.goldenPO[i][w]>>b&1 == 1 {
-			v += e.pow2[i]
-		} else {
-			v -= e.pow2[i]
-		}
-	}
-	return v
 }
 
 // ComposeMetrics recombines the metrics of a candidate whose changes have
@@ -155,48 +113,44 @@ func (d *PODelta) vectorED(e *Estimator, w int, b uint) float64 {
 // the candidate.
 func ComposeMetrics(e *Estimator, units []*PODelta) Metrics {
 	n := e.vectors.N
-	words := e.vectors.Words()
 	perPO := make([]float64, e.nPO)
 	m := Metrics{PerPO: perPO}
-	sumED := 0.0
+	var total int64
+	union := make([]plane, 0, e.nPO) // every unit's planes, in ascending PO order
 	for _, u := range units {
-		for j, i := range u.POIdx {
-			perPO[i] = float64(u.Counts[j]) / float64(n)
+		for j, p := range u.planes {
+			perPO[p.pos] = float64(u.counts[j]) / float64(n)
 		}
-		sumED += u.SumED
+		total += u.sumED
+		union = append(union, u.planes...)
 	}
+	slices.SortFunc(union, func(a, b plane) int { return cmp.Compare(a.pos, b.pos) })
 	erCount := 0
-	for w := 0; w < words; w++ {
+	for w := 0; w < e.vectors.Words(); w++ {
 		var cum, coll uint64
 		for _, u := range units {
-			if u.AnyDiff == nil {
+			if u.anyDiff == nil {
 				continue
 			}
-			x := u.AnyDiff[w]
+			x := u.anyDiff[w]
 			coll |= cum & x
 			cum |= x
 		}
-		if cum != 0 {
-			erCount += bits.OnesCount64(cum)
+		erCount += bits.OnesCount64(cum)
+		if coll == 0 {
+			continue
 		}
 		// Vectors where two or more units fire: the combined error
-		// distance is |Σ d_u| over disjoint PO sets, so replace the
-		// independently accumulated Σ |d_u| for exactly those vectors.
-		for rest := coll; rest != 0; rest &= rest - 1 {
-			b := uint(bits.TrailingZeros64(rest))
-			dTot, absSum := 0.0, 0.0
-			for _, u := range units {
-				if u.AnyDiff == nil || u.AnyDiff[w]>>b&1 == 0 {
-					continue
-				}
-				d := u.vectorED(e, w, b)
-				dTot += d
-				absSum += math.Abs(d)
+		// distance is |Σ d_u| over the union of their disjoint PO sets,
+		// so replace the independently summed Σ |d_u| on those lanes.
+		total += distance(union, w, coll)
+		for _, u := range units {
+			if u.anyDiff != nil && u.anyDiff[w]&coll != 0 {
+				total -= distance(u.planes, w, coll)
 			}
-			sumED += math.Abs(dTot) - absSum
 		}
 	}
 	m.ER = float64(erCount) / float64(n)
-	m.NMED = sumED / e.norm / float64(n)
+	m.NMED = float64(total) / e.norm / float64(n)
 	return m
 }

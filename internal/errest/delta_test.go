@@ -1,6 +1,7 @@
 package errest
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -44,17 +45,18 @@ func randomLAC(c *netlist.Circuit, rng *rand.Rand) {
 // promises exactness, not approximation.
 func metricsEqual(t *testing.T, what string, a, b Metrics) {
 	t.Helper()
-	if a.ER != b.ER {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !same(a.ER, b.ER) {
 		t.Fatalf("%s: ER %v != %v", what, a.ER, b.ER)
 	}
-	if a.NMED != b.NMED {
+	if !same(a.NMED, b.NMED) {
 		t.Fatalf("%s: NMED %v != %v", what, a.NMED, b.NMED)
 	}
 	if len(a.PerPO) != len(b.PerPO) {
 		t.Fatalf("%s: PerPO lengths %d != %d", what, len(a.PerPO), len(b.PerPO))
 	}
 	for i := range a.PerPO {
-		if a.PerPO[i] != b.PerPO[i] {
+		if !same(a.PerPO[i], b.PerPO[i]) {
 			t.Fatalf("%s: PerPO[%d] %v != %v", what, i, a.PerPO[i], b.PerPO[i])
 		}
 	}

@@ -193,11 +193,13 @@ func (e *Estimator) rowValue(rows []uint64, b int) float64 {
 // the touched set contribute exactly nothing to ER, NMED and PerPO — their
 // waveforms equal the golden ones — so for up to 53 POs the scan runs over
 // the touched POs only. The result is bit-identical to MetricsFromResult
-// on the same simulation: the per-vector error distance restricted to
-// touched POs is the same exact integer, and it is accumulated in the same
-// vector order. Beyond 53 POs an output value rounds, and how it rounds
-// depends on untouched bits too, so MetricsDelta runs MetricsFromResult,
-// as it does without an oracle.
+// on the same simulation: where ComposeOK holds, the error distances sum
+// to an exact integer below 2^53, which the bit-sliced kernel computes in
+// int64; otherwise the running float sum may round, so each vector's
+// exact distance is added in MetricsFromResult's vector order. Beyond 53
+// POs an output value rounds, and how it rounds depends on untouched bits
+// too, so MetricsDelta runs MetricsFromResult, as it does without an
+// oracle.
 func (e *Estimator) MetricsDelta(app *netlist.Circuit, res *sim.Result, touched func(gateID int) bool) (Metrics, error) {
 	if len(app.POs) != e.nPO {
 		return Metrics{}, fmt.Errorf("errest: circuit %q has %d POs, accurate has %d", app.Name, len(app.POs), e.nPO)
@@ -205,50 +207,90 @@ func (e *Estimator) MetricsDelta(app *netlist.Circuit, res *sim.Result, touched 
 	if touched == nil || e.nPO > 53 {
 		return e.MetricsFromResult(app, res)
 	}
-	idx := make([]int, 0, e.nPO) // touched PO port indices
-	for i, po := range app.POs {
-		if touched(po) {
-			idx = append(idx, i)
-		}
-	}
-	perPO := make([]float64, e.nPO)
-	m := Metrics{PerPO: perPO}
-	if len(idx) == 0 {
-		return m, nil // bit-identical to the accurate circuit
-	}
+	planes := e.touchedPlanes(app, res, touched)
 	n := e.vectors.N
-	words := e.vectors.Words()
-	appPO := sim.POSignals(app, res)
-	for _, i := range idx {
-		perPO[i] = float64(sim.CountDiff(appPO[i], e.goldenPO[i])) / float64(n)
+	m := Metrics{PerPO: make([]float64, e.nPO)}
+	for _, p := range planes {
+		m.PerPO[p.pos] = float64(sim.CountDiff(p.app, p.gold)) / float64(n)
 	}
+	exact := e.ComposeOK()
 	erCount := 0
+	var total int64
 	sumED := 0.0
-	for w := 0; w < words; w++ {
+	for w := 0; w < e.vectors.Words(); w++ {
 		var anyDiff uint64
-		for _, i := range idx {
-			anyDiff |= appPO[i][w] ^ e.goldenPO[i][w]
+		for _, p := range planes {
+			anyDiff |= p.app[w] ^ p.gold[w]
 		}
 		if anyDiff == 0 {
 			continue
 		}
 		erCount += bits.OnesCount64(anyDiff)
+		if exact {
+			total += distance(planes, w, ^uint64(0))
+			continue
+		}
 		for rest := anyDiff; rest != 0; rest &= rest - 1 {
 			b := uint(bits.TrailingZeros64(rest))
-			// Vori - Vapp restricted to the touched bits: exact, since
-			// every partial sum is an integer below 2^54.
-			d := 0.0
-			for _, i := range idx {
-				ori := float64(e.goldenPO[i][w] >> b & 1)
-				apx := float64(appPO[i][w] >> b & 1)
-				d += (ori - apx) * e.pow2[i]
+			d := 0.0 // Vori - Vapp: exact, every partial sum is below 2^54
+			for _, p := range planes {
+				d += (float64(p.gold[w]>>b&1) - float64(p.app[w]>>b&1)) * e.pow2[p.pos]
 			}
 			sumED += math.Abs(d)
 		}
 	}
+	if exact {
+		sumED = float64(total)
+	}
 	m.ER = float64(erCount) / float64(n)
 	m.NMED = sumED / e.norm / float64(n)
 	return m, nil
+}
+
+// plane is one touched PO of an error-distance sum, as a bit slice: PO
+// port index pos, weighing 2^pos, with its golden and approximate
+// waveforms.
+type plane struct {
+	pos       int
+	gold, app []uint64
+}
+
+// touchedPlanes returns the planes of the POs whose gates touched reports,
+// in ascending PO order.
+func (e *Estimator) touchedPlanes(app *netlist.Circuit, res *sim.Result, touched func(gateID int) bool) []plane {
+	planes := make([]plane, 0, len(app.POs))
+	for i, po := range app.POs {
+		if touched(po) {
+			planes = append(planes, plane{pos: i, gold: e.goldenPO[i], app: res.Signals[po]})
+		}
+	}
+	return planes
+}
+
+// distance is the error-distance kernel: Σ |Vori - Vapp| over the vectors
+// of word w that mask selects, as an exact integer, where planes list in
+// ascending PO order every position at which the two values may differ
+// (up to 53 of them). The word's 64 vectors are bit-sliced (Biham, FSE
+// 1997). A first pass marks the lanes where Vapp > Vori: the approximate
+// bit at the highest differing position is 1, and each higher plane
+// overrides the lower ones. In a lane with Vori ≥ Vapp a differing
+// position adds 2^i where the golden bit is 1 and subtracts it where it is
+// 0; in a marked lane the signs swap. So plane i adds
+// 2^i·(2·|x ∧ (g ⊕ neg)| − |x|) for the masked differing lanes x.
+func distance(planes []plane, w int, mask uint64) int64 {
+	var neg uint64
+	for _, p := range planes {
+		a := p.app[w]
+		x := p.gold[w] ^ a
+		neg = neg&^x | a&x
+	}
+	var sum int64
+	for _, p := range planes {
+		g := p.gold[w]
+		x := (g ^ p.app[w]) & mask
+		sum += int64(2*bits.OnesCount64(x&(g^neg))-bits.OnesCount64(x)) << p.pos
+	}
+	return sum
 }
 
 // ER is a convenience wrapper returning only the error rate.

@@ -12,6 +12,8 @@
 package lac
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/cell"
@@ -116,16 +118,84 @@ func PickTarget(tc []int, rng *rand.Rand) int {
 // shortening at equal error cost. It returns false when the target has no
 // usable candidate.
 func BestSwitch(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int) (Change, bool) {
-	return bestSwitch(c, res, r, target, false)
+	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, false)
 }
 
 // BestSwitchInv is BestSwitch with the inverted-wire substitution also in
 // the candidate set (SASIMI's full catalogue).
 func BestSwitchInv(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int) (Change, bool) {
-	return bestSwitch(c, res, r, target, true)
+	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, true)
 }
 
-func bestSwitch(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int, allowInv bool) (Change, bool) {
+// Memo is one run's memo of golden diff counts for switch selection. Most
+// pairs a search scores are properties of the accurate circuit: when the
+// target's and the candidate's signals both equal the accurate circuit's,
+// they differ on exactly as many sampled vectors as the accurate
+// circuit's two gates do, whatever else the candidate changed. The memo
+// counts such a pair once per run and replays the integer, so the
+// similarity is the same float. It fills lazily, one row per target ever
+// scored. A Memo serves candidates in the gate ID space of the circuit
+// whose golden simulation created it, and is not safe for concurrent use.
+// The nil *Memo is the memo-less search.
+type Memo struct {
+	n    int       // vectors of the golden simulation
+	rows [][]int32 // rows[target][switch]: diff count, -1 = not counted yet
+}
+
+// NewMemo returns an empty memo for the run whose accurate circuit
+// simulated to golden.
+func NewMemo(golden *sim.Result) *Memo {
+	return &Memo{n: golden.N, rows: make([][]int32, len(golden.Signals))}
+}
+
+// row returns the target's memo row, or nil when the memo does not apply:
+// no memo, or the target's signal in res is not the golden one.
+func (m *Memo) row(res *sim.Result, differs func(int) bool, target int) []int32 {
+	if m == nil || res.N != m.n || m.n > math.MaxInt32 || target >= len(m.rows) || differs(target) {
+		return nil
+	}
+	if m.rows[target] == nil {
+		row := make([]int32, len(m.rows))
+		for i := range row {
+			row[i] = -1
+		}
+		m.rows[target] = row
+	}
+	return m.rows[target]
+}
+
+// countChunk is how many signal words bestSwitch counts between checks of
+// its bound.
+const countChunk = 32
+
+// diffCount returns the number of vectors on which signals a and b
+// differ. It gives up early, returning the partial count, once
+// 1 - count/n falls strictly below floor: the full similarity could only
+// be lower.
+func diffCount(a, b []uint64, n, floor float64) int {
+	b = b[:len(a)]
+	d := 0
+	for lo := 0; lo < len(a); lo += countChunk {
+		for w := lo; w < min(lo+countChunk, len(a)); w++ {
+			d += bits.OnesCount64(a[w] ^ b[w])
+		}
+		if 1-float64(d)/n < floor {
+			break
+		}
+	}
+	return d
+}
+
+// bestSwitch is the one switch-selection loop. differs must be the
+// SignalDiffers of the simulation that produced res; it is consulted only
+// with a memo. A pair whose two signals both equal the accurate circuit's
+// takes its count from the memo. Without inverted wires, every other pair
+// stops counting once it provably cannot win: once its similarity could
+// only fall strictly below the best wire so far, which better rejects
+// whatever the tie-break, or below a constant's, which then wins over any
+// wire as similar. Inverted wires score 1 - s as well, so they count in
+// full.
+func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, target int, allowInv bool) (Change, bool) {
 	if target < 0 || target >= len(c.Gates) || c.Gates[target].Func.IsPseudo() {
 		return Change{}, false
 	}
@@ -140,6 +210,11 @@ func bestSwitch(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int, 
 		}
 		return r.Arrival[id] < r.Arrival[best.Switch]
 	}
+	n := float64(res.N)
+	s0 := errest.ConstSimilarity(res, target, false)
+	s1 := errest.ConstSimilarity(res, target, true)
+	row := m.row(res, differs, target)
+	sig := res.Signals[target]
 	for id := range c.Gates {
 		if !tfi[id] || id == target {
 			continue
@@ -148,7 +223,19 @@ func bestSwitch(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int, 
 		if f == cell.OutPort || f.IsConst() {
 			continue
 		}
-		s := errest.Similarity(res, target, id)
+		var d int
+		switch {
+		case id < len(row) && !differs(id):
+			if row[id] < 0 {
+				row[id] = int32(diffCount(sig, res.Signals[id], n, -1))
+			}
+			d = int(row[id])
+		case allowInv:
+			d = diffCount(sig, res.Signals[id], n, -1)
+		default:
+			d = diffCount(sig, res.Signals[id], n, max(best.Similarity, s0, s1))
+		}
+		s := 1 - float64(d)/n
 		if better(s, id) {
 			best = Change{Target: target, Switch: id, Kind: WireByWire, Similarity: s}
 		}
@@ -159,8 +246,6 @@ func bestSwitch(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int, 
 		}
 	}
 	// Constants: materialize lazily only if selected.
-	s0 := errest.ConstSimilarity(res, target, false)
-	s1 := errest.ConstSimilarity(res, target, true)
 	constKind := -1
 	if s0 > best.Similarity {
 		best = Change{Target: target, Switch: -1, Kind: WireByConst, Similarity: s0}
@@ -195,6 +280,13 @@ func Search(c *netlist.Circuit, res *sim.Result, r *sta.Report, rng *rand.Rand, 
 // One LAC is still applied per action — extra tries only de-noise the
 // similarity-guided pick on error-sensitive circuits.
 func SearchN(c *netlist.Circuit, res *sim.Result, r *sta.Report, rng *rand.Rand, margin float64, tries int) (Change, bool) {
+	return (*Memo)(nil).SearchN(c, res, nil, r, rng, margin, tries)
+}
+
+// SearchN is lac.SearchN with the run's memo: differs must be the
+// SignalDiffers of the simulation that produced res. The change is the
+// one lac.SearchN picks.
+func (m *Memo) SearchN(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, rng *rand.Rand, margin float64, tries int) (Change, bool) {
 	tc := Targets(c, r, rng, margin)
 	best := Change{Similarity: -1}
 	found := false
@@ -203,7 +295,7 @@ func SearchN(c *netlist.Circuit, res *sim.Result, r *sta.Report, rng *rand.Rand,
 		if target < 0 {
 			break
 		}
-		ch, ok := BestSwitch(c, res, r, target)
+		ch, ok := m.bestSwitch(c, res, differs, r, target, false)
 		if ok && ch.Similarity > best.Similarity {
 			best = ch
 			found = true
@@ -221,6 +313,12 @@ func SearchN(c *netlist.Circuit, res *sim.Result, r *sta.Report, rng *rand.Rand,
 // selected target gates of the accurate circuit"). It reports whether a
 // change was applied.
 func RandomChange(c *netlist.Circuit, res *sim.Result, rng *rand.Rand) (Change, bool) {
+	return (*Memo)(nil).RandomChange(c, res, nil, rng)
+}
+
+// RandomChange is lac.RandomChange with the run's memo: differs must be
+// the SignalDiffers of the simulation that produced res.
+func (m *Memo) RandomChange(c *netlist.Circuit, res *sim.Result, differs func(int) bool, rng *rand.Rand) (Change, bool) {
 	live := c.Live()
 	var phys []int
 	for id, g := range c.Gates {
@@ -232,7 +330,7 @@ func RandomChange(c *netlist.Circuit, res *sim.Result, rng *rand.Rand) (Change, 
 		return Change{}, false
 	}
 	target := phys[rng.Intn(len(phys))]
-	ch, ok := BestSwitch(c, res, nil, target)
+	ch, ok := m.bestSwitch(c, res, differs, nil, target, false)
 	if !ok {
 		return Change{}, false
 	}

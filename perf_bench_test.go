@@ -15,12 +15,21 @@
 //	                               128-bit Adder, whose 129 POs take the
 //	                               error estimator's wide-output scan, with
 //	                               the evaluation cache reset per iteration
+//	BenchmarkEvaluateBatchPaper  — a population's worth of Max16 candidates
+//	                               at the paper preset's 131072 vectors,
+//	                               where the error-distance kernel dominates,
+//	                               with the evaluation cache reset per
+//	                               iteration
+//	BenchmarkLACSearchPaper      — DCGWO's searching action on Cavlc
+//	                               candidates at 131072 vectors, where
+//	                               switch selection dominates
 //	BenchmarkPostOptimize        — the flow's step 3, sizing.PostOptimize of
 //	                               one candidate under the accurate circuit's
 //	                               area (dangling deletion + resizing)
 //
 // All use the bench_workload_test.go workload shape (Adder16 — Adder for
-// the wide bench — 2048 vectors, LAC-mutated candidates), pinned there so
+// the wide bench, Max16 and Cavlc for the paper-preset ones — 2048
+// vectors or the paper's 131072, LAC-mutated candidates), pinned there so
 // the committed benchgate baselines provably measure the same shape.
 package als_test
 
@@ -30,8 +39,10 @@ import (
 
 	als "repro"
 	"repro/internal/core"
+	"repro/internal/lac"
 	"repro/internal/sim"
 	"repro/internal/sizing"
+	"repro/internal/sta"
 )
 
 func BenchmarkSimRunFull(b *testing.B) {
@@ -96,6 +107,64 @@ func BenchmarkEvaluateBatchWide(b *testing.B) {
 		eval.BeginGeneration()
 		if _, err := eval.EvaluateBatch(cands); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvaluateBatchPaper evaluates a population slice of Max16 LAC
+// candidates at the paper preset's sample size with the cache cold at the
+// start of every iteration (BeginGeneration), so each candidate pays its
+// simulation, its error distance over 131072 vectors and its timing.
+func BenchmarkEvaluateBatchPaper(b *testing.B) {
+	base := benchBase(b, benchPaperCircuit)
+	v := sim.Random(rand.New(rand.NewSource(benchWorkloadSeed)), len(base.PIs), benchPaperVectors)
+	eval, err := core.NewEvaluator(base, als.NewLibrary(), core.MetricNMED, 0.8, v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := benchCandidates(b, base, benchWorkloadBatch, benchWorkloadLACs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eval.BeginGeneration()
+		if _, err := eval.EvaluateBatch(cands); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLACSearchPaper runs DCGWO's searching action — clone, simulate,
+// time, pick the most similar switch for one of four Tc targets, apply —
+// on a population slice of Cavlc LAC candidates at the paper preset's
+// sample size. The switch-selection memo lives across iterations, as it
+// lives across a run; every iteration replays the same random draws.
+func BenchmarkLACSearchPaper(b *testing.B) {
+	base := benchBase(b, benchSearchCircuit)
+	lib := als.NewLibrary()
+	v := sim.Random(rand.New(rand.NewSource(benchWorkloadSeed)), len(base.PIs), benchPaperVectors)
+	s, err := sim.NewSimulator(base, v, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	memo := lac.NewMemo(s.Golden())
+	cands := benchCandidates(b, base, benchWorkloadBatch, benchWorkloadLACs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(benchWorkloadSeed))
+		for _, cand := range cands {
+			clone := cand.Clone()
+			res, err := s.Simulate(clone)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep, err := sta.Analyze(clone, lib)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, ok := memo.SearchN(clone, res, s.SignalDiffers, rep, rng, 0.1, 4); !ok {
+				memo.RandomChange(clone, res, s.SignalDiffers, rng)
+			}
 		}
 	}
 }
