@@ -199,10 +199,10 @@ type FlowConfig struct {
 	DepthWeight float64
 	// Population, Iterations, Vectors override the scale preset.
 	Population, Iterations, Vectors int
-	// EvalWorkers caps the candidate-evaluation worker pool (0 =
-	// GOMAXPROCS). Evaluation is pure, so results are bit-identical at
-	// any value; schedulers that run several flows concurrently set it
-	// so nested pools don't oversubscribe the machine.
+	// EvalWorkers caps the goroutines one flow keeps busy, its own
+	// included (0 = GOMAXPROCS). Evaluation is pure, so results are
+	// bit-identical at any value; schedulers that run several flows
+	// concurrently set it so nested pools don't oversubscribe the machine.
 	EvalWorkers int
 	// Progress, when non-nil, is invoked once per optimizer iteration
 	// (DCGWO) or round (baselines) from the flow's goroutine. It draws no

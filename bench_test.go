@@ -137,3 +137,22 @@ func BenchmarkFlowSingle(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFlowPaper measures one end-to-end DCGWO flow at the paper
+// preset (N = 30, Imax = 20, 131072 vectors), where the searching actions
+// and evaluations of a generation run on the evaluation pipeline.
+func BenchmarkFlowPaper(b *testing.B) {
+	lib := als.NewLibrary()
+	c := als.Benchmark(benchFlowPaperCircuit)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := als.Flow(c, lib, als.FlowConfig{
+			Metric:      als.MetricER,
+			ErrorBudget: benchFlowPaperER,
+			Scale:       als.ScalePaper,
+			Seed:        benchWorkloadSeed,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

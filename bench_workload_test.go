@@ -45,6 +45,11 @@ const (
 	// quick optimizer budget.
 	benchWorkloadPop   = 8
 	benchWorkloadIters = 6
+	// benchFlowPaperCircuit and benchFlowPaperER are BenchmarkFlowPaper's
+	// cell: c880 under the paper's TABLE II constraint (ER 5%), the
+	// end-to-end benchmark's warm-up flow.
+	benchFlowPaperCircuit = "c880"
+	benchFlowPaperER      = 0.05
 )
 
 // benchBase returns the constant-materialized workload circuit every

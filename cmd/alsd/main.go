@@ -101,7 +101,7 @@ func main() {
 		walPath      = flag.String("wal", "auto", "submission write-ahead log: a path, \"auto\" (derive <store>.wal), or empty to disable durability")
 		workers      = flag.Int("workers", 2, "concurrent flow jobs")
 		queueDepth   = flag.Int("queue", 64, "maximum queued jobs")
-		evalWorkers  = flag.Int("eval-workers", 0, "per-flow evaluation pool (0 = GOMAXPROCS/workers)")
+		evalWorkers  = flag.Int("eval-workers", 0, "goroutines one flow keeps busy, the optimizer's included (0 = GOMAXPROCS/workers)")
 		maxJobs      = flag.Int("max-jobs", 0, "in-memory job table bound; oldest finished jobs are evicted beyond it (0 = default 1024)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long to let in-flight jobs finish on shutdown")
 		logFormat    = flag.String("log-format", "text", "log output format: text or json")

@@ -70,7 +70,7 @@ type HistoryEntry struct {
 }
 
 // baselineRecipe is written into updated baselines.
-const baselineRecipe = "go test -run='^$' -bench='^(BenchmarkFlowSingle|BenchmarkSimRunIncremental|BenchmarkEvaluateBatch|BenchmarkEvaluateBatchShared|BenchmarkEvaluateBatchWide|BenchmarkEvaluateBatchPaper|BenchmarkLACSearchPaper|BenchmarkPostOptimize)$' -count=5 . | go run ./cmd/benchgate -update testdata/bench_baseline.json"
+const baselineRecipe = "go test -run='^$' -bench='^(BenchmarkFlowSingle|BenchmarkFlowPaper|BenchmarkSimRunIncremental|BenchmarkEvaluateBatch|BenchmarkEvaluateBatchShared|BenchmarkEvaluateBatchWide|BenchmarkEvaluateBatchPaper|BenchmarkLACSearchPaper|BenchmarkPostOptimize)$' -count=5 . | go run ./cmd/benchgate -update testdata/bench_baseline.json"
 
 // defaultMaxRegress is the gate allowance for benches whose baseline entry
 // does not carry one yet.

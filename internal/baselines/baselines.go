@@ -83,8 +83,8 @@ type Config struct {
 	// DepthWeight is the fitness weight used for reporting Fit; greedy
 	// baselines optimize their own single objective regardless.
 	DepthWeight float64
-	// EvalWorkers caps the parallel-evaluation pool (0 = GOMAXPROCS);
-	// mirrors core.Config.EvalWorkers.
+	// EvalWorkers caps the goroutines an evaluation batch keeps busy, the
+	// caller's included (0 = GOMAXPROCS); mirrors core.Config.EvalWorkers.
 	EvalWorkers int
 	// Progress, when non-nil, is invoked once per round/generation with
 	// the best individual found so far, mirroring core.Config.Progress.

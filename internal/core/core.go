@@ -26,7 +26,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/cell"
@@ -100,9 +99,10 @@ type Config struct {
 	// DisableReproduction replaces every reproduction action with a
 	// searching action (ablation of the crossover operator).
 	DisableReproduction bool
-	// EvalWorkers caps the parallel-evaluation pool (0 = GOMAXPROCS).
-	// Results are identical at any value; outer schedulers that shard
-	// whole flows set it to avoid nested-pool oversubscription.
+	// EvalWorkers caps the goroutines one flow keeps busy, the optimizer
+	// goroutine included (0 = GOMAXPROCS). Results are identical at any
+	// value; outer schedulers that shard whole flows set it to avoid
+	// nested-pool oversubscription.
 	EvalWorkers int
 	// Progress, when non-nil, is invoked once per iteration with the
 	// iteration's convergence stats (the same record appended to
@@ -242,10 +242,10 @@ type Result struct {
 // sta.Retimer over its changed gates' cones against the accurate
 // circuit's report. All three are exact, so an Evaluator returns
 // bit-identical Individuals to full re-simulation and full STA; other
-// candidates get both. EvaluateBatch fans independent candidates out to a
-// GOMAXPROCS-bounded worker pool, one arena (simulator and re-timer) per
-// worker; evaluation is pure (no RNG, no shared mutable state), so batch
-// results are deterministic and identical to serial evaluation.
+// candidates get both. EvaluateBatch and DCGWO generations run on one
+// pipeline, one arena (simulator and re-timer) per worker; evaluation is
+// pure (no RNG, no shared mutable state), so results are deterministic
+// and identical to serial evaluation.
 type Evaluator struct {
 	lib      *cell.Library
 	est      *errest.Estimator
@@ -273,13 +273,13 @@ type Evaluator struct {
 	reach        map[int][]uint64
 	reachScratch []int
 
-	// maxWorkers caps EvaluateBatch's pool (0 = GOMAXPROCS). Outer
-	// schedulers that already parallelize across flows set it so nested
-	// pools don't oversubscribe the machine.
+	// maxWorkers caps the goroutines a pipeline keeps busy, the caller's
+	// included (0 = GOMAXPROCS). Outer schedulers that already parallelize
+	// across flows set it so nested pools don't oversubscribe the machine.
 	maxWorkers int
 
 	poolMu sync.Mutex
-	pool   []*arena // recycled worker arenas for EvaluateBatch
+	pool   []*arena // idle pipeline arenas
 }
 
 // arena is one evaluation worker's private scratch: a simulator bound to
@@ -356,9 +356,9 @@ func (e *Evaluator) RefArea() float64 { return e.refArea }
 // Count returns how many circuit evaluations have been performed.
 func (e *Evaluator) Count() int { return e.count }
 
-// SetMaxWorkers caps EvaluateBatch's worker pool (0 restores the default,
-// GOMAXPROCS). Evaluation is pure, so the cap changes scheduling only —
-// never results.
+// SetMaxWorkers caps the goroutines a pipeline keeps busy, the caller's
+// included (0 restores the default, GOMAXPROCS). Evaluation is pure, so
+// the cap changes scheduling only — never results.
 func (e *Evaluator) SetMaxWorkers(n int) { e.maxWorkers = n }
 
 // BeginGeneration marks a generation boundary of the driving optimizer:
@@ -534,86 +534,29 @@ func (e *Evaluator) finish(c *netlist.Circuit, m errest.Metrics, cpd float64, de
 	return ind
 }
 
-// EvaluateBatch evaluates independent candidates on a worker pool and
-// returns their Individuals in input order. Each worker owns an arena (a
-// sim.Simulator bound to the accurate circuit's golden waveforms and an
-// sta.Retimer bound to its timing report), workers are bounded by
-// GOMAXPROCS, and evaluation is pure, so the results — and the evaluation
-// count, bumped once by len(cs) — are bit-identical to evaluating the
-// slice serially.
+// EvaluateBatch queues independent candidates on the Evaluator's
+// pipeline, drains it and returns their Individuals in input order. Each
+// worker owns an arena (a sim.Simulator bound to the accurate circuit's
+// golden waveforms and an sta.Retimer bound to its timing report), and
+// evaluation is pure, so the results — and the evaluation count, bumped
+// once by len(cs) — are bit-identical to evaluating the slice serially.
 func (e *Evaluator) EvaluateBatch(cs []*netlist.Circuit) ([]*Individual, error) {
-	out := make([]*Individual, len(cs))
 	if len(cs) == 0 {
-		return out, nil
+		return []*Individual{}, nil
 	}
-	workers := e.maxWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cs) {
-		workers = len(cs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Borrow pooled arenas (rather than e.serial, even for one worker) so
-	// a result an outer caller obtained from Simulate stays valid across a
-	// batch regardless of GOMAXPROCS or batch size.
-	arenas := make([]*arena, workers)
-	for w := range arenas {
-		a, err := e.borrowArena()
-		if err != nil {
-			for _, prev := range arenas[:w] {
-				e.returnArena(prev)
-			}
-			return nil, err
-		}
-		arenas[w] = a
-	}
-	defer func() {
-		for _, a := range arenas {
-			e.returnArena(a)
-		}
-	}()
-	err := ParallelFor(len(cs), workers, func(worker, i int) error {
-		ind, err := e.evaluateWith(arenas[worker], cs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = ind
-		return nil
-	})
+	p, err := e.startPipeline(len(cs))
 	if err != nil {
 		return nil, err
 	}
-	e.count += len(cs)
-	return out, nil
-}
-
-// borrowArena hands a worker an idle arena, growing the pool on first use
-// (the pool is unbounded, so a GOMAXPROCS raise between batches just grows
-// it). Arenas live for the Evaluator's lifetime so their scratch amortizes
-// to zero allocation. Constructing one concurrently is safe: NewEvaluator
-// already filled the base circuit's memoized topology/fanout caches, so
-// workers only read them.
-func (e *Evaluator) borrowArena() (*arena, error) {
-	e.poolMu.Lock()
-	if n := len(e.pool); n > 0 {
-		a := e.pool[n-1]
-		e.pool = e.pool[:n-1]
-		e.poolMu.Unlock()
-		return a, nil
+	for _, c := range cs {
+		p.submit(c, nil)
 	}
-	e.poolMu.Unlock()
-	return e.newArena()
+	return p.wait()
 }
 
-func (e *Evaluator) returnArena(a *arena) {
-	e.poolMu.Lock()
-	e.pool = append(e.pool, a)
-	e.poolMu.Unlock()
-}
-
+// newArena builds an arena. Pipelines take theirs from the pool and
+// build more when it runs short; arenas live for the Evaluator's lifetime
+// so their scratch amortizes to zero allocation.
 func (e *Evaluator) newArena() (*arena, error) {
 	s, err := sim.NewSimulator(e.base, e.est.Vectors(), e.est.GoldenResult())
 	if err != nil {

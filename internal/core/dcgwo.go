@@ -22,8 +22,8 @@ type Optimizer struct {
 	eval *Evaluator
 	rng  *rand.Rand
 	wt   float64 // Level weight wt = 0.9·CPDori
-	// memo holds the run's golden diff counts for switch selection. Only
-	// the optimizer goroutine searches, so it needs no lock.
+	// memo holds the run's golden diff counts for switch selection. It is
+	// safe for concurrent use: every pipeline worker selects through it.
 	memo *lac.Memo
 }
 
@@ -72,44 +72,57 @@ func (o *Optimizer) RefDelay() float64 { return o.eval.RefDelay() }
 // RefArea returns Areaori of the accurate circuit.
 func (o *Optimizer) RefArea() float64 { return o.eval.RefArea() }
 
-// searchClone applies one circuit-searching action to a fresh clone of the
-// individual: simulate, time, build Tc, pick a target, substitute the most
-// similar switch. When the netlist offers no searching move (e.g. the
-// critical path is a bare wire) it falls back to a random LAC. The clone
-// is simulated by the incremental engine (it differs from the accurate
-// circuit only by the parent's accumulated LACs), which is exact, so the
-// similarity-guided pick is identical to one made on a full simulation;
-// the run's memo and the search's bound leave it unchanged too.
-func (o *Optimizer) searchClone(ind *Individual) (*netlist.Circuit, error) {
-	clone := ind.Circuit.Clone()
-	res, err := o.eval.Simulate(clone)
+// searchPlan is a searching action's draws and the timing report that
+// breaks similarity ties (nil for the fallback, as in lac.RandomChange).
+type searchPlan struct {
+	memo    *lac.Memo
+	rep     *sta.Report
+	targets []int
+}
+
+// complete finishes the search on c, the clone it was drawn for: simulate
+// it in s, select the most similar switch through the memo, apply it.
+func (p *searchPlan) complete(s *sim.Simulator, c *netlist.Circuit) error {
+	res, err := s.Simulate(c)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	differs := o.eval.serial.sim.SignalDiffers
+	if ch, ok := p.memo.Select(c, res, s.SignalDiffers, p.rep, p.targets); ok {
+		lac.Apply(c, ch)
+	}
+	return nil
+}
+
+// searchClone plans one circuit-searching action on a fresh clone of the
+// individual: time the clone, build Tc and draw the targets, or a random
+// LAC's target when the netlist offers no searching move (e.g. the
+// critical path is a bare wire). No draw depends on a similarity count
+// (see lac.DrawTargets), so the plan may complete on any goroutine.
+func (o *Optimizer) searchClone(ind *Individual) (*netlist.Circuit, *searchPlan, error) {
+	clone := ind.Circuit.Clone()
 	rep, err := sta.Analyze(clone, o.lib)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	tries := o.cfg.SearchTries
-	if tries < 1 {
-		tries = 1
+	targets := lac.DrawTargets(clone, rep, o.rng, o.cfg.CritMargin, max(o.cfg.SearchTries, 1))
+	if len(targets) == 0 {
+		rep = nil
+		if t := lac.RandomTarget(clone, o.rng); t >= 0 {
+			targets = []int{t}
+		}
 	}
-	if _, ok := o.memo.SearchN(clone, res, differs, rep, o.rng, o.cfg.CritMargin, tries); !ok {
-		o.memo.RandomChange(clone, res, differs, o.rng)
-	}
-	return clone, nil
+	return clone, &searchPlan{memo: o.memo, rep: rep, targets: targets}, nil
 }
 
 // reproduceWith merges ind with the partner (falling back to a clone of
-// the better parent plus a searching move when the merge is cyclic).
-func (o *Optimizer) reproduceWith(ind, partner *Individual) (*netlist.Circuit, error) {
+// the better parent plus a searching move when reproduce returns nil).
+func (o *Optimizer) reproduceWith(ind, partner *Individual) (*netlist.Circuit, *searchPlan, error) {
 	if o.cfg.DisableReproduction {
 		return o.searchClone(ind)
 	}
 	child := reproduce(ind, partner, o.wt, o.cfg.WeightErr)
 	if child != nil {
-		return child, nil
+		return child, nil, nil
 	}
 	better := ind
 	if partner.Fit > ind.Fit {
@@ -199,105 +212,13 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 		a := 2 - 2*float64(iter)/float64(cfg.MaxIter)
 
 		sort.Slice(pop, func(i, j int) bool { return pop[i].Fit > pop[j].Fit })
-		leader := pop[0]
-		elite := pop[1:4]
-		omega := pop[4:]
-		eliteMean := (elite[0].Fit + elite[1].Fit + elite[2].Fit) / 3
-
-		candidates := append([]*Individual(nil), pop...)
-
-		// Children are generated serially (every rng draw happens in the
-		// original order) but evaluated as one parallel batch afterwards.
-		// Evaluation is pure, so deferring it changes nothing; `children`
-		// records the generation order so the candidate pool and the
-		// running-best updates see the exact sequence the serial code
-		// produced. The one exception is the ω "both actions" case, whose
-		// searched circuit must be evaluated inline: circuit reproduction
-		// consults its fitness and per-PO levels.
-		var pending []*netlist.Circuit
-		type childRef struct {
-			ind   *Individual // non-nil for inline-evaluated children
-			batch int         // index into pending otherwise
-		}
-		var children []childRef
-		addChild := func(c *netlist.Circuit) {
-			children = append(children, childRef{batch: len(pending)})
-			pending = append(pending, c)
-		}
-
-		// Chase 1: elite circuits consult the leader.
-		for _, ci := range elite {
-			d := math.Abs(o.rng.Float64()*2*leader.Fit - ci.Fit)
-			w := (2*o.rng.Float64() - 1) * a * d
-			var child *netlist.Circuit
-			if w > cfg.EliteThreshold {
-				child, err = o.reproduceWith(ci, superior(pop, ci, o.rng))
-			} else {
-				child, err = o.searchClone(ci)
-			}
-			if err != nil {
-				return nil, err
-			}
-			addChild(child)
-		}
-
-		// Chase 2: ω circuits consult the elite group.
-		for _, ci := range omega {
-			d := math.Abs(o.rng.Float64()*2*eliteMean - ci.Fit)
-			w := (2*o.rng.Float64() - 1) * a * d
-			partner := elite[o.rng.Intn(len(elite))]
-			switch {
-			case w > cfg.OmegaThreshold:
-				// Both actions: search, evaluate, then reproduce the
-				// searched circuit with an elite partner. Both results
-				// join the candidate pool.
-				searched, err := o.searchClone(ci)
-				if err != nil {
-					return nil, err
-				}
-				sInd, err := o.eval.Evaluate(searched)
-				if err != nil {
-					return nil, err
-				}
-				children = append(children, childRef{ind: sInd})
-				child, err := o.reproduceWith(sInd, partner)
-				if err != nil {
-					return nil, err
-				}
-				addChild(child)
-			case o.rng.Float64() < 0.5:
-				child, err := o.searchClone(ci)
-				if err != nil {
-					return nil, err
-				}
-				addChild(child)
-			default:
-				child, err := o.reproduceWith(ci, partner)
-				if err != nil {
-					return nil, err
-				}
-				addChild(child)
-			}
-		}
-
-		// The leader searches after the double chase to keep varying.
-		leaderChild, err := o.searchClone(leader)
+		children, err := o.chase(pop, a)
 		if err != nil {
 			return nil, err
 		}
-		addChild(leaderChild)
-
-		evaluated, err := o.eval.EvaluateBatch(pending)
-		if err != nil {
-			return nil, err
-		}
-		for _, ref := range children {
-			ind := ref.ind
-			if ind == nil {
-				ind = evaluated[ref.batch]
-			}
+		candidates := append(append([]*Individual(nil), pop...), children...)
+		for _, ind := range children {
 			consider(ind)
-			candidates = append(candidates, ind)
 		}
 
 		// Population update: drop over-constraint candidates, then
@@ -358,6 +279,101 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 	result.Evaluations = o.eval.Count()
 	result.Cache = o.eval.CacheStats()
 	return result, nil
+}
+
+// chase runs one generation's double chase over the sorted population
+// and returns the children in generation order. Every draw happens here
+// in the serial order, and each child is queued on the pipeline the
+// moment it is drawn; one per elite, ω and leader member fills the
+// PopulationSize slots. The ω "both actions" case's searched circuit is
+// evaluated inline: circuit reproduction consults its fitness.
+func (o *Optimizer) chase(pop []*Individual, a float64) ([]*Individual, error) {
+	cfg := o.cfg
+	leader, elite, omega := pop[0], pop[1:4], pop[4:]
+	eliteMean := (elite[0].Fit + elite[1].Fit + elite[2].Fit) / 3
+
+	p, err := o.eval.startPipeline(cfg.PopulationSize)
+	if err != nil {
+		return nil, err
+	}
+	defer p.finish()
+	var children []*Individual // nil: the next queued child
+	queue := func(c *netlist.Circuit, plan *searchPlan, err error) error {
+		if err == nil {
+			p.submit(c, plan)
+			children = append(children, nil)
+		}
+		return err
+	}
+
+	// Chase 1: elite circuits consult the leader.
+	for _, ci := range elite {
+		d := math.Abs(o.rng.Float64()*2*leader.Fit - ci.Fit)
+		w := (2*o.rng.Float64() - 1) * a * d
+		var err error
+		if w > cfg.EliteThreshold {
+			err = queue(o.reproduceWith(ci, superior(pop, ci, o.rng)))
+		} else {
+			err = queue(o.searchClone(ci))
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// Chase 2: ω circuits consult the elite group.
+	for _, ci := range omega {
+		d := math.Abs(o.rng.Float64()*2*eliteMean - ci.Fit)
+		w := (2*o.rng.Float64() - 1) * a * d
+		partner := elite[o.rng.Intn(len(elite))]
+		var err error
+		switch {
+		case w > cfg.OmegaThreshold:
+			// Both actions: search, evaluate, then reproduce the
+			// searched circuit with an elite partner. Both results
+			// join the candidate pool.
+			var searched *Individual
+			if searched, err = o.searchInline(ci); err == nil {
+				children = append(children, searched)
+				err = queue(o.reproduceWith(searched, partner))
+			}
+		case o.rng.Float64() < 0.5:
+			err = queue(o.searchClone(ci))
+		default:
+			err = queue(o.reproduceWith(ci, partner))
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// The leader searches after the double chase to keep varying.
+	if err := queue(o.searchClone(leader)); err != nil {
+		return nil, err
+	}
+
+	queued, err := p.wait()
+	if err != nil {
+		return nil, err
+	}
+	for i := range children {
+		if children[i] == nil {
+			children[i], queued = queued[0], queued[1:]
+		}
+	}
+	return children, nil
+}
+
+// searchInline searches a clone of ind and evaluates it at once.
+func (o *Optimizer) searchInline(ind *Individual) (*Individual, error) {
+	c, plan, err := o.searchClone(ind)
+	if err != nil {
+		return nil, err
+	}
+	if err := plan.complete(o.eval.serial.sim, c); err != nil {
+		return nil, err
+	}
+	return o.eval.Evaluate(c)
 }
 
 // superior returns a random population member with strictly better fitness

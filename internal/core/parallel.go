@@ -10,15 +10,15 @@ import (
 // goroutines (workers <= 0 means GOMAXPROCS). Indices are handed out by an
 // atomic counter, so the work distribution is dynamic; worker identifies
 // which goroutine runs the call (0 <= worker < effective worker count), so
-// callers can give each worker private scratch state (EvaluateBatch hands
-// each one its own simulator arena). The first error stops new work from
-// being claimed and is returned; with one worker the loop runs inline on
-// the calling goroutine, in index order, with no goroutines spawned.
+// callers can give each worker private scratch state. The first error
+// stops new work from being claimed and is returned; with one worker the
+// loop runs inline on the calling goroutine, in index order, with no
+// goroutines spawned.
 //
-// ParallelFor is the scheduling core behind Evaluator.EvaluateBatch and
-// the experiment orchestrator's job pool: callers whose fn is pure (or
-// writes only to its own index) get results independent of worker count
-// and scheduling order.
+// ParallelFor is the experiment orchestrator's job pool (candidate
+// evaluation has its own pipeline): callers whose fn is pure (or writes
+// only to its own index) get results independent of worker count and
+// scheduling order.
 func ParallelFor(n, workers int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil

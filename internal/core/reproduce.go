@@ -44,9 +44,13 @@ func levels(ind *Individual, wt, we float64) []float64 {
 // fan-in adjacency; gates shared between pairs accept only the first
 // write; untouched gates keep parent 1's adjacency. Because parents share
 // the accurate circuit's gate ID space, the merge is a per-gate adjacency
-// choice. Cross-parent merges can create combinational loops — unique
-// gate IDs make the check cheap — and a cyclic merge returns nil so the
-// caller can fall back.
+// choice. It returns nil for parents in different ID spaces, or, as a
+// guard, for a child with a loop: merging acyclic parents makes none,
+// since a written gate takes its donor's fan-ins, all written by the same
+// pick or an earlier one. Each donor's fan-in is walked once over all its
+// picks, stopping at gates its earlier picks reached: those were written
+// then, with their whole fan-in in that donor, so every gate still takes
+// the donor of the first pick whose cone contains it.
 func reproduce(p1, p2 *Individual, wt, we float64) *netlist.Circuit {
 	c1, c2 := p1.Circuit, p2.Circuit
 	if len(c1.Gates) != len(c2.Gates) || len(c1.POs) != len(c2.POs) {
@@ -57,14 +61,14 @@ func reproduce(p1, p2 *Individual, wt, we float64) *netlist.Circuit {
 
 	type pick struct {
 		po    int
-		donor *netlist.Circuit
+		donor int // 0: parent 1, 1: parent 2
 		level float64
 	}
 	picks := make([]pick, len(c1.POs))
 	for i := range picks {
-		picks[i] = pick{po: i, donor: c1, level: l1[i]}
+		picks[i] = pick{po: i, donor: 0, level: l1[i]}
 		if l2[i] > l1[i] {
-			picks[i] = pick{po: i, donor: c2, level: l2[i]}
+			picks[i] = pick{po: i, donor: 1, level: l2[i]}
 		}
 	}
 	// Higher-Level pairs write first, so shared gates follow the better
@@ -72,19 +76,33 @@ func reproduce(p1, p2 *Individual, wt, we float64) *netlist.Circuit {
 	sort.Slice(picks, func(a, b int) bool { return picks[a].level > picks[b].level })
 
 	child := c1.Clone()
-	written := make([]bool, len(child.Gates))
+	n := len(child.Gates)
+	written := make([]bool, n)
+	donors, reached := [2]*netlist.Circuit{c1, c2}, [2][]bool{make([]bool, n), make([]bool, n)}
+	var stack []int
 	for _, pk := range picks {
-		donor := pk.donor
-		tfi := donor.TFI(donor.POs[pk.po])
-		for id, in := range tfi {
-			if !in || written[id] {
+		donor, seen := donors[pk.donor], reached[pk.donor]
+		if root := donor.POs[pk.po]; !seen[root] {
+			seen[root] = true
+			stack = append(stack[:0], root)
+		}
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			g := donor.Gates[id]
+			for _, fi := range g.Fanin {
+				if !seen[fi] {
+					seen[fi] = true
+					stack = append(stack, fi)
+				}
+			}
+			if written[id] {
 				continue
 			}
 			written[id] = true
-			if donor == c1 {
+			if pk.donor == 0 {
 				continue // scaffold already holds parent 1's adjacency
 			}
-			g := donor.Gates[id]
 			g.Name = child.Gates[id].Name
 			child.SetGate(id, g) // invalidates the cloned topology cache
 		}

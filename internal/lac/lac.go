@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/cell"
 	"repro/internal/errest"
@@ -135,33 +136,38 @@ func BestSwitchInv(c *netlist.Circuit, res *sim.Result, r *sta.Report, target in
 // counts such a pair once per run and replays the integer, so the
 // similarity is the same float. It fills lazily, one row per target ever
 // scored. A Memo serves candidates in the gate ID space of the circuit
-// whose golden simulation created it, and is not safe for concurrent use.
-// The nil *Memo is the memo-less search.
+// whose golden simulation created it. It is safe for concurrent use: a
+// row is published once by compare-and-swap, and any goroutine may fill a
+// cell, because every goroutine computes the same integer for it. The nil
+// *Memo is the memo-less search.
 type Memo struct {
-	n    int       // vectors of the golden simulation
-	rows [][]int32 // rows[target][switch]: diff count, -1 = not counted yet
+	n int // vectors of the golden simulation
+	// rows[target][switch] is the pair's diff count plus one (0 = not
+	// counted yet); a row is nil until its target is first scored.
+	rows []atomic.Pointer[[]atomic.Int32]
 }
 
 // NewMemo returns an empty memo for the run whose accurate circuit
 // simulated to golden.
 func NewMemo(golden *sim.Result) *Memo {
-	return &Memo{n: golden.N, rows: make([][]int32, len(golden.Signals))}
+	return &Memo{n: golden.N, rows: make([]atomic.Pointer[[]atomic.Int32], len(golden.Signals))}
 }
 
 // row returns the target's memo row, or nil when the memo does not apply:
 // no memo, or the target's signal in res is not the golden one.
-func (m *Memo) row(res *sim.Result, differs func(int) bool, target int) []int32 {
-	if m == nil || res.N != m.n || m.n > math.MaxInt32 || target >= len(m.rows) || differs(target) {
+func (m *Memo) row(res *sim.Result, differs func(int) bool, target int) []atomic.Int32 {
+	if m == nil || res.N != m.n || m.n >= math.MaxInt32 || target >= len(m.rows) || differs(target) {
 		return nil
 	}
-	if m.rows[target] == nil {
-		row := make([]int32, len(m.rows))
-		for i := range row {
-			row[i] = -1
-		}
-		m.rows[target] = row
+	p := &m.rows[target]
+	if r := p.Load(); r != nil {
+		return *r
 	}
-	return m.rows[target]
+	r := make([]atomic.Int32, len(m.rows))
+	if !p.CompareAndSwap(nil, &r) {
+		return *p.Load()
+	}
+	return r
 }
 
 // countChunk is how many signal words bestSwitch counts between checks of
@@ -226,10 +232,12 @@ func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int)
 		var d int
 		switch {
 		case id < len(row) && !differs(id):
-			if row[id] < 0 {
-				row[id] = int32(diffCount(sig, res.Signals[id], n, -1))
+			v := row[id].Load()
+			if v == 0 {
+				v = int32(diffCount(sig, res.Signals[id], n, -1)) + 1
+				row[id].Store(v)
 			}
-			d = int(row[id])
+			d = int(v) - 1
 		case allowInv:
 			d = diffCount(sig, res.Signals[id], n, -1)
 		default:
@@ -268,6 +276,66 @@ func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int)
 	return best, true
 }
 
+// DrawTargets makes a searching action's draws: Tc from the timing
+// report, then tries targets sampled from it. It returns nil when Tc is
+// empty.
+//
+// A searching action splits into its draws (DrawTargets, or RandomTarget
+// for the fallback) and its pure selection (Select), so a caller can draw
+// on one goroutine, in order, and select later on another. This is exact
+// because no draw depends on a similarity count. Targets draws one
+// Float64 per on-path gate, PickTarget one Intn(len(Tc)) per try and
+// RandomTarget one Intn over the live physical gates, each from the
+// circuit's structure and timing alone. And bestSwitch on a physical
+// target always succeeds, because both constants score >= 0, so a search
+// applies a change iff it drew a target, and falls back to RandomChange
+// (Tc empty) before any count.
+func DrawTargets(c *netlist.Circuit, r *sta.Report, rng *rand.Rand, margin float64, tries int) []int {
+	tc := Targets(c, r, rng, margin)
+	if len(tc) == 0 {
+		return nil
+	}
+	targets := make([]int, max(tries, 0))
+	for k := range targets {
+		targets[k] = PickTarget(tc, rng)
+	}
+	return targets
+}
+
+// RandomTarget draws a uniformly random live physical gate, the random
+// LAC's target; it returns -1, drawing nothing, when there is none.
+func RandomTarget(c *netlist.Circuit, rng *rand.Rand) int {
+	live := c.Live()
+	var phys []int
+	for id, g := range c.Gates {
+		if live[id] && !g.Func.IsPseudo() {
+			phys = append(phys, id)
+		}
+	}
+	if len(phys) == 0 {
+		return -1
+	}
+	return phys[rng.Intn(len(phys))]
+}
+
+// Select returns the change a searching action applies for the drawn
+// targets: the first highest-similarity pick in draw order. differs must
+// be the SignalDiffers of the simulation that produced res; r breaks
+// similarity ties toward the earlier-arriving switch (nil: no tie-break,
+// as in RandomChange).
+func (m *Memo) Select(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, targets []int) (Change, bool) {
+	best := Change{Similarity: -1}
+	for _, target := range targets {
+		if ch, ok := m.bestSwitch(c, res, differs, r, target, false); ok && ch.Similarity > best.Similarity {
+			best = ch
+		}
+	}
+	if best.Similarity < 0 {
+		return Change{}, false
+	}
+	return best, true
+}
+
 // Search performs one full circuit-searching action: build Tc from the
 // timing report, pick a random target, select the best switch and apply
 // it. It reports whether a change was applied.
@@ -287,25 +355,11 @@ func SearchN(c *netlist.Circuit, res *sim.Result, r *sta.Report, rng *rand.Rand,
 // SignalDiffers of the simulation that produced res. The change is the
 // one lac.SearchN picks.
 func (m *Memo) SearchN(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, rng *rand.Rand, margin float64, tries int) (Change, bool) {
-	tc := Targets(c, r, rng, margin)
-	best := Change{Similarity: -1}
-	found := false
-	for k := 0; k < tries; k++ {
-		target := PickTarget(tc, rng)
-		if target < 0 {
-			break
-		}
-		ch, ok := m.bestSwitch(c, res, differs, r, target, false)
-		if ok && ch.Similarity > best.Similarity {
-			best = ch
-			found = true
-		}
+	ch, ok := m.Select(c, res, differs, r, DrawTargets(c, r, rng, margin, tries))
+	if ok {
+		Apply(c, ch)
 	}
-	if !found {
-		return Change{}, false
-	}
-	Apply(c, best)
-	return best, true
+	return ch, ok
 }
 
 // RandomChange applies a LAC to a uniformly random live physical gate —
@@ -319,21 +373,13 @@ func RandomChange(c *netlist.Circuit, res *sim.Result, rng *rand.Rand) (Change, 
 // RandomChange is lac.RandomChange with the run's memo: differs must be
 // the SignalDiffers of the simulation that produced res.
 func (m *Memo) RandomChange(c *netlist.Circuit, res *sim.Result, differs func(int) bool, rng *rand.Rand) (Change, bool) {
-	live := c.Live()
-	var phys []int
-	for id, g := range c.Gates {
-		if live[id] && !g.Func.IsPseudo() {
-			phys = append(phys, id)
-		}
+	var targets []int
+	if t := RandomTarget(c, rng); t >= 0 {
+		targets = []int{t}
 	}
-	if len(phys) == 0 {
-		return Change{}, false
+	ch, ok := m.Select(c, res, differs, nil, targets)
+	if ok {
+		Apply(c, ch)
 	}
-	target := phys[rng.Intn(len(phys))]
-	ch, ok := m.bestSwitch(c, res, differs, nil, target, false)
-	if !ok {
-		return Change{}, false
-	}
-	Apply(c, ch)
-	return ch, true
+	return ch, ok
 }

@@ -17,7 +17,7 @@ import (
 // referenceBestSwitch is the plain selection loop the memo and the bound
 // replace: every TFI gate is scored with a full errest.Similarity count.
 // It returns the picks without and with inverted wires (BestSwitch's and
-// BestSwitchInv's) from one pass.
+// BestSwitchInv's) from one pass. A nil report breaks no ties.
 func referenceBestSwitch(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int) (plain, inv Change) {
 	plain = Change{Target: target, Switch: -1, Similarity: -1}
 	inv = plain
@@ -25,7 +25,7 @@ func referenceBestSwitch(c *netlist.Circuit, res *sim.Result, r *sta.Report, tar
 		if sim != best.Similarity {
 			return sim > best.Similarity
 		}
-		return best.Switch >= 0 && r.Arrival[id] < r.Arrival[best.Switch]
+		return r != nil && best.Switch >= 0 && r.Arrival[id] < r.Arrival[best.Switch]
 	}
 	tfi := c.TFI(target)
 	for id := range c.Gates {

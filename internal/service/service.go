@@ -110,8 +110,8 @@ type Options struct {
 	// beyond it are rejected with ErrQueueFull rather than queued
 	// unboundedly.
 	QueueDepth int
-	// EvalWorkers caps each flow's internal candidate-evaluation pool.
-	// 0 picks GOMAXPROCS/Workers (min 1) so total parallelism stays
+	// EvalWorkers caps the goroutines each flow keeps busy, its own
+	// included. 0 picks GOMAXPROCS/Workers (min 1) so total parallelism stays
 	// GOMAXPROCS-bounded, mirroring the experiment scheduler's split.
 	EvalWorkers int
 	// MaxJobs bounds the in-memory job table (default 1024). When a new

@@ -183,10 +183,10 @@ func WithVectors(n int) Option {
 	}
 }
 
-// WithEvalWorkers caps the candidate-evaluation worker pool (default
-// GOMAXPROCS). Evaluation is pure, so the cap changes scheduling only —
-// never results; schedulers running several sessions concurrently set it
-// so nested pools don't oversubscribe the machine.
+// WithEvalWorkers caps the goroutines one flow keeps busy, its own
+// included (default GOMAXPROCS). Evaluation is pure, so the cap changes
+// scheduling only — never results; schedulers running several sessions
+// concurrently set it so nested pools don't oversubscribe the machine.
 func WithEvalWorkers(n int) Option {
 	return func(sc *sessionConfig) error {
 		if n < 0 {
