@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	als "repro"
+	"repro/internal/lac"
 	"repro/internal/netlist"
 )
 
@@ -22,6 +23,8 @@ const (
 	benchWorkloadCircuit = "Adder16"
 	// benchWideCircuit is BenchmarkEvaluateBatchWide's design: the 128-bit
 	// adder, whose 129 POs take the error estimator's wide-output scan.
+	// BenchmarkCandidateClone builds candidates of it too: at 2948 gates,
+	// a per-gate cost of Clone shows plainly in allocs/op.
 	benchWideCircuit = "Adder"
 	// benchPaperCircuit and benchSearchCircuit are the paper-preset
 	// benches' designs: BenchmarkEvaluateBatchPaper evaluates Max16
@@ -32,7 +35,8 @@ const (
 	benchWorkloadVectors = 2048
 	// benchPaperVectors is the paper preset's sample size.
 	benchPaperVectors = 1 << 17
-	// benchWorkloadLACs is how many LACs each candidate accumulates.
+	// benchWorkloadLACs is how many LACs each candidate accumulates (and
+	// BenchmarkCandidateClone applies per op).
 	benchWorkloadLACs = 2
 	// benchWorkloadBatch is the EvaluateBatch population slice size.
 	benchWorkloadBatch = 16
@@ -65,9 +69,12 @@ func benchBase(b *testing.B, name string) *netlist.Circuit {
 	return base
 }
 
-// benchLAC applies one loop-safe rewire: a random live physical gate's
-// consumers switch to a random TFI gate or constant.
-func benchLAC(c *netlist.Circuit, rng *rand.Rand) {
+// benchLAC applies one loop-safe rewire drawn by benchDrawLAC.
+func benchLAC(c *netlist.Circuit, rng *rand.Rand) { lac.Apply(c, benchDrawLAC(c, rng)) }
+
+// benchDrawLAC draws one loop-safe rewire: a random live physical gate's
+// consumers switch to a random TFI gate or, when it has none, constant 0.
+func benchDrawLAC(c *netlist.Circuit, rng *rand.Rand) lac.Change {
 	live := c.Live()
 	var phys []int
 	for id, g := range c.Gates {
@@ -84,10 +91,23 @@ func benchLAC(c *netlist.Circuit, rng *rand.Rand) {
 		}
 	}
 	if len(cands) == 0 {
-		c.ReplaceFanin(target, c.Const0())
-		return
+		return lac.Change{Target: target, Switch: c.Const0(), Kind: lac.WireByConst}
 	}
-	c.ReplaceFanin(target, cands[rng.Intn(len(cands))])
+	return lac.Change{Target: target, Switch: cands[rng.Intn(len(cands))], Kind: lac.WireByWire}
+}
+
+// benchChanges draws `lacs` rewires from a fixed seed, each on the clone
+// of base the earlier ones produced, so replaying them in order on any
+// clone of base is loop-safe and deterministic.
+func benchChanges(base *netlist.Circuit, lacs int) []lac.Change {
+	rng := rand.New(rand.NewSource(benchWorkloadSeed))
+	c := base.Clone()
+	out := make([]lac.Change, lacs)
+	for k := range out {
+		out[k] = benchDrawLAC(c, rng)
+		lac.Apply(c, out[k])
+	}
+	return out
 }
 
 // benchCandidates builds n independent candidates, each base mutated by

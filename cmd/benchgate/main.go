@@ -1,14 +1,15 @@
 // Command benchgate turns `go test -bench` output into a machine-readable
 // summary and gates CI on a committed baseline: it reads benchmark output
 // on stdin, takes the best (minimum) ns/op per benchmark across -count
-// repetitions — the least-noise estimator on shared runners — writes the
+// repetitions — the least-noise estimator on shared runners — and, on
+// lines that carry -benchmem's columns, the minimum allocs/op, writes the
 // summary JSON (the BENCH_ci.json workflow artifact), and exits 1 when ANY
 // baseline benchmark regressed beyond its allowed fraction. Every bench in
 // the baseline is gated; failures are collected, not short-circuited.
 //
 // Usage:
 //
-//	go test -run='^$' -bench='^(BenchmarkFlowSingle|...)$' -count=5 . |
+//	go test -run='^$' -bench='^(BenchmarkFlowSingle|...)$' -benchmem -count=5 . |
 //	    go run ./cmd/benchgate -baseline testdata/bench_baseline.json -out BENCH_ci.json
 //
 // After an intentional performance change (or on a new reference machine),
@@ -40,10 +41,12 @@ import (
 
 // Summary is the machine-readable digest of one bench run (the CI
 // artifact). NsPerOp holds the minimum across repetitions; Runs counts
-// how many repetitions fed each minimum.
+// how many repetitions fed each minimum. AllocsPerOp holds the minimum
+// allocs/op of the benches whose lines carry it; it is not gated.
 type Summary struct {
-	NsPerOp map[string]float64 `json:"ns_per_op"`
-	Runs    map[string]int     `json:"runs"`
+	NsPerOp     map[string]float64 `json:"ns_per_op"`
+	Runs        map[string]int     `json:"runs"`
+	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
 // BenchSpec is one benchmark's committed reference point: its baseline
@@ -64,13 +67,14 @@ type Baseline struct {
 // HistoryEntry is one line of the JSONL bench history: a labeled snapshot
 // of the per-bench minima at one point in the repo's trajectory.
 type HistoryEntry struct {
-	Label   string             `json:"label"`
-	Date    string             `json:"date"`
-	NsPerOp map[string]float64 `json:"ns_per_op"`
+	Label       string             `json:"label"`
+	Date        string             `json:"date"`
+	NsPerOp     map[string]float64 `json:"ns_per_op"`
+	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
 // baselineRecipe is written into updated baselines.
-const baselineRecipe = "go test -run='^$' -bench='^(BenchmarkFlowSingle|BenchmarkFlowPaper|BenchmarkSimRunIncremental|BenchmarkEvaluateBatch|BenchmarkEvaluateBatchShared|BenchmarkEvaluateBatchWide|BenchmarkEvaluateBatchPaper|BenchmarkLACSearchPaper|BenchmarkPostOptimize)$' -count=5 . | go run ./cmd/benchgate -update testdata/bench_baseline.json"
+const baselineRecipe = "go test -run='^$' -bench='^(BenchmarkFlowSingle|BenchmarkFlowPaper|BenchmarkSimRunIncremental|BenchmarkEvaluateBatch|BenchmarkEvaluateBatchShared|BenchmarkEvaluateBatchWide|BenchmarkEvaluateBatchPaper|BenchmarkLACSearchPaper|BenchmarkPostOptimize|BenchmarkCandidateClone)$' -benchmem -count=5 . | go run ./cmd/benchgate -update testdata/bench_baseline.json"
 
 // defaultMaxRegress is the gate allowance for benches whose baseline entry
 // does not carry one yet.
@@ -79,14 +83,17 @@ const defaultMaxRegress = 0.25
 // benchLine matches one `go test -bench` result line, e.g.
 //
 //	BenchmarkFlowSingle-8   	     226	   5136224 ns/op
+//	BenchmarkFlowSingle-8   	     226	   5136224 ns/op	 3240512 B/op	   25701 allocs/op
 //
 // The -8 GOMAXPROCS suffix is stripped so summaries compare across
-// machines with different core counts.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// machines with different core counts. The memory columns (-benchmem or
+// b.ReportAllocs) are optional, and b.ReportMetric columns may precede
+// them; group 3 holds allocs/op when present.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*\s([0-9.]+) allocs/op)?`)
 
 // parseBench aggregates bench output into a Summary.
 func parseBench(r io.Reader) (Summary, error) {
-	s := Summary{NsPerOp: map[string]float64{}, Runs: map[string]int{}}
+	s := Summary{NsPerOp: map[string]float64{}, Runs: map[string]int{}, AllocsPerOp: map[string]float64{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	for sc.Scan() {
@@ -103,6 +110,16 @@ func parseBench(r io.Reader) (Summary, error) {
 			s.NsPerOp[name] = ns
 		}
 		s.Runs[name]++
+		if m[3] == "" {
+			continue
+		}
+		allocs, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			return s, fmt.Errorf("benchgate: bad allocs/op in %q: %w", sc.Text(), err)
+		}
+		if prev, ok := s.AllocsPerOp[name]; !ok || allocs < prev {
+			s.AllocsPerOp[name] = allocs
+		}
 	}
 	return s, sc.Err()
 }
@@ -200,7 +217,7 @@ func updateBaseline(path string, s Summary) (Baseline, error) {
 
 // appendHistory appends one labeled JSONL entry with the run's minima.
 func appendHistory(path, label string, s Summary) error {
-	entry := HistoryEntry{Label: label, Date: time.Now().UTC().Format("2006-01-02"), NsPerOp: s.NsPerOp}
+	entry := HistoryEntry{Label: label, Date: time.Now().UTC().Format("2006-01-02"), NsPerOp: s.NsPerOp, AllocsPerOp: s.AllocsPerOp}
 	raw, err := json.Marshal(entry)
 	if err != nil {
 		return fmt.Errorf("benchgate: %w", err)
@@ -239,12 +256,36 @@ func readHistory(path string) ([]HistoryEntry, error) {
 	return out, sc.Err()
 }
 
-// renderHistory turns the history into a markdown table, one row per
-// entry, one column per benchmark ever recorded (missing cells dashed).
+// renderHistory turns the history into markdown: a table of ns/op, one
+// row per entry and one column per benchmark ever recorded, then, when
+// any entry recorded allocs/op, the same table of allocs/op (missing
+// cells dashed in both).
 func renderHistory(entries []HistoryEntry) string {
+	var sb strings.Builder
+	sb.WriteString("# Bench history\n\n")
+	sb.WriteString("Per-PR trajectory of the committed bench family: minimum ns/op (and,\n")
+	sb.WriteString("where recorded, allocs/op) across `-count` repetitions on the reference\n")
+	sb.WriteString("machine, one row per recorded run. Regenerate with:\n\n")
+	sb.WriteString("    go run ./cmd/benchgate -history testdata/bench_history.jsonl -history-out BENCH_history.md\n\n")
+	sb.WriteString("Append a new row after a perf-relevant change with:\n\n")
+	sb.WriteString("    go test -run='^$' -bench='...' -benchmem -count=5 . | go run ./cmd/benchgate -record testdata/bench_history.jsonl -label <pr>\n\n")
+	writeHistoryTable(&sb, entries, func(e HistoryEntry) map[string]float64 { return e.NsPerOp })
+	for _, e := range entries {
+		if len(e.AllocsPerOp) > 0 {
+			sb.WriteString("\nallocs/op:\n\n")
+			writeHistoryTable(&sb, entries, func(e HistoryEntry) map[string]float64 { return e.AllocsPerOp })
+			break
+		}
+	}
+	return sb.String()
+}
+
+// writeHistoryTable writes one markdown table of the values col picks
+// from each entry.
+func writeHistoryTable(sb *strings.Builder, entries []HistoryEntry, col func(HistoryEntry) map[string]float64) {
 	cols := map[string]bool{}
 	for _, e := range entries {
-		for name := range e.NsPerOp {
+		for name := range col(e) {
 			cols[name] = true
 		}
 	}
@@ -253,18 +294,9 @@ func renderHistory(entries []HistoryEntry) string {
 		benches = append(benches, n)
 	}
 	sort.Strings(benches)
-
-	var sb strings.Builder
-	sb.WriteString("# Bench history\n\n")
-	sb.WriteString("Per-PR trajectory of the committed bench family: minimum ns/op across\n")
-	sb.WriteString("`-count` repetitions on the reference machine, one row per recorded run.\n")
-	sb.WriteString("Regenerate with:\n\n")
-	sb.WriteString("    go run ./cmd/benchgate -history testdata/bench_history.jsonl -history-out BENCH_history.md\n\n")
-	sb.WriteString("Append a new row after a perf-relevant change with:\n\n")
-	sb.WriteString("    go test -run='^$' -bench='...' -count=5 . | go run ./cmd/benchgate -record testdata/bench_history.jsonl -label <pr>\n\n")
 	sb.WriteString("| label | date |")
 	for _, b := range benches {
-		fmt.Fprintf(&sb, " %s |", strings.TrimPrefix(b, "Benchmark"))
+		fmt.Fprintf(sb, " %s |", strings.TrimPrefix(b, "Benchmark"))
 	}
 	sb.WriteString("\n|---|---|")
 	for range benches {
@@ -272,17 +304,16 @@ func renderHistory(entries []HistoryEntry) string {
 	}
 	sb.WriteString("\n")
 	for _, e := range entries {
-		fmt.Fprintf(&sb, "| %s | %s |", e.Label, e.Date)
+		fmt.Fprintf(sb, "| %s | %s |", e.Label, e.Date)
 		for _, b := range benches {
-			if ns, ok := e.NsPerOp[b]; ok {
-				fmt.Fprintf(&sb, " %.0f |", ns)
+			if v, ok := col(e)[b]; ok {
+				fmt.Fprintf(sb, " %.0f |", v)
 			} else {
 				sb.WriteString(" — |")
 			}
 		}
 		sb.WriteString("\n")
 	}
-	return sb.String()
 }
 
 func main() {

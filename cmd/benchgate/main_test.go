@@ -239,3 +239,87 @@ func TestRunHistoryRecordAndRender(t *testing.T) {
 		t.Fatalf("rows must keep entry order:\n%s", got)
 	}
 }
+
+// memOutput mixes lines with -benchmem's columns (and a custom metric
+// before them) and lines without.
+const memOutput = `BenchmarkFlowSingle-2   	     300	   3461000 ns/op	 2850000 B/op	    7171 allocs/op
+BenchmarkFlowSingle-2   	     310	   3893000 ns/op	 2851000 B/op	    7169 allocs/op
+BenchmarkTable2ER-2   	       1	  912000000 ns/op	         0.6992 ratio_cpd_ours	31000000 B/op	  250000 allocs/op
+BenchmarkSimRunIncremental-2   	  402000	      2950 ns/op
+`
+
+func TestParseBenchReadsAllocsWhenPresent(t *testing.T) {
+	s, err := parseBench(strings.NewReader(memOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.AllocsPerOp["BenchmarkFlowSingle"]; got != 7169 {
+		t.Fatalf("FlowSingle allocs/op = %v, want the minimum 7169", got)
+	}
+	if got := s.NsPerOp["BenchmarkFlowSingle"]; got != 3461000 {
+		t.Fatalf("FlowSingle ns/op = %v, want 3461000", got)
+	}
+	if got := s.AllocsPerOp["BenchmarkTable2ER"]; got != 250000 {
+		t.Fatalf("Table2ER allocs/op = %v, want 250000 past the custom metric", got)
+	}
+	if _, ok := s.AllocsPerOp["BenchmarkSimRunIncremental"]; ok {
+		t.Fatal("a line without memory columns must record no allocs/op")
+	}
+	plain, err := parseBench(strings.NewReader(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain.AllocsPerOp) != 0 {
+		t.Fatalf("output without memory columns must record no allocs/op: %+v", plain.AllocsPerOp)
+	}
+	raw, err := json.Marshal(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "allocs_per_op") {
+		t.Fatalf("allocs_per_op must be omitted when empty: %s", raw)
+	}
+}
+
+func TestHistoryRendersAllocsBesideOldRows(t *testing.T) {
+	dir := t.TempDir()
+	history := filepath.Join(dir, "history.jsonl")
+	md := filepath.Join(dir, "BENCH_history.md")
+	// An entry written before allocs/op was recorded, as committed rows are.
+	old := `{"label":"before","date":"2026-10-18","ns_per_op":{"BenchmarkFlowSingle":4607691}}` + "\n"
+	if err := os.WriteFile(history, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var errb strings.Builder
+	if code := run([]string{"-record", history, "-label", "after"}, strings.NewReader(memOutput), &errb); code != 0 {
+		t.Fatalf("record: code=%d stderr=%q", code, errb.String())
+	}
+	entries, err := readHistory(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || len(entries[0].AllocsPerOp) != 0 || entries[1].AllocsPerOp["BenchmarkFlowSingle"] != 7169 {
+		t.Fatalf("entries = %+v, want the old row without allocs and the new one with them", entries)
+	}
+	if code := run([]string{"-history", history, "-history-out", md}, strings.NewReader(""), &errb); code != 0 {
+		t.Fatalf("render: code=%d stderr=%q", code, errb.String())
+	}
+	raw, err := os.ReadFile(md)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := string(raw)
+	i := strings.Index(got, "allocs/op:")
+	if i < 0 {
+		t.Fatalf("rendered history has no allocs/op table:\n%s", got)
+	}
+	allocs := got[i:]
+	for _, want := range []string{"| before | 2026-10-18 | — | — |", "| 7169 | 250000 |", "| FlowSingle | Table2ER |"} {
+		if !strings.Contains(allocs, want) {
+			t.Fatalf("allocs/op table missing %q:\n%s", want, allocs)
+		}
+	}
+	if !strings.Contains(got[:i], "| before | 2026-10-18 | 4607691 |") {
+		t.Fatalf("ns/op table must keep the old row:\n%s", got)
+	}
+}

@@ -114,21 +114,18 @@ func (o *Optimizer) searchClone(ind *Individual) (*netlist.Circuit, *searchPlan,
 	return clone, &searchPlan{memo: o.memo, rep: rep, targets: targets}, nil
 }
 
-// reproduceWith merges ind with the partner (falling back to a clone of
-// the better parent plus a searching move when reproduce returns nil).
+// reproduceWith merges ind with the partner by circuit reproduction. A nil
+// child breaks DCGWO's invariants (one shared gate ID space and acyclic
+// parents, see reproduce), so it is an error.
 func (o *Optimizer) reproduceWith(ind, partner *Individual) (*netlist.Circuit, *searchPlan, error) {
 	if o.cfg.DisableReproduction {
 		return o.searchClone(ind)
 	}
 	child := reproduce(ind, partner, o.wt, o.cfg.WeightErr)
-	if child != nil {
-		return child, nil, nil
+	if child == nil {
+		return nil, nil, fmt.Errorf("core: circuit reproduction made no child: a parent left the base's gate ID space or the merge made a loop")
 	}
-	better := ind
-	if partner.Fit > ind.Fit {
-		better = partner
-	}
-	return o.searchClone(better)
+	return child, nil, nil
 }
 
 // Run executes the full DCGWO loop and returns the best approximate

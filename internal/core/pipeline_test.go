@@ -185,35 +185,46 @@ func TestPipelineMatchesAcrossWorkers(t *testing.T) {
 }
 
 // TestPipelineFailureStopsWorkers makes completions fail: each new best
-// individual gets an extra primary input, so simulating a clone of it
-// fails (the sample has one input fewer). An infinite Sω rules out the ω
-// "both actions" case, so the failing search is a queued one, not an
-// inline one. RunContext must return that error, and afterwards no
-// pipeline goroutine may run and every arena must be back in the pool.
-// An EvaluateBatch with such a candidate must do the same.
+// individual lists its first primary input twice, so simulating a clone
+// of it fails (the sample has one input fewer) while its gate ID space,
+// which circuit reproduction merges on, stays the base's. An infinite Sω
+// rules out the ω "both actions" case, so the failing search is a queued
+// one, not an inline one. RunContext must return that error, and
+// afterwards no pipeline goroutine may run and every arena must be back
+// in the pool. A best individual that leaves the base's ID space (an
+// extra gate) must instead stop the run with reproduction's error, and an
+// EvaluateBatch with a bad candidate must stop the pool the same way.
 func TestPipelineFailureStopsWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		before := runtime.NumGoroutine()
-		cfg := smallConfig(MetricER, 0.05)
-		cfg.EvalWorkers = workers
-		cfg.OmegaThreshold = math.Inf(1)
-		cfg.OnImproved = func(ind *Individual) { ind.Circuit.AddInput("extra") }
-		opt, err := New(adder8(), lib, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := opt.Run(); err == nil || !strings.Contains(err.Error(), "PIs") {
-			t.Fatalf("%d workers: run error %v, want the simulation's", workers, err)
-		}
-		assertStopped(t, opt.eval, workers, before)
+		for _, c := range []struct {
+			name, want string
+			mutate     func(*netlist.Circuit)
+		}{
+			{"duplicate PI", "PIs", func(c *netlist.Circuit) { c.PIs = append(c.PIs, c.PIs[0]) }},
+			{"extra gate", "circuit reproduction", func(c *netlist.Circuit) { c.AddInput("extra") }},
+		} {
+			before := runtime.NumGoroutine()
+			cfg := smallConfig(MetricER, 0.05)
+			cfg.EvalWorkers = workers
+			cfg.OmegaThreshold = math.Inf(1)
+			cfg.OnImproved = func(ind *Individual) { c.mutate(ind.Circuit) }
+			opt, err := New(adder8(), lib, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := opt.Run(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%d workers, %s: run error %v, want one naming %q", workers, c.name, err, c.want)
+			}
+			assertStopped(t, opt.eval, workers, before)
 
-		bad := opt.base.Clone()
-		bad.AddGate(cell.Inv, bad.AddInput("extra"))
-		cands := []*netlist.Circuit{opt.base.Clone(), opt.base.Clone(), bad, opt.base.Clone()}
-		if _, err := opt.eval.EvaluateBatch(cands); err == nil {
-			t.Fatalf("%d workers: batch with a bad candidate succeeded", workers)
+			bad := opt.base.Clone()
+			bad.AddGate(cell.Inv, bad.AddInput("extra"))
+			cands := []*netlist.Circuit{opt.base.Clone(), opt.base.Clone(), bad, opt.base.Clone()}
+			if _, err := opt.eval.EvaluateBatch(cands); err == nil {
+				t.Fatalf("%d workers: batch with a bad candidate succeeded", workers)
+			}
+			assertStopped(t, opt.eval, workers, before)
 		}
-		assertStopped(t, opt.eval, workers, before)
 	}
 }
 

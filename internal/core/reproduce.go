@@ -47,10 +47,11 @@ func levels(ind *Individual, wt, we float64) []float64 {
 // choice. It returns nil for parents in different ID spaces, or, as a
 // guard, for a child with a loop: merging acyclic parents makes none,
 // since a written gate takes its donor's fan-ins, all written by the same
-// pick or an earlier one. Each donor's fan-in is walked once over all its
-// picks, stopping at gates its earlier picks reached: those were written
-// then, with their whole fan-in in that donor, so every gate still takes
-// the donor of the first pick whose cone contains it.
+// pick or an earlier one. DCGWO's parents, which share the base's ID
+// space, never take either path. Each donor's fan-in is walked once over
+// all its picks, stopping at gates its earlier picks reached: those were
+// written then, with their whole fan-in in that donor, so every gate
+// still takes the donor of the first pick whose cone contains it.
 func reproduce(p1, p2 *Individual, wt, we float64) *netlist.Circuit {
 	c1, c2 := p1.Circuit, p2.Circuit
 	if len(c1.Gates) != len(c2.Gates) || len(c1.POs) != len(c2.POs) {
@@ -104,7 +105,7 @@ func reproduce(p1, p2 *Individual, wt, we float64) *netlist.Circuit {
 				continue // scaffold already holds parent 1's adjacency
 			}
 			g.Name = child.Gates[id].Name
-			child.SetGate(id, g) // invalidates the cloned topology cache
+			child.SetGate(id, g) // in place; drops the order shared with c1
 		}
 	}
 	if _, err := child.TopoOrder(); err != nil {

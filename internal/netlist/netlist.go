@@ -6,6 +6,14 @@
 // cell function, drive strength and the IDs of its fan-in gates. Local
 // approximate changes are therefore O(1) edits of fan-in slices, and whole
 // approximate circuits are cheap to clone for population-based search.
+//
+// Storage is flat: a clone or compacted copy keeps every gate's fan-in in
+// one backing array, and the fan-out table is one compressed-sparse-row
+// array, each gate or driver holding a window capped to its own length.
+// Ownership follows two rules. A gate's fan-in window is its circuit's own:
+// it may be written in place, and an append to it reallocates rather than
+// spill into a neighbour. The memoized topological order, positions and
+// fan-out table are immutable once published, so clones share them.
 package netlist
 
 import (
@@ -50,6 +58,9 @@ type Circuit struct {
 	// Every mutation routed through the Circuit API (AddGate,
 	// ReplaceFanin, SetFanin, SetGate, ...) invalidates them; code that
 	// writes Gates[i].Fanin directly must call Invalidate afterwards.
+	// Invalidation drops the slices and never writes into them: once
+	// published they are immutable, which is what lets Clone share topo
+	// and pos with the original.
 	topo   []int
 	pos    []int
 	fanout [][]int
@@ -156,11 +167,12 @@ func (c *Circuit) Const1() int {
 	return c.const1
 }
 
-// Clone returns a deep copy of the circuit. Fan-in slices are copied so the
-// clone can be mutated independently — this is the population-cloning
-// primitive of the optimizer. The memoized topological order carries over
-// (the clone is structurally identical); the fanout cache does not, since
-// clones are usually mutated immediately and rebuilding it is cheap.
+// Clone returns a deep copy of the circuit — the population-cloning
+// primitive of the optimizer. The clone's fan-ins live in one block of its
+// own (see ownFanins), so it can be mutated independently. The memoized
+// topological order and positions are shared, not copied (the clone is
+// structurally identical, and neither side ever writes them); the fanout
+// cache is not carried over, since clones are usually mutated immediately.
 func (c *Circuit) Clone() *Circuit {
 	nc := &Circuit{
 		Name:   c.Name,
@@ -169,17 +181,35 @@ func (c *Circuit) Clone() *Circuit {
 		POs:    append([]int(nil), c.POs...),
 		const0: c.const0,
 		const1: c.const1,
-		topo:   append([]int(nil), c.topo...),
-		pos:    append([]int(nil), c.pos...),
+		topo:   c.topo,
+		pos:    c.pos,
 	}
-	for i, g := range c.Gates {
-		ng := g
-		if g.Fanin != nil {
-			ng.Fanin = append([]int(nil), g.Fanin...)
-		}
-		nc.Gates[i] = ng
-	}
+	copy(nc.Gates, c.Gates)
+	ownFanins(nc.Gates)
 	return nc
+}
+
+// ownFanins re-points every gate's fan-in at a private copy inside one
+// shared block. Each gate gets a window capped to its own length
+// (flat[o:o+k:o+k]), so writes stay inside the gate and an append to it
+// reallocates instead of overwriting the next gate's pins. A nil or empty
+// fan-in becomes nil.
+func ownFanins(gates []Gate) {
+	n := 0
+	for i := range gates {
+		n += len(gates[i].Fanin)
+	}
+	flat, o := make([]int, n), 0
+	for i := range gates {
+		k := len(gates[i].Fanin)
+		if k == 0 {
+			gates[i].Fanin = nil
+			continue
+		}
+		copy(flat[o:], gates[i].Fanin)
+		gates[i].Fanin = flat[o : o+k : o+k]
+		o += k
+	}
 }
 
 // Validate checks structural well-formedness: fan-in arities and bounds,
@@ -225,8 +255,10 @@ func (c *Circuit) Validate() error {
 // combinational loop. This is the loop-violation check enabled by unique
 // integer gate IDs (paper §III-A).
 //
-// The order is memoized until the next structural mutation; callers must
-// treat the returned slice as read-only.
+// The order is memoized until the next structural mutation and shared
+// with clones; callers must treat the returned slice as read-only. Each
+// computation builds fresh order and position slices and publishes both
+// at the end, never refilling ones a clone may hold.
 func (c *Circuit) TopoOrder() ([]int, error) {
 	if c.topo != nil {
 		return c.topo, nil
@@ -263,11 +295,11 @@ func (c *Circuit) TopoOrder() ([]int, error) {
 			}
 		}
 	}
-	c.topo = order
-	c.pos = make([]int, n)
+	pos := make([]int, n)
 	for i, id := range order {
-		c.pos[id] = i
+		pos[id] = i
 	}
+	c.topo, c.pos = order, pos
 	return order, nil
 }
 
@@ -284,16 +316,33 @@ func (c *Circuit) TopoPos() ([]int, error) {
 }
 
 // Fanouts returns, for every gate, the IDs of gates that list it as a
-// fan-in. Multiple pins of one consumer appear multiple times so that load
-// computation can count each pin.
+// fan-in, in ascending consumer ID. Multiple pins of one consumer appear
+// multiple times so that load computation can count each pin; a gate
+// nothing reads has a nil entry.
 //
-// The table is memoized until the next structural mutation; callers must
-// treat it as read-only.
+// The table is one compressed-sparse-row array: each driver's entry is a
+// window capped to its own length. It is memoized until the next
+// structural mutation; callers must treat it as read-only.
 func (c *Circuit) Fanouts() [][]int {
 	if c.fanout != nil {
 		return c.fanout
 	}
+	count := make([]int, len(c.Gates))
+	total := 0
+	for _, g := range c.Gates {
+		for _, fi := range g.Fanin {
+			count[fi]++
+		}
+		total += len(g.Fanin)
+	}
+	flat, o := make([]int, total), 0
 	fo := make([][]int, len(c.Gates))
+	for id, k := range count {
+		if k > 0 {
+			fo[id] = flat[o : o : o+k]
+			o += k
+		}
+	}
 	for id, g := range c.Gates {
 		for _, fi := range g.Fanin {
 			fo[fi] = append(fo[fi], id)
@@ -400,7 +449,8 @@ func (c *Circuit) TotalArea(lib *cell.Library) float64 {
 // This implements the paper's "dangling gates deletion": gates with empty
 // transitive fan-out are identified and removed transitively. Primary
 // inputs are part of the module interface and are always kept, even when
-// no live logic reads them.
+// no live logic reads them. Like Clone, the copy keeps its fan-ins in one
+// block of its own.
 func (c *Circuit) Compact() (*Circuit, []int) {
 	live := c.Live()
 	remap := make([]int, len(c.Gates))
@@ -412,10 +462,9 @@ func (c *Circuit) Compact() (*Circuit, []int) {
 			continue
 		}
 		remap[id] = len(nc.Gates)
-		g := c.Gates[id]
-		g.Fanin = append([]int(nil), g.Fanin...)
-		nc.Gates = append(nc.Gates, g)
+		nc.Gates = append(nc.Gates, c.Gates[id])
 	}
+	ownFanins(nc.Gates)
 	for i := range nc.Gates {
 		for pin, fi := range nc.Gates[i].Fanin {
 			nc.Gates[i].Fanin[pin] = remap[fi]
@@ -479,12 +528,19 @@ func (c *Circuit) SetFanin(id, pin, src int) {
 	c.Invalidate()
 }
 
-// SetGate overwrites a gate's function, drive and fan-in adjacency (deep
-// copying the fan-in slice) and invalidates the memoized topology — the
-// per-gate adjacency write of circuit reproduction. Loop safety is the
+// SetGate overwrites a gate's function, drive and fan-in adjacency and
+// invalidates the memoized topology — the per-gate adjacency write of
+// circuit reproduction. The fan-in is deep copied: into the gate's own
+// window when it already holds a non-empty fan-in of the same arity,
+// otherwise into a fresh slice (nil when empty). Loop safety is the
 // caller's concern.
 func (c *Circuit) SetGate(id int, g Gate) {
-	g.Fanin = append([]int(nil), g.Fanin...)
+	if dst := c.Gates[id].Fanin; len(dst) > 0 && len(dst) == len(g.Fanin) {
+		copy(dst, g.Fanin)
+		g.Fanin = dst
+	} else {
+		g.Fanin = append([]int(nil), g.Fanin...)
+	}
 	c.Gates[id] = g
 	c.Invalidate()
 }

@@ -8,6 +8,7 @@ package sta
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cell"
 	"repro/internal/netlist"
@@ -138,13 +139,18 @@ func Analyze(c *netlist.Circuit, lib *cell.Library) (*Report, error) {
 // CriticalPathForPO backtracks the worst path ending at PO index i,
 // returning gate IDs from a primary input (or constant) to the PO.
 func (r *Report) CriticalPathForPO(c *netlist.Circuit, i int) []int {
+	return r.appendPathForPO(nil, c, i)
+}
+
+// appendPathForPO appends CriticalPathForPO(c, i) to dst.
+func (r *Report) appendPathForPO(dst []int, c *netlist.Circuit, i int) []int {
 	if i < 0 || i >= len(c.POs) {
-		return nil
+		return dst
 	}
-	var rev []int
+	start := len(dst)
 	id := c.POs[i]
 	for {
-		rev = append(rev, id)
+		dst = append(dst, id)
 		g := &c.Gates[id]
 		if len(g.Fanin) == 0 {
 			break
@@ -158,10 +164,8 @@ func (r *Report) CriticalPathForPO(c *netlist.Circuit, i int) []int {
 		id = best
 	}
 	// Reverse to PI→PO order.
-	for l, h := 0, len(rev)-1; l < h; l, h = l+1, h-1 {
-		rev[l], rev[h] = rev[h], rev[l]
-	}
-	return rev
+	slices.Reverse(dst[start:])
+	return dst
 }
 
 // CriticalPath returns the overall worst path (the path realizing the CPD).
@@ -176,13 +180,14 @@ func (r *Report) CriticalPath(c *netlist.Circuit) []int {
 // paths", so callers typically pass a small margin (e.g. 0.05).
 func (r *Report) CriticalGates(c *netlist.Circuit, margin float64) []int {
 	thresh := r.CPD * (1 - margin)
-	seen := make(map[int]bool)
-	var out []int
+	seen := make([]bool, len(c.Gates))
+	var out, path []int
 	for i := range c.POs {
 		if r.POArrival[i] < thresh {
 			continue
 		}
-		for _, id := range r.CriticalPathForPO(c, i) {
+		path = r.appendPathForPO(path[:0], c, i)
+		for _, id := range path {
 			if seen[id] || c.Gates[id].Func.IsPseudo() {
 				continue
 			}

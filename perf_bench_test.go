@@ -26,6 +26,9 @@
 //	BenchmarkPostOptimize        — the flow's step 3, sizing.PostOptimize of
 //	                               one candidate under the accurate circuit's
 //	                               area (dangling deletion + resizing)
+//	BenchmarkCandidateClone      — candidate construction: Clone the 128-bit
+//	                               Adder and apply two LACs drawn outside
+//	                               the timer
 //
 // All use the bench_workload_test.go workload shape (Adder16 — Adder for
 // the wide bench, Max16 and Cavlc for the paper-preset ones — 2048
@@ -208,6 +211,24 @@ func BenchmarkPostOptimize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sizing.PostOptimize(cand, lib, opts); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCandidateClone times candidate construction, what every
+// searching action, reproduction scaffold and greedy baseline step pays
+// before simulation: Clone the wide-output workload circuit and replay
+// benchWorkloadLACs rewires drawn outside the timer. With flat netlist
+// storage its allocs/op is a small constant, whatever the gate count.
+func BenchmarkCandidateClone(b *testing.B) {
+	base := benchBase(b, benchWideCircuit)
+	changes := benchChanges(base, benchWorkloadLACs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := base.Clone()
+		for _, ch := range changes {
+			lac.Apply(c, ch)
 		}
 	}
 }
