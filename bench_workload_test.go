@@ -28,7 +28,9 @@ const (
 	benchWideCircuit = "Adder"
 	// benchPaperCircuit and benchSearchCircuit are the paper-preset
 	// benches' designs: BenchmarkEvaluateBatchPaper evaluates Max16
-	// candidates, BenchmarkLACSearchPaper searches Cavlc candidates.
+	// candidates (an NMED circuit), BenchmarkLACSearchPaper searches Cavlc
+	// candidates and BenchmarkEvaluateBatchPaperER evaluates them under
+	// the ER constraint, the paper's TABLE II metric for Cavlc.
 	benchPaperCircuit  = "Max16"
 	benchSearchCircuit = "Cavlc"
 	// benchWorkloadVectors is the Monte-Carlo sample size.

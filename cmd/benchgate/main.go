@@ -14,7 +14,10 @@
 //
 // After an intentional performance change (or on a new reference machine),
 // regenerate the baseline with the recipe in the baseline file itself —
-// per-bench regression allowances are preserved across -update.
+// per-bench regression allowances are preserved across -update. -update
+// refreshes the benches the run measured and keeps every other entry as
+// it is, so `go test -bench='^BenchmarkX$' ... | benchgate -update FILE`
+// adds or refreshes BenchmarkX alone.
 //
 // The committed bench history is maintained with the same tool:
 // `-record FILE -label L` appends one JSONL entry holding this run's
@@ -74,7 +77,7 @@ type HistoryEntry struct {
 }
 
 // baselineRecipe is written into updated baselines.
-const baselineRecipe = "go test -run='^$' -bench='^(BenchmarkFlowSingle|BenchmarkFlowPaper|BenchmarkSimRunIncremental|BenchmarkEvaluateBatch|BenchmarkEvaluateBatchShared|BenchmarkEvaluateBatchWide|BenchmarkEvaluateBatchPaper|BenchmarkLACSearchPaper|BenchmarkPostOptimize|BenchmarkCandidateClone)$' -benchmem -count=5 . | go run ./cmd/benchgate -update testdata/bench_baseline.json"
+const baselineRecipe = "go test -run='^$' -bench='^(BenchmarkFlowSingle|BenchmarkFlowPaper|BenchmarkSimRunIncremental|BenchmarkEvaluateBatch|BenchmarkEvaluateBatchShared|BenchmarkEvaluateBatchWide|BenchmarkEvaluateBatchPaper|BenchmarkEvaluateBatchPaperER|BenchmarkLACSearchPaper|BenchmarkPostOptimize|BenchmarkCandidateClone)$' -benchmem -count=5 . | go run ./cmd/benchgate -update testdata/bench_baseline.json"
 
 // defaultMaxRegress is the gate allowance for benches whose baseline entry
 // does not carry one yet.
@@ -196,18 +199,18 @@ func readBaseline(path string) (Baseline, error) {
 	return b, nil
 }
 
-// updateBaseline writes the summary as a new baseline, preserving each
-// existing bench's regression allowance (a tightened gate must survive a
-// number refresh).
+// updateBaseline refreshes the baseline with the summary: each measured
+// bench gets the run's ns/op and keeps its regression allowance (a
+// tightened gate must survive a number refresh), and each bench the run
+// did not measure keeps its entry unchanged.
 func updateBaseline(path string, s Summary) (Baseline, error) {
-	prev := map[string]BenchSpec{}
-	if old, err := readBaseline(path); err == nil {
-		prev = old.Benches
-	}
 	b := Baseline{Recipe: baselineRecipe, Benches: map[string]BenchSpec{}}
+	if old, err := readBaseline(path); err == nil {
+		b.Benches = old.Benches
+	}
 	for name, ns := range s.NsPerOp {
 		spec := BenchSpec{NsPerOp: ns, MaxRegress: defaultMaxRegress}
-		if p, ok := prev[name]; ok && p.MaxRegress > 0 {
+		if p, ok := b.Benches[name]; ok && p.MaxRegress > 0 {
 			spec.MaxRegress = p.MaxRegress
 		}
 		b.Benches[name] = spec
@@ -326,7 +329,7 @@ func run(args []string, stdin io.Reader, stderr io.Writer) int {
 	var (
 		baselinePath = fs.String("baseline", "", "committed baseline JSON; every bench listed there is gated")
 		outPath      = fs.String("out", "", "write the parsed summary JSON here (the CI artifact)")
-		updatePath   = fs.String("update", "", "write stdin's results as a new baseline to this path and exit")
+		updatePath   = fs.String("update", "", "refresh this baseline with stdin's results, keeping the benches they lack, and exit")
 		recordPath   = fs.String("record", "", "append stdin's results as one JSONL history entry to this file")
 		labelFlag    = fs.String("label", "", "history entry label (e.g. the PR), required with -record")
 		historyPath  = fs.String("history", "", "JSONL history file to render as markdown")

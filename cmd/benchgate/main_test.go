@@ -193,6 +193,45 @@ func TestRunEndToEndGateAndArtifact(t *testing.T) {
 	}
 }
 
+// TestUpdateKeepsUnmeasuredBenches runs -update with one bench on a
+// baseline that lists two: the measured one is refreshed and keeps its
+// allowance, the unmeasured one survives unchanged, and the recipe
+// string is written.
+func TestUpdateKeepsUnmeasuredBenches(t *testing.T) {
+	baseline := filepath.Join(t.TempDir(), "baseline.json")
+	prev := Baseline{Recipe: "old recipe", Benches: map[string]BenchSpec{
+		"BenchmarkFlowSingle":   {NsPerOp: 1, MaxRegress: 0.10},
+		"BenchmarkPostOptimize": {NsPerOp: 123886, MaxRegress: 0.40},
+	}}
+	if err := writeJSON(baseline, prev); err != nil {
+		t.Fatal(err)
+	}
+	one := "BenchmarkFlowSingle-8   	     226	   5136224 ns/op\nBenchmarkFlowSingle-8   	     230	   5101833 ns/op\n"
+	var errb strings.Builder
+	if code := run([]string{"-update", baseline}, strings.NewReader(one), &errb); code != 0 {
+		t.Fatalf("-update: code=%d stderr=%q", code, errb.String())
+	}
+	got, err := readBaseline(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Recipe != baselineRecipe {
+		t.Fatalf("recipe = %q, want %q", got.Recipe, baselineRecipe)
+	}
+	want := map[string]BenchSpec{
+		"BenchmarkFlowSingle":   {NsPerOp: 5101833, MaxRegress: 0.10},
+		"BenchmarkPostOptimize": {NsPerOp: 123886, MaxRegress: 0.40},
+	}
+	if len(got.Benches) != len(want) {
+		t.Fatalf("benches = %+v, want %+v", got.Benches, want)
+	}
+	for name, spec := range want {
+		if got.Benches[name] != spec {
+			t.Fatalf("%s = %+v, want %+v", name, got.Benches[name], spec)
+		}
+	}
+}
+
 func TestRunHistoryRecordAndRender(t *testing.T) {
 	dir := t.TempDir()
 	history := filepath.Join(dir, "history.jsonl")

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/errest"
+	"repro/internal/gen"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 )
@@ -201,46 +204,77 @@ func TestEvaluateBatchGOMAXPROCSRaise(t *testing.T) {
 
 // TestEvaluateMatchesFullResimulation pins the incremental evaluator to
 // ground truth: metrics computed through the Simulator + MetricsDelta path
-// must equal a from-scratch sim.Run + full-scan estimate for both ER and
-// NMED metrics.
+// must equal a from-scratch sim.Run + full-scan estimate by a plain
+// Estimator (errest.New ignores the ER-only mode) for both ER and NMED
+// metrics, with the evaluation cache on and off. Adder8 runs at 999
+// vectors under both metrics. ER-only estimation runs on c880, whose
+// multi-LAC candidates the cache composes from per-unit deltas, and on
+// c5315, whose 57 POs take the touched-PO scan only in ER-only mode, at
+// 2048 and 131072 vectors.
 func TestEvaluateMatchesFullResimulation(t *testing.T) {
-	for _, metric := range []Metric{MetricER, MetricNMED} {
-		base := adder8().Clone()
-		base.Const0()
-		base.Const1()
-		rng := rand.New(rand.NewSource(4))
-		vectors := sim.Random(rng, len(base.PIs), 999)
-		ev, err := NewEvaluator(base, lib, metric, 0.8, vectors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 25; trial++ {
-			cand := base.Clone()
-			for k := 0; k < rng.Intn(4)+1; k++ {
-				lacMutate(cand, rng)
-			}
-			got, err := ev.Evaluate(cand)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Ground truth: full re-simulation through the untouched
-			// Estimator.Evaluate path.
-			m, _, err := ev.est.Evaluate(cand)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantErr := m.ER
-			if metric == MetricNMED {
-				wantErr = m.NMED
-			}
-			if got.Err != wantErr {
-				t.Fatalf("%v trial %d: incremental Err %v != full %v", metric, trial, got.Err, wantErr)
-			}
-			for i := range m.PerPO {
-				if got.PerPO[i] != m.PerPO[i] {
-					t.Fatalf("%v trial %d: PerPO[%d] %v != %v", metric, trial, i, got.PerPO[i], m.PerPO[i])
+	for _, tc := range []struct {
+		circuit string
+		metric  Metric
+		n       int
+		trials  int
+	}{
+		{"Adder8", MetricER, 999, 25},
+		{"Adder8", MetricNMED, 999, 25},
+		{"c880", MetricER, 2048, 25},
+		{"c880", MetricER, 1 << 17, 6},
+		{"c5315", MetricER, 2048, 25},
+		{"c5315", MetricER, 1 << 17, 6},
+	} {
+		for _, cache := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/%v/%d/cache=%v", tc.circuit, tc.metric, tc.n, cache), func(t *testing.T) {
+				base := adder8().Clone()
+				if tc.circuit != "Adder8" {
+					base = gen.MustBuild(tc.circuit)
 				}
-			}
+				base.Const0()
+				base.Const1()
+				rng := rand.New(rand.NewSource(4))
+				vectors := sim.Random(rng, len(base.PIs), tc.n)
+				ev, err := NewEvaluator(base, lib, tc.metric, 0.8, vectors)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev.SetCacheEnabled(cache)
+				ref, err := errest.New(base, vectors)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for trial := 0; trial < tc.trials; trial++ {
+					cand := base.Clone()
+					for k := 0; k < rng.Intn(4)+1; k++ {
+						lacMutate(cand, rng)
+					}
+					got, err := ev.Evaluate(cand)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Ground truth: full re-simulation and full scan.
+					m, _, err := ref.Evaluate(cand)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantErr := m.ER
+					if tc.metric == MetricNMED {
+						wantErr = m.NMED
+					}
+					if got.Err != wantErr {
+						t.Fatalf("trial %d: incremental Err %v != full %v", trial, got.Err, wantErr)
+					}
+					for i := range m.PerPO {
+						if got.PerPO[i] != m.PerPO[i] {
+							t.Fatalf("trial %d: PerPO[%d] %v != %v", trial, i, got.PerPO[i], m.PerPO[i])
+						}
+					}
+				}
+				if st := ev.CacheStats(); cache && tc.circuit == "c880" && st.Composed == 0 {
+					t.Fatalf("no candidate was composed from per-unit deltas: %+v", st)
+				}
+			})
 		}
 	}
 }

@@ -301,6 +301,9 @@ func NewEvaluator(accurate *netlist.Circuit, lib *cell.Library, metric Metric,
 	if err != nil {
 		return nil, err
 	}
+	if metric == MetricER {
+		est.SetEROnly() // finish reads ER and PerPO alone
+	}
 	rep, err := sta.Analyze(accurate, lib)
 	if err != nil {
 		return nil, err

@@ -18,7 +18,8 @@
 // All quantities involved are integers below 2^53 whenever ComposeOK
 // reports true, so the recombined metrics are bit-identical to
 // MetricsDelta on a full incremental simulation of the candidate — the
-// invariant the evaluation cache's exactness tests pin down.
+// invariant the evaluation cache's exactness tests pin down. In ER-only
+// mode no error distance is summed or corrected, and NMED stays 0.
 package errest
 
 import (
@@ -48,7 +49,8 @@ type PODelta struct {
 	// erCount is the popcount of anyDiff.
 	erCount int
 	// sumED is the sum over vectors of |Vori - Vapp| restricted to the
-	// touched POs — an exact integer below 2^53 when ComposeOK holds.
+	// touched POs — an exact integer below 2^53 when ComposeOK holds; 0
+	// in ER-only mode.
 	sumED int64
 }
 
@@ -72,7 +74,8 @@ func (e *Estimator) ComposeOK() bool {
 // res must come from (*sim.Simulator).OverlayRun (or IncrementalRun) of a
 // single change unit, touched must be the simulator's SignalDiffers, and
 // the caller must have checked ComposeOK. The returned delta owns its
-// storage — it stays valid after the simulator arena is reused.
+// storage — it stays valid after the simulator arena is reused. In
+// ER-only mode its error-distance sum is left at 0.
 func (e *Estimator) ExtractPODelta(app *netlist.Circuit, res *sim.Result, touched func(gateID int) bool) (*PODelta, error) {
 	if len(app.POs) != e.nPO {
 		return nil, fmt.Errorf("errest: circuit %q has %d POs, accurate has %d", app.Name, len(app.POs), e.nPO)
@@ -99,7 +102,9 @@ func (e *Estimator) ExtractPODelta(app *netlist.Circuit, res *sim.Result, touche
 	for w, diff := range d.anyDiff {
 		if diff != 0 {
 			d.erCount += bits.OnesCount64(diff)
-			d.sumED += distance(d.planes, w, ^uint64(0))
+			if !e.erOnly {
+				d.sumED += distance(d.planes, w, ^uint64(0))
+			}
 		}
 	}
 	return d, nil
@@ -110,7 +115,8 @@ func (e *Estimator) ExtractPODelta(app *netlist.Circuit, res *sim.Result, touche
 // units must touch pairwise-disjoint PO sets (guaranteed by cone
 // disjointness) and the caller must have checked ComposeOK; the result is
 // then bit-identical to MetricsDelta on a full incremental simulation of
-// the candidate.
+// the candidate. In ER-only mode it skips the collision lanes' distances
+// and NMED is 0.
 func ComposeMetrics(e *Estimator, units []*PODelta) Metrics {
 	n := e.vectors.N
 	perPO := make([]float64, e.nPO)
@@ -137,7 +143,7 @@ func ComposeMetrics(e *Estimator, units []*PODelta) Metrics {
 			cum |= x
 		}
 		erCount += bits.OnesCount64(cum)
-		if coll == 0 {
+		if coll == 0 || e.erOnly {
 			continue
 		}
 		// Vectors where two or more units fire: the combined error

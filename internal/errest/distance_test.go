@@ -14,12 +14,16 @@ import (
 // kernel with the plain transposed scan on one simulated candidate:
 // MetricsDelta under the given touched oracle and, where ComposeOK holds,
 // ExtractPODelta plus ComposeMetrics over the touched POs split into
-// disjoint units (units[j] lists the PO port indices of unit j).
+// disjoint units (units[j] lists the PO port indices of unit j). An
+// ER-only estimator must match the scan's ER and PerPO and report NMED 0.
 func checkDistancePaths(t *testing.T, what string, e *Estimator, app *netlist.Circuit, res *sim.Result, touched func(int) bool, units [][]int) {
 	t.Helper()
 	want, err := e.MetricsFromResult(app, res)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if e.erOnly {
+		want.NMED = 0
 	}
 	got, err := e.MetricsDelta(app, res, touched)
 	if err != nil {
@@ -66,47 +70,68 @@ func splitPOs(app *netlist.Circuit, touched func(int) bool, k int, rng *rand.Ran
 func TestErrorDistanceMatchesScan(t *testing.T) {
 	for _, name := range []string{"Max16", "Adder16", "c880", "c6288"} {
 		for _, n := range []int{2048, 1000, 1 << 17} {
-			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) {
-				base := gen.MustBuild(name)
-				base.Const0()
-				base.Const1()
-				rng := rand.New(rand.NewSource(int64(n) + int64(len(name))))
-				est, err := New(base, sim.Random(rng, len(base.PIs), n))
-				if err != nil {
-					t.Fatal(err)
-				}
-				simr, err := sim.NewSimulator(base, est.Vectors(), est.GoldenResult())
-				if err != nil {
-					t.Fatal(err)
-				}
-				candidates := 8
-				if n == 1<<17 {
-					candidates = 3
-				}
-				cand := base.Clone()
-				differing := 0
-				for lacs := 1; differing < candidates; lacs++ {
-					if lacs > 80 {
-						t.Fatalf("only %d of %d candidates differed: the kernel was barely exercised", differing, lacs-1)
-					}
-					randomLAC(cand, rng)
-					res, err := simr.Simulate(cand)
-					if err != nil {
-						t.Fatal(err)
-					}
-					what := fmt.Sprintf("after %d LACs", lacs)
-					units := splitPOs(cand, simr.SignalDiffers, 1+rng.Intn(3), rng)
-					checkDistancePaths(t, what, est, cand, res, simr.SignalDiffers, units)
-					all := func(int) bool { return true }
-					checkDistancePaths(t, what+", all touched", est, cand, res, all, splitPOs(cand, all, 1+rng.Intn(3), rng))
-					for _, u := range units {
-						if len(u) > 0 {
-							differing++
-							break
-						}
-					}
-				}
-			})
+			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) { checkLACCandidates(t, name, n, false) })
+		}
+	}
+}
+
+// TestERModeMatchesScan runs the same callers on ER-only estimators: the
+// four circuits above plus c5315 (57 POs), Max (128) and Adder (129),
+// whose touched POs ER-only MetricsDelta scans although they are wider
+// than 53. ER and every PerPO must equal the plain scan's bit for bit,
+// and NMED must be 0.
+func TestERModeMatchesScan(t *testing.T) {
+	for _, name := range []string{"c880", "Max16", "Adder16", "c6288", "c5315", "Max", "Adder"} {
+		for _, n := range []int{2048, 1000, 1 << 17} {
+			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) { checkLACCandidates(t, name, n, true) })
+		}
+	}
+}
+
+// checkLACCandidates accumulates random LACs on the named circuit at n
+// vectors until enough candidates differ from it, checking every caller
+// of the kernel on each with an estimator in the given mode.
+func checkLACCandidates(t *testing.T, name string, n int, erOnly bool) {
+	base := gen.MustBuild(name)
+	base.Const0()
+	base.Const1()
+	rng := rand.New(rand.NewSource(int64(n) + int64(len(name))))
+	est, err := New(base, sim.Random(rng, len(base.PIs), n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if erOnly {
+		est.SetEROnly()
+	}
+	simr, err := sim.NewSimulator(base, est.Vectors(), est.GoldenResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := 8
+	if n == 1<<17 {
+		candidates = 3
+	}
+	cand := base.Clone()
+	differing := 0
+	for lacs := 1; differing < candidates; lacs++ {
+		if lacs > 80 {
+			t.Fatalf("only %d of %d candidates differed: the kernel was barely exercised", differing, lacs-1)
+		}
+		randomLAC(cand, rng)
+		res, err := simr.Simulate(cand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("after %d LACs", lacs)
+		units := splitPOs(cand, simr.SignalDiffers, 1+rng.Intn(3), rng)
+		checkDistancePaths(t, what, est, cand, res, simr.SignalDiffers, units)
+		all := func(int) bool { return true }
+		checkDistancePaths(t, what+", all touched", est, cand, res, all, splitPOs(cand, all, 1+rng.Intn(3), rng))
+		for _, u := range units {
+			if len(u) > 0 {
+				differing++
+				break
+			}
 		}
 	}
 }
@@ -117,12 +142,18 @@ func TestErrorDistanceMatchesScan(t *testing.T) {
 // composition is not checked). Each PO's golden waveform has its own
 // density; a random subset of POs is touched, and each touched PO flips
 // bits at a fuzzed density, from none to most. The touched POs are split
-// into 1–3 disjoint units for ExtractPODelta and ComposeMetrics. The seed
-// corpus under testdata/fuzz/FuzzErrorDistance covers one PO, one vector,
-// 53 POs, and pairs just inside and just outside ComposeOK.
+// into 1–3 disjoint units for ExtractPODelta and ComposeMetrics. An odd
+// mode puts the estimator in ER-only mode and allows up to 200 POs. The
+// seed corpus under testdata/fuzz/FuzzErrorDistance covers one PO, one
+// vector, 53 POs, and pairs just inside and just outside ComposeOK, and
+// in ER-only mode one PO, 53, 57 and 200 POs.
 func FuzzErrorDistance(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed int64, pos uint8, vectors uint16, density uint8, units uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, pos uint8, vectors uint16, density uint8, units uint8, mode uint8) {
+		erOnly := mode&1 == 1
 		nPO := int(pos)%53 + 1
+		if erOnly {
+			nPO = int(pos)%200 + 1
+		}
 		n := int(vectors)%2000 + 1
 		rng := rand.New(rand.NewSource(seed))
 		c := identityCircuit(nPO)
@@ -145,6 +176,9 @@ func FuzzErrorDistance(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if erOnly {
+			est.SetEROnly()
+		}
 		res := &sim.Result{N: n, Signals: make([][]uint64, len(c.Gates))}
 		touchedPO := map[int]bool{}
 		for i, po := range c.POs {
@@ -161,7 +195,7 @@ func FuzzErrorDistance(f *testing.F) {
 			res.Signals[po] = sig
 		}
 		touched := func(id int) bool { return touchedPO[id] }
-		what := fmt.Sprintf("%d POs, %d vectors, ComposeOK %v", nPO, n, est.ComposeOK())
+		what := fmt.Sprintf("%d POs, %d vectors, ComposeOK %v, ER-only %v", nPO, n, est.ComposeOK(), erOnly)
 		checkDistancePaths(t, what, est, c, res, touched, splitPOs(c, touched, int(units)%3+1, rng))
 	})
 }

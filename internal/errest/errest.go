@@ -8,6 +8,11 @@
 // on the same shared vector sample. With the paper's 1e5 sampled vectors
 // the estimates are unbiased with negligible variance; the sample size is
 // configurable so tests and benchmarks can trade accuracy for speed.
+//
+// An Estimator in ER-only mode (SetEROnly) serves ER-constrained runs: its
+// touched-PO paths (MetricsDelta, ExtractPODelta, ComposeMetrics) count ER
+// and PerPO alone and leave NMED 0. New, Evaluate and MetricsFromResult
+// ignore the mode.
 package errest
 
 import (
@@ -25,7 +30,8 @@ type Metrics struct {
 	// ER is the probability that any PO differs from the accurate circuit
 	// (Eq. 1 of the paper).
 	ER float64
-	// NMED is the mean |Vori-Vapp| normalized by 2^n - 1 (Eq. 2).
+	// NMED is the mean |Vori-Vapp| normalized by 2^n - 1 (Eq. 2). An
+	// ER-only Estimator's MetricsDelta and ComposeMetrics leave it 0.
 	NMED float64
 	// PerPO is the per-output bit error rate, used by the reproduction
 	// Level function (Eq. 3).
@@ -44,6 +50,7 @@ type Estimator struct {
 	nPO       int
 	norm      float64   // 2^nPO - 1 in float64
 	pow2      []float64 // 2^i per PO index, for incremental error distances
+	erOnly    bool      // the touched-PO paths skip every error distance
 }
 
 // New simulates the accurate circuit on the given vectors and returns an
@@ -67,6 +74,11 @@ func New(accurate *netlist.Circuit, v *sim.Vectors) (*Estimator, error) {
 		pow2:      pow2,
 	}, nil
 }
+
+// SetEROnly puts the estimator in ER-only mode before its first use:
+// MetricsDelta, ExtractPODelta and ComposeMetrics then compute no error
+// distance and return NMED 0.
+func (e *Estimator) SetEROnly() { e.erOnly = true }
 
 // Vectors returns the shared input sample.
 func (e *Estimator) Vectors() *sim.Vectors { return e.vectors }
@@ -199,12 +211,15 @@ func (e *Estimator) rowValue(rows []uint64, b int) float64 {
 // exact distance is added in MetricsFromResult's vector order. Beyond 53
 // POs an output value rounds, and how it rounds depends on untouched bits
 // too, so MetricsDelta runs MetricsFromResult, as it does without an
-// oracle.
+// oracle. In ER-only mode it scans the touched POs at any width and
+// returns NMED 0: ER and PerPO are popcounts of golden-vs-approximate
+// differences, which decode no output value and to which an untouched PO
+// adds nothing, so they still equal MetricsFromResult's bit for bit.
 func (e *Estimator) MetricsDelta(app *netlist.Circuit, res *sim.Result, touched func(gateID int) bool) (Metrics, error) {
 	if len(app.POs) != e.nPO {
 		return Metrics{}, fmt.Errorf("errest: circuit %q has %d POs, accurate has %d", app.Name, len(app.POs), e.nPO)
 	}
-	if touched == nil || e.nPO > 53 {
+	if touched == nil || e.nPO > 53 && !e.erOnly {
 		return e.MetricsFromResult(app, res)
 	}
 	planes := e.touchedPlanes(app, res, touched)
@@ -226,6 +241,9 @@ func (e *Estimator) MetricsDelta(app *netlist.Circuit, res *sim.Result, touched 
 			continue
 		}
 		erCount += bits.OnesCount64(anyDiff)
+		if e.erOnly {
+			continue
+		}
 		if exact {
 			total += distance(planes, w, ^uint64(0))
 			continue

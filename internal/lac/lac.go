@@ -119,13 +119,13 @@ func PickTarget(tc []int, rng *rand.Rand) int {
 // shortening at equal error cost. It returns false when the target has no
 // usable candidate.
 func BestSwitch(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int) (Change, bool) {
-	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, false)
+	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, false, -1)
 }
 
 // BestSwitchInv is BestSwitch with the inverted-wire substitution also in
 // the candidate set (SASIMI's full catalogue).
 func BestSwitchInv(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int) (Change, bool) {
-	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, true)
+	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, true, -1)
 }
 
 // Memo is one run's memo of golden diff counts for switch selection. Most
@@ -177,7 +177,8 @@ const countChunk = 32
 // diffCount returns the number of vectors on which signals a and b
 // differ. It gives up early, returning the partial count, once
 // 1 - count/n falls strictly below floor: the full similarity could only
-// be lower.
+// be lower. So a pair whose full similarity reaches floor is counted in
+// full, and a partial count's similarity is below floor.
 func diffCount(a, b []uint64, n, floor float64) int {
 	b = b[:len(a)]
 	d := 0
@@ -195,13 +196,14 @@ func diffCount(a, b []uint64, n, floor float64) int {
 // bestSwitch is the one switch-selection loop. differs must be the
 // SignalDiffers of the simulation that produced res; it is consulted only
 // with a memo. A pair whose two signals both equal the accurate circuit's
-// takes its count from the memo. Without inverted wires, every other pair
-// stops counting once it provably cannot win: once its similarity could
-// only fall strictly below the best wire so far, which better rejects
-// whatever the tie-break, or below a constant's, which then wins over any
-// wire as similar. Inverted wires score 1 - s as well, so they count in
-// full.
-func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, target int, allowInv bool) (Change, bool) {
+// takes its count from the memo, counted in full. Without inverted wires,
+// every other pair stops counting once it provably cannot win: once its
+// similarity could only fall strictly below the best wire so far, which
+// better rejects whatever the tie-break, below a constant's, which then
+// wins over any wire as similar, or below floor, the caller's bound (-1
+// for none; see Select). Inverted wires score 1 - s as well, so they
+// count in full.
+func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, target int, allowInv bool, floor float64) (Change, bool) {
 	if target < 0 || target >= len(c.Gates) || c.Gates[target].Func.IsPseudo() {
 		return Change{}, false
 	}
@@ -241,7 +243,7 @@ func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int)
 		case allowInv:
 			d = diffCount(sig, res.Signals[id], n, -1)
 		default:
-			d = diffCount(sig, res.Signals[id], n, max(best.Similarity, s0, s1))
+			d = diffCount(sig, res.Signals[id], n, max(best.Similarity, s0, s1, floor))
 		}
 		s := 1 - float64(d)/n
 		if better(s, id) {
@@ -323,10 +325,34 @@ func RandomTarget(c *netlist.Circuit, rng *rand.Rand) int {
 // be the SignalDiffers of the simulation that produced res; r breaks
 // similarity ties toward the earlier-arriving switch (nil: no tie-break,
 // as in RandomChange).
+//
+// Target k's non-memo pairs count against a cross-target floor F_k: the
+// best pick so far or the highest constant similarity of the physical
+// targets drawn after k, whichever is higher. The pick stays the full
+// count's: Select returns the first target whose pick is strictly above
+// every earlier pick and at least every later one, and a later target's
+// pick is at least its constants. If k's full best reaches F_k, every
+// pair at or above F_k is counted in full, so k picks the same switch,
+// kind, similarity and tie-break; if not, all k reports is below F_k and
+// loses, as its full pick would. So the full count's winner w has F_w at
+// most its full pick p_w and reports p_w exactly; every later floor is
+// then p_w, which no loser's report reaches.
 func (m *Memo) Select(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, targets []int) (Change, bool) {
+	var buf [8]float64 // later stays on the stack for DCGWO's few tries
+	later := buf[:]
+	if len(targets) > len(buf) {
+		later = make([]float64, len(targets))
+	}
+	hi := -1.0
+	for k := len(targets) - 1; k >= 0; k-- {
+		later[k] = hi
+		if t := targets[k]; t >= 0 && t < len(c.Gates) && !c.Gates[t].Func.IsPseudo() {
+			hi = max(hi, errest.ConstSimilarity(res, t, false), errest.ConstSimilarity(res, t, true))
+		}
+	}
 	best := Change{Similarity: -1}
-	for _, target := range targets {
-		if ch, ok := m.bestSwitch(c, res, differs, r, target, false); ok && ch.Similarity > best.Similarity {
+	for k, target := range targets {
+		if ch, ok := m.bestSwitch(c, res, differs, r, target, false, max(best.Similarity, later[k])); ok && ch.Similarity > best.Similarity {
 			best = ch
 		}
 	}

@@ -135,12 +135,15 @@ func Run(c *netlist.Circuit, v *Vectors) (*Result, error) {
 
 // evalGate computes one gate's bit-parallel waveform into sig (len = words
 // per signal), reading fan-in waveforms from signals and applying the tail
-// mask. It is the shared kernel of Run and Simulator.
+// mask. It is the shared kernel of Run and Simulator. Each case reslices
+// the inputs it reads to len(sig) before its loop, so the loop indexes
+// them without bounds checks.
 func evalGate(g *netlist.Gate, signals [][]uint64, sig []uint64, tail uint64) error {
 	var in [3][]uint64
 	for p, fi := range g.Fanin {
 		in[p] = signals[fi]
 	}
+	n := len(sig)
 	switch g.Func {
 	case cell.Const0:
 		for w := range sig {
@@ -153,53 +156,64 @@ func evalGate(g *netlist.Gate, signals [][]uint64, sig []uint64, tail uint64) er
 	case cell.OutPort, cell.Buf:
 		copy(sig, in[0])
 	case cell.Inv:
+		a := in[0][:n]
 		for w := range sig {
-			sig[w] = ^in[0][w]
+			sig[w] = ^a[w]
 		}
 	case cell.And2:
+		a, b := in[0][:n], in[1][:n]
 		for w := range sig {
-			sig[w] = in[0][w] & in[1][w]
+			sig[w] = a[w] & b[w]
 		}
 	case cell.Nand2:
+		a, b := in[0][:n], in[1][:n]
 		for w := range sig {
-			sig[w] = ^(in[0][w] & in[1][w])
+			sig[w] = ^(a[w] & b[w])
 		}
 	case cell.Or2:
+		a, b := in[0][:n], in[1][:n]
 		for w := range sig {
-			sig[w] = in[0][w] | in[1][w]
+			sig[w] = a[w] | b[w]
 		}
 	case cell.Nor2:
+		a, b := in[0][:n], in[1][:n]
 		for w := range sig {
-			sig[w] = ^(in[0][w] | in[1][w])
+			sig[w] = ^(a[w] | b[w])
 		}
 	case cell.Xor2:
+		a, b := in[0][:n], in[1][:n]
 		for w := range sig {
-			sig[w] = in[0][w] ^ in[1][w]
+			sig[w] = a[w] ^ b[w]
 		}
 	case cell.Xnor2:
+		a, b := in[0][:n], in[1][:n]
 		for w := range sig {
-			sig[w] = ^(in[0][w] ^ in[1][w])
+			sig[w] = ^(a[w] ^ b[w])
 		}
 	case cell.Mux2:
+		a, b, s := in[0][:n], in[1][:n], in[2][:n]
 		for w := range sig {
-			sig[w] = (in[0][w] &^ in[2][w]) | (in[1][w] & in[2][w])
+			sig[w] = (a[w] &^ s[w]) | (b[w] & s[w])
 		}
 	case cell.Aoi21:
+		a, b, c := in[0][:n], in[1][:n], in[2][:n]
 		for w := range sig {
-			sig[w] = ^((in[0][w] & in[1][w]) | in[2][w])
+			sig[w] = ^((a[w] & b[w]) | c[w])
 		}
 	case cell.Oai21:
+		a, b, c := in[0][:n], in[1][:n], in[2][:n]
 		for w := range sig {
-			sig[w] = ^((in[0][w] | in[1][w]) & in[2][w])
+			sig[w] = ^((a[w] | b[w]) & c[w])
 		}
 	case cell.Maj3:
+		a, b, c := in[0][:n], in[1][:n], in[2][:n]
 		for w := range sig {
-			sig[w] = (in[0][w] & in[1][w]) | (in[1][w] & in[2][w]) | (in[0][w] & in[2][w])
+			sig[w] = (a[w] & b[w]) | (b[w] & c[w]) | (a[w] & c[w])
 		}
 	default:
 		return fmt.Errorf("unsupported function %v", g.Func)
 	}
-	if n := len(sig); n > 0 {
+	if n > 0 {
 		sig[n-1] &= tail
 	}
 	return nil

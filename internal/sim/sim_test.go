@@ -245,3 +245,50 @@ func BenchmarkRunParity64k(b *testing.B) {
 		}
 	}
 }
+
+// TestEvalGateWords drives the gate kernel directly on every function but
+// Input, constants included, at N = 64, 65, 130 and 2085 vectors (one
+// whole word, a one-bit tail, two words and a two-bit tail, and 32 words
+// and a 37-bit tail). The fan-in words are
+// random across the whole word, tail bits included. Every bit below N
+// must equal EvalBool of its input bits, and every tail bit must be zero.
+func TestEvalGateWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{64, 65, 130, 2085} {
+		words := (n + 63) / 64
+		signals := make([][]uint64, 3)
+		for p := range signals {
+			signals[p] = make([]uint64, words)
+			for w := range signals[p] {
+				signals[p][w] = rng.Uint64()
+			}
+		}
+		for f := cell.OutPort; f < cell.NumFuncs; f++ {
+			g := &netlist.Gate{Func: f, Fanin: []int{0, 1, 2}[:f.Arity()]}
+			sig := make([]uint64, words)
+			for w := range sig {
+				sig[w] = rng.Uint64() // the kernel must overwrite every word
+			}
+			if err := evalGate(g, signals, sig, TailMask(n)); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 64*words; k++ {
+				w, b := k/64, uint(k%64)
+				got := sig[w]>>b&1 == 1
+				if k >= n {
+					if got {
+						t.Fatalf("%v, N=%d: tail bit %d set", f, n, k)
+					}
+					continue
+				}
+				in := make([]bool, f.Arity())
+				for p := range in {
+					in[p] = signals[p][w]>>b&1 == 1
+				}
+				if want := f.EvalBool(in); got != want {
+					t.Fatalf("%v, N=%d, vector %d, inputs %v: got %v, want %v", f, n, k, in, got, want)
+				}
+			}
+		}
+	}
+}

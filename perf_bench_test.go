@@ -20,6 +20,11 @@
 //	                               where the error-distance kernel dominates,
 //	                               with the evaluation cache reset per
 //	                               iteration
+//	BenchmarkEvaluateBatchPaperER — a population's worth of Cavlc candidates
+//	                               at 131072 vectors under the ER
+//	                               constraint, where the evaluator counts
+//	                               ER and per-PO errors only, with the
+//	                               evaluation cache reset per iteration
 //	BenchmarkLACSearchPaper      — DCGWO's searching action on Cavlc
 //	                               candidates at 131072 vectors, where
 //	                               switch selection dominates
@@ -122,6 +127,30 @@ func BenchmarkEvaluateBatchPaper(b *testing.B) {
 	base := benchBase(b, benchPaperCircuit)
 	v := sim.Random(rand.New(rand.NewSource(benchWorkloadSeed)), len(base.PIs), benchPaperVectors)
 	eval, err := core.NewEvaluator(base, als.NewLibrary(), core.MetricNMED, 0.8, v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := benchCandidates(b, base, benchWorkloadBatch, benchWorkloadLACs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eval.BeginGeneration()
+		if _, err := eval.EvaluateBatch(cands); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvaluateBatchPaperER evaluates a population slice of Cavlc LAC
+// candidates at the paper preset's sample size under the ER constraint,
+// with the cache cold at the start of every iteration (BeginGeneration):
+// each candidate pays its simulation, its ER and per-PO error counts over
+// 131072 vectors (an ER evaluator computes no error distance) and its
+// timing.
+func BenchmarkEvaluateBatchPaperER(b *testing.B) {
+	base := benchBase(b, benchSearchCircuit)
+	v := sim.Random(rand.New(rand.NewSource(benchWorkloadSeed)), len(base.PIs), benchPaperVectors)
+	eval, err := core.NewEvaluator(base, als.NewLibrary(), core.MetricER, 0.8, v)
 	if err != nil {
 		b.Fatal(err)
 	}
