@@ -268,9 +268,11 @@ type FlowResult struct {
 // EvalCacheStats reports how effective the generation-scoped evaluation
 // cache was over one run: every optimizer evaluation of a cache-eligible
 // candidate counts as a lookup, and hits are candidates answered entirely
-// from an earlier identical evaluation of the same generation. The
-// counters are observability only — results are bit-identical whether the
-// cache hits or not.
+// from an earlier identical evaluation of the same generation. The greedy
+// baselines (VECBEE-S, HEDALS) evaluate each round's candidates against
+// the round's current circuit instead, outside the cache: those are
+// neither lookups nor fallbacks. The counters are observability only —
+// results are bit-identical whether the cache hits or not.
 type EvalCacheStats struct {
 	// Lookups counts cache-eligible candidate evaluations; Hits the ones
 	// answered from the whole-candidate memo.
@@ -279,8 +281,9 @@ type EvalCacheStats struct {
 	// disjoint-composition path; Composed counts candidates whose metrics
 	// were recombined from such deltas.
 	UnitHits, UnitMisses, Composed int64
-	// Fallbacks counts evaluations that bypassed the cache (candidates
-	// outside the accurate circuit's gate ID space).
+	// Fallbacks counts evaluations that bypassed the cache and were timed
+	// by a full STA (candidates outside the accurate circuit's gate ID
+	// space).
 	Fallbacks int64
 	// Generations counts cache resets at optimizer generation boundaries.
 	Generations int64

@@ -11,6 +11,11 @@
 //	BenchmarkFig7ErrorSweep   — Fig. 7   (error-constraint sweep)
 //	BenchmarkFig8AreaSweep    — Fig. 8   (area-constraint sweep)
 //
+// Three end-to-end flow benches at the shared workload shape
+// (bench_workload_test.go) are gated by cmd/benchgate: BenchmarkFlowSingle
+// (DCGWO, quick budget), BenchmarkFlowPaper (DCGWO, paper preset) and
+// BenchmarkFlowGreedy (VECBEE-S, quick preset).
+//
 // Full-scale regeneration: `go run ./cmd/experiments -exp all -scale paper`.
 package als_test
 
@@ -155,4 +160,29 @@ func BenchmarkFlowPaper(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFlowGreedy measures one end-to-end VECBEE-S flow at the quick
+// preset, whose greedy rounds evaluate each candidate as a change of the
+// round's current circuit. fallbacks/op counts its evaluations timed by a
+// full STA.
+func BenchmarkFlowGreedy(b *testing.B) {
+	lib := als.NewLibrary()
+	c := als.Benchmark(benchWorkloadCircuit)
+	b.ReportAllocs()
+	var fallbacks int64
+	for i := 0; i < b.N; i++ {
+		res, err := als.Flow(c, lib, als.FlowConfig{
+			Metric:      als.MetricNMED,
+			ErrorBudget: benchWorkloadNMED,
+			Method:      als.MethodVecbeeSasimi,
+			Vectors:     benchWorkloadVectors,
+			Seed:        benchWorkloadSeed,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fallbacks += res.Cache.Fallbacks
+	}
+	b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/op")
 }

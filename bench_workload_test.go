@@ -44,8 +44,8 @@ const (
 	benchWorkloadBatch = 16
 	// benchWorkloadSeed fixes every stochastic choice.
 	benchWorkloadSeed = 1
-	// benchWorkloadNMED is BenchmarkFlowSingle's error budget (the paper's
-	// TABLE III constraint).
+	// benchWorkloadNMED is BenchmarkFlowSingle's and BenchmarkFlowGreedy's
+	// error budget (the paper's TABLE III constraint).
 	benchWorkloadNMED = 0.0244
 	// benchWorkloadPop and benchWorkloadIters are BenchmarkFlowSingle's
 	// quick optimizer budget.

@@ -214,8 +214,9 @@ func objectiveDelay(ind *core.Individual) float64 { return ind.Delay }
 
 // greedy implements both VECBEE-SASIMI (area objective, targets anywhere)
 // and HEDALS (delay objective, targets on critical paths): per round,
-// enumerate candidate LACs, evaluate each on a clone, and commit the best
-// feasible improvement. Rounds without a feasible improvement end the run.
+// enumerate candidate LACs, evaluate each as a change of the current
+// circuit, and commit the best feasible improvement. Rounds without a
+// feasible improvement end the run.
 func (r *runner) greedy(score objective) (*Result, error) {
 	r.eval.BeginGeneration()
 	cur, err := r.eval.Evaluate(r.base.Clone())
@@ -238,54 +239,38 @@ func (r *runner) greedy(score objective) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		targets := r.pickTargets(cur.Circuit, rep, score)
-		improved := false
-		// Candidate LACs are selected serially against the shared
-		// simulation, then the clones are evaluated as one parallel batch
-		// — the pick below scans them in the same order as the serial
-		// code did.
-		clones := make([]*netlist.Circuit, 0, len(targets))
-		for _, target := range targets {
-			// The greedy methods use SASIMI's full catalogue including
-			// the inverted-wire substitution.
-			ch, ok := lac.BestSwitchInv(cur.Circuit, res, rep, target)
-			if !ok {
-				continue
-			}
-			clone := cur.Circuit.Clone()
-			lac.Apply(clone, ch)
-			clones = append(clones, clone)
-		}
-		kids, err := r.eval.EvaluateBatch(clones)
+		// The greedy methods use SASIMI's full catalogue, inverted wires
+		// included. The workers select each target's change and evaluate
+		// it against cur; the pick below scans them in target order.
+		kids, changes, err := r.eval.EvaluateRound(cur.Circuit, res, rep, r.pickTargets(cur.Circuit, rep, score))
 		if err != nil {
 			return nil, err
 		}
-		var bestChild *core.Individual
-		for _, child := range kids {
-			if child.Err > r.cfg.ErrorBudget {
+		pick := -1
+		for i, child := range kids {
+			if child.Err > r.cfg.ErrorBudget || score(child) >= score(cur) {
 				continue
 			}
-			if score(child) >= score(cur) {
-				continue
-			}
-			if bestChild == nil || score(child) < score(bestChild) {
-				bestChild = child
-			}
-		}
-		if bestChild != nil {
-			cur = bestChild
-			improved = true
-			if cur.Fit > best.Fit {
-				best = cur
-				r.improved(best)
+			if pick < 0 || score(child) < score(kids[pick]) {
+				pick = i
 			}
 		}
 		// A dry round may just be an unlucky target sample; give the
 		// greedy a few more draws before concluding it has converged.
-		if improved {
-			failures = 0
-		} else if failures++; failures >= 3 {
-			break
+		if pick < 0 {
+			if failures++; failures >= 3 {
+				break
+			}
+			continue
+		}
+		failures = 0
+		c := cur.Circuit.Clone() // only the winner becomes a circuit
+		lac.Apply(c, changes[pick])
+		cur = kids[pick]
+		cur.Circuit = c
+		if cur.Fit > best.Fit {
+			best = cur
+			r.improved(best)
 		}
 	}
 	return &Result{Best: best, Front: r.front(best, []*core.Individual{cur}), Evaluations: r.eval.Count(), Cache: r.eval.CacheStats()}, nil

@@ -242,10 +242,11 @@ type Result struct {
 // sta.Retimer over its changed gates' cones against the accurate
 // circuit's report. All three are exact, so an Evaluator returns
 // bit-identical Individuals to full re-simulation and full STA; other
-// candidates get both. EvaluateBatch and DCGWO generations run on one
-// pipeline, one arena (simulator and re-timer) per worker; evaluation is
-// pure (no RNG, no shared mutable state), so results are deterministic
-// and identical to serial evaluation.
+// candidates get both. EvaluateBatch, DCGWO generations and greedy
+// rounds (EvaluateRound, which evaluates against the round's parent) run
+// on one pipeline, one arena (simulator and re-timer) per worker;
+// evaluation is pure (no RNG, no shared mutable state), so results are
+// deterministic and identical to serial evaluation.
 type Evaluator struct {
 	lib      *cell.Library
 	est      *errest.Estimator
@@ -284,10 +285,11 @@ type Evaluator struct {
 
 // arena is one evaluation worker's private scratch: a simulator bound to
 // the accurate circuit's golden waveforms and a re-timer bound to its
-// timing report.
+// timing report, and the scratch of the last greedy round it served.
 type arena struct {
 	sim *sim.Simulator
 	rt  *sta.Retimer
+	rb  rebased
 }
 
 // NewEvaluator simulates the accurate circuit on n sampled vectors and
@@ -552,7 +554,7 @@ func (e *Evaluator) EvaluateBatch(cs []*netlist.Circuit) ([]*Individual, error) 
 		return nil, err
 	}
 	for _, c := range cs {
-		p.submit(c, nil)
+		p.submit(task{c: c})
 	}
 	return p.wait()
 }

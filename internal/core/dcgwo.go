@@ -297,7 +297,7 @@ func (o *Optimizer) chase(pop []*Individual, a float64) ([]*Individual, error) {
 	var children []*Individual // nil: the next queued child
 	queue := func(c *netlist.Circuit, plan *searchPlan, err error) error {
 		if err == nil {
-			p.submit(c, plan)
+			p.submit(task{c: c, plan: plan})
 			children = append(children, nil)
 		}
 		return err

@@ -47,7 +47,9 @@ import (
 )
 
 // CacheStats reports the evaluation cache's cumulative effectiveness
-// counters for one Evaluator (and therefore one optimization run).
+// counters for one Evaluator (and therefore one optimization run). A
+// greedy round's candidates, evaluated against the round's parent (see
+// EvaluateRound), skip the cache: they are neither lookups nor fallbacks.
 type CacheStats struct {
 	// Lookups counts cache-eligible candidate evaluations; Hits counts the
 	// ones answered entirely from the whole-candidate memo.
@@ -60,8 +62,8 @@ type CacheStats struct {
 	Composed int64
 	// Fallbacks counts evaluations that bypassed the cache entirely
 	// (candidates outside the base gate ID space, rewires breaking the
-	// base topological order, or a disabled cache). They are the only
-	// evaluations timed by a full STA.
+	// base or round parent's topological order, or a disabled cache).
+	// They are the only evaluations timed by a full STA.
 	Fallbacks int64
 	// Generations counts BeginGeneration calls (cache resets).
 	Generations int64
@@ -213,7 +215,8 @@ func (c *evalCache) stats() CacheStats {
 // prunes at once. ok is false when the candidate cannot be cached or
 // incrementally overlaid: a different gate ID space, mismatched port
 // lists, or a rewire that broke the base topological order (LACs never do;
-// greedy inverted-wire substitutions append gates and land here).
+// a circuit holding greedy inverted-wire substitutions, whose inverters
+// are appended gates, lands here).
 func (e *Evaluator) candidateDiff(c *netlist.Circuit, key []byte) (changed []int, outKey []byte, ok bool) {
 	if len(c.Gates) != len(e.base.Gates) ||
 		!equalInts(c.PIs, e.base.PIs) || !equalInts(c.POs, e.base.POs) {

@@ -9,12 +9,13 @@ import (
 )
 
 // A pipeline is the Evaluator's one evaluation pool. Its caller queues
-// each candidate as soon as it exists — a complete circuit, or a
-// searching action's clone with its plan — and worker goroutines complete
-// and evaluate it while the caller goes on. Of its EvalWorkers arenas,
-// all but the last go to worker goroutines; the caller is the last
-// worker: it runs each task at once when there is no worker goroutine,
-// and drains the queue alongside the workers at the barrier (wait).
+// each candidate as soon as it exists — a complete circuit, a searching
+// action's clone with its plan, or a greedy round's target — and worker
+// goroutines complete and evaluate it while the caller goes on. Of its
+// EvalWorkers arenas, all but the last go to worker goroutines; the
+// caller is the last worker: it runs each task at once when there is no
+// worker goroutine, and drains the queue alongside the workers at the
+// barrier (wait).
 type pipeline struct {
 	e      *Evaluator
 	arenas []*arena // the last one is the caller's
@@ -27,11 +28,13 @@ type pipeline struct {
 	err    error // the first failure, written by its CAS winner
 }
 
-// task is one queued candidate; a non-nil plan completes c first.
+// task is one queued candidate: c, which a non-nil plan completes first,
+// or, with a non-nil round, the round's edit i (see EvaluateRound).
 type task struct {
-	i    int
-	c    *netlist.Circuit
-	plan *searchPlan
+	i     int
+	c     *netlist.Circuit
+	plan  *searchPlan
+	round *round
 }
 
 // startPipeline starts a pipeline for at most capacity tasks, which the
@@ -70,9 +73,9 @@ func (e *Evaluator) startPipeline(capacity int) (*pipeline, error) {
 	return p, nil
 }
 
-// submit queues one candidate.
-func (p *pipeline) submit(c *netlist.Circuit, plan *searchPlan) {
-	t := task{i: p.n, c: c, plan: plan}
+// submit queues one candidate; it numbers t in submission order.
+func (p *pipeline) submit(t task) {
+	t.i = p.n
 	p.n++
 	if len(p.arenas) == 1 {
 		p.run(p.arenas[0], t)
@@ -90,7 +93,9 @@ func (p *pipeline) run(a *arena, t task) {
 	if t.plan != nil {
 		err = t.plan.complete(a.sim, t.c)
 	}
-	if err == nil {
+	if t.round != nil {
+		p.out[t.i], err = p.e.evaluateEdit(a, t.round, t.i)
+	} else if err == nil {
 		p.out[t.i], err = p.e.evaluateWith(a, t.c)
 	}
 	if err != nil && p.failed.CompareAndSwap(false, true) {
@@ -99,13 +104,18 @@ func (p *pipeline) run(a *arena, t task) {
 }
 
 // wait is the barrier: it returns the Individuals in submission order, or
-// the first error.
+// the first error. A round's target without a change has a nil one, which
+// is no evaluation.
 func (p *pipeline) wait() ([]*Individual, error) {
 	p.finish()
 	if p.err != nil {
 		return nil, p.err
 	}
-	p.e.count += p.n
+	for _, ind := range p.out[:p.n] {
+		if ind != nil {
+			p.e.count++
+		}
+	}
 	return p.out[:p.n], nil
 }
 

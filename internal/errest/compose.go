@@ -19,7 +19,9 @@
 // reports true, so the recombined metrics are bit-identical to
 // MetricsDelta on a full incremental simulation of the candidate — the
 // invariant the evaluation cache's exactness tests pin down. In ER-only
-// mode no error distance is summed or corrected, and NMED stays 0.
+// mode no error distance is summed or corrected, and NMED stays 0: ER and
+// PerPO are counts, exact at any width, so ER-only estimators compose at
+// any PO count and sample size.
 package errest
 
 import (
@@ -63,11 +65,13 @@ func (d *PODelta) MemBytes() int {
 // every per-vector error distance and every partial sum must be an integer
 // that float64 represents exactly. Beyond 53 POs a single error distance
 // already rounds; beyond n·(2^nPO-1) ≥ 2^53 the accumulated sum could
-// round differently than the full scan's accumulation order. Callers fall
-// back to full incremental simulation when this is false.
+// round differently than the full scan's accumulation order. In ER-only
+// mode no distance is summed, and ER and PerPO are popcounts, so it is
+// always true. Callers fall back to full incremental simulation when this
+// is false.
 func (e *Estimator) ComposeOK() bool {
 	const maxExact = float64(1 << 53)
-	return e.nPO <= 53 && float64(e.vectors.N)*e.norm < maxExact
+	return e.erOnly || e.nPO <= 53 && float64(e.vectors.N)*e.norm < maxExact
 }
 
 // ExtractPODelta builds the PO-level delta of one overlay simulation:

@@ -66,9 +66,10 @@ func splitPOs(app *netlist.Circuit, touched func(int) bool, k int, rng *rand.Ran
 // at the paper's 131072. The simulator's exact oracle and an all-touched
 // one drive MetricsDelta; the touched POs are split into one to three
 // disjoint units for composition. ER, NMED and PerPO must equal the plain
-// scan's bit for bit.
+// scan's bit for bit. Max (128 POs) checks that a wide NMED estimator
+// keeps the full scan and does not compose.
 func TestErrorDistanceMatchesScan(t *testing.T) {
-	for _, name := range []string{"Max16", "Adder16", "c880", "c6288"} {
+	for _, name := range []string{"Max16", "Adder16", "c880", "c6288", "Max"} {
 		for _, n := range []int{2048, 1000, 1 << 17} {
 			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) { checkLACCandidates(t, name, n, false) })
 		}

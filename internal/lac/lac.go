@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cell"
-	"repro/internal/errest"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 	"repro/internal/sta"
@@ -119,13 +118,13 @@ func PickTarget(tc []int, rng *rand.Rand) int {
 // shortening at equal error cost. It returns false when the target has no
 // usable candidate.
 func BestSwitch(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int) (Change, bool) {
-	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, false, -1)
+	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, false, -1, -1)
 }
 
 // BestSwitchInv is BestSwitch with the inverted-wire substitution also in
 // the candidate set (SASIMI's full catalogue).
 func BestSwitchInv(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int) (Change, bool) {
-	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, true, -1)
+	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, true, -1, -1)
 }
 
 // Memo is one run's memo of golden diff counts for switch selection. Most
@@ -202,8 +201,10 @@ func diffCount(a, b []uint64, n, floor float64) int {
 // better rejects whatever the tie-break, below a constant's, which then
 // wins over any wire as similar, or below floor, the caller's bound (-1
 // for none; see Select). Inverted wires score 1 - s as well, so they
-// count in full.
-func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, target int, allowInv bool, floor float64) (Change, bool) {
+// count in full. ones is the target's count of ones in res, or -1 for
+// bestSwitch to count it; the constants' similarities derive from it as
+// errest.ConstSimilarity computes them.
+func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, target int, allowInv bool, floor float64, ones int) (Change, bool) {
 	if target < 0 || target >= len(c.Gates) || c.Gates[target].Func.IsPseudo() {
 		return Change{}, false
 	}
@@ -219,8 +220,10 @@ func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int)
 		return r.Arrival[id] < r.Arrival[best.Switch]
 	}
 	n := float64(res.N)
-	s0 := errest.ConstSimilarity(res, target, false)
-	s1 := errest.ConstSimilarity(res, target, true)
+	if ones < 0 {
+		ones = sim.CountOnes(res.Signals[target])
+	}
+	s0, s1 := 1-float64(ones)/n, float64(ones)/n
 	row := m.row(res, differs, target)
 	sig := res.Signals[target]
 	for id := range c.Gates {
@@ -338,21 +341,26 @@ func RandomTarget(c *netlist.Circuit, rng *rand.Rand) int {
 // most its full pick p_w and reports p_w exactly; every later floor is
 // then p_w, which no loser's report reaches.
 func (m *Memo) Select(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, targets []int) (Change, bool) {
-	var buf [8]float64 // later stays on the stack for DCGWO's few tries
-	later := buf[:]
-	if len(targets) > len(buf) {
-		later = make([]float64, len(targets))
+	// later and the targets' counts of ones stay on the stack for DCGWO's
+	// few tries; each physical target is counted once.
+	var laterBuf [8]float64
+	var onesBuf [8]int
+	later, ones := laterBuf[:], onesBuf[:]
+	if len(targets) > len(laterBuf) {
+		later, ones = make([]float64, len(targets)), make([]int, len(targets))
 	}
+	n := float64(res.N)
 	hi := -1.0
 	for k := len(targets) - 1; k >= 0; k-- {
-		later[k] = hi
+		later[k], ones[k] = hi, -1
 		if t := targets[k]; t >= 0 && t < len(c.Gates) && !c.Gates[t].Func.IsPseudo() {
-			hi = max(hi, errest.ConstSimilarity(res, t, false), errest.ConstSimilarity(res, t, true))
+			ones[k] = sim.CountOnes(res.Signals[t])
+			hi = max(hi, 1-float64(ones[k])/n, float64(ones[k])/n)
 		}
 	}
 	best := Change{Similarity: -1}
 	for k, target := range targets {
-		if ch, ok := m.bestSwitch(c, res, differs, r, target, false, max(best.Similarity, later[k])); ok && ch.Similarity > best.Similarity {
+		if ch, ok := m.bestSwitch(c, res, differs, r, target, false, max(best.Similarity, later[k]), ones[k]); ok && ch.Similarity > best.Similarity {
 			best = ch
 		}
 	}

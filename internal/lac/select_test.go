@@ -106,7 +106,7 @@ func TestSwitchSelectionMatchesReference(t *testing.T) {
 							continue
 						}
 						plain, inv := referenceBestSwitch(cand, res, rep, target)
-						memoCh, _ := memo.bestSwitch(cand, res, simr.SignalDiffers, rep, target, false, -1)
+						memoCh, _ := memo.bestSwitch(cand, res, simr.SignalDiffers, rep, target, false, -1, -1)
 						boundCh, _ := BestSwitch(cand, res, rep, target)
 						invCh, _ := BestSwitchInv(cand, res, rep, target)
 						for _, got := range []struct {
@@ -152,7 +152,7 @@ func TestMemoServesOnlyGoldenPairs(t *testing.T) {
 		if g.Func.IsPseudo() {
 			continue
 		}
-		memo.bestSwitch(c, golden, never, rep, target, false, -1)
+		memo.bestSwitch(c, golden, never, rep, target, false, -1, -1)
 		tfi := c.TFI(target)
 		sw := -1
 		for id := range c.Gates {
@@ -169,7 +169,7 @@ func TestMemoServesOnlyGoldenPairs(t *testing.T) {
 			res.Signals[changed.gate] = golden.Signals[changed.copyOf]
 			differs := func(id int) bool { return id == changed.gate }
 			want, _ := referenceBestSwitch(c, res, rep, target)
-			if got, _ := memo.bestSwitch(c, res, differs, rep, target, false, -1); !sameChange(got, want) {
+			if got, _ := memo.bestSwitch(c, res, differs, rep, target, false, -1, -1); !sameChange(got, want) {
 				t.Fatalf("target %d, gate %d changed: got %+v, want %+v", target, changed.gate, got, want)
 			}
 			checked++

@@ -173,10 +173,12 @@ func (c *Circuit) Const1() int {
 // topological order and positions are shared, not copied (the clone is
 // structurally identical, and neither side ever writes them); the fanout
 // cache is not carried over, since clones are usually mutated immediately.
+// The gate array keeps room for one more gate, so an inverted wire's
+// inverter does not copy it again.
 func (c *Circuit) Clone() *Circuit {
 	nc := &Circuit{
 		Name:   c.Name,
-		Gates:  make([]Gate, len(c.Gates)),
+		Gates:  make([]Gate, len(c.Gates), len(c.Gates)+1),
 		PIs:    append([]int(nil), c.PIs...),
 		POs:    append([]int(nil), c.POs...),
 		const0: c.const0,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cell"
 	"repro/internal/netlist"
@@ -45,39 +46,45 @@ type Simulator struct {
 // simulation of base on v (it is trusted, not recomputed); pass nil to
 // have the constructor run it.
 func NewSimulator(base *netlist.Circuit, v *Vectors, golden *Result) (*Simulator, error) {
+	s := &Simulator{vectors: v, words: v.Words(), tail: TailMask(v.N)}
+	if err := s.Rebase(base, golden); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Rebase binds the simulator to another base circuit and its full
+// simulation on the simulator's vectors, as NewSimulator would, keeping
+// the working memory it has grown. base's structure must not change
+// while the simulator serves it.
+func (s *Simulator) Rebase(base *netlist.Circuit, golden *Result) error {
 	if golden == nil {
 		var err error
-		golden, err = Run(base, v)
-		if err != nil {
-			return nil, err
+		if golden, err = Run(base, s.vectors); err != nil {
+			return err
 		}
 	}
-	if golden.N != v.N || len(golden.Signals) != len(base.Gates) {
-		return nil, fmt.Errorf("sim: golden result does not match base circuit %q", base.Name)
+	if golden.N != s.vectors.N || len(golden.Signals) != len(base.Gates) {
+		return fmt.Errorf("sim: golden result does not match base circuit %q", base.Name)
 	}
 	pos, err := base.TopoPos()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	queue, err := base.NewTopoQueue()
 	if err != nil {
-		return nil, err
+		return err
 	}
+	for _, id := range s.dirty {
+		s.differs[id] = false
+	}
+	s.dirty = s.dirty[:0]
+	// Every differs entry is false between runs, past its length too.
 	n := len(base.Gates)
-	s := &Simulator{
-		base:    base,
-		vectors: v,
-		golden:  golden,
-		pos:     pos,
-		fanouts: base.Fanouts(),
-		words:   v.Words(),
-		tail:    TailMask(v.N),
-		differs: make([]bool, n),
-		queue:   queue,
-	}
-	s.res.Signals = make([][]uint64, n)
-	s.res.N = v.N
-	return s, nil
+	s.base, s.golden, s.pos, s.fanouts, s.queue = base, golden, pos, base.Fanouts(), queue
+	s.differs = slices.Grow(s.differs[:0], n)[:n]
+	s.reset(n)
+	return nil
 }
 
 // Golden returns the cached full simulation of the base circuit.
@@ -87,10 +94,11 @@ func (s *Simulator) Golden() *Result { return s.golden }
 func (s *Simulator) Vectors() *Vectors { return s.vectors }
 
 // SignalDiffers reports whether, in the most recent run, gate id's
-// waveform differs from the golden one. After a full-run fallback every
-// gate conservatively reports true.
+// waveform differs from the golden one. A gate appended beyond the base
+// has no golden waveform and always reports true; after a full-run
+// fallback every gate conservatively does.
 func (s *Simulator) SignalDiffers(id int) bool {
-	return s.allTouched || (id < len(s.differs) && s.differs[id])
+	return s.allTouched || id >= len(s.differs) || s.differs[id]
 }
 
 // Simulate diffs the candidate against the base circuit and runs the
@@ -102,29 +110,57 @@ func (s *Simulator) Simulate(app *netlist.Circuit) (*Result, error) {
 
 // IncrementalRun simulates a candidate that shares the base circuit's gate
 // ID space, given the IDs of the gates whose function or fan-in adjacency
-// differs from the base (see netlist.DiffGates). Candidates that do not
-// share the ID space — or whose rewires broke the base topological order,
-// which LACs never do — fall back to FullRun transparently. The returned
-// Result is exact and owned by the Simulator (valid until the next call).
+// differs from the base (see netlist.DiffGates). The candidate may also
+// append gates, such as an inverted wire's inverter, that read only base
+// gates ahead of every changed one: their waveforms are computed from the
+// golden ones first. Other candidates — a different PI list, an appended
+// gate reading a changed or appended one, or a rewire that broke the base
+// topological order, which LACs never do — fall back to FullRun
+// transparently. The returned Result is exact and owned by the Simulator
+// (valid until the next call).
 func (s *Simulator) IncrementalRun(app *netlist.Circuit, changed []int) (*Result, error) {
-	if len(app.Gates) != len(s.base.Gates) || len(app.PIs) != len(s.base.PIs) {
+	nb := len(s.base.Gates)
+	if len(app.Gates) < nb || len(app.PIs) != len(s.base.PIs) {
 		return s.FullRun(app)
 	}
 	// The base order stays valid iff every changed gate still reads only
-	// gates that precede it; unchanged gates kept their base fan-ins.
+	// gates that precede it, an appended gate counting as right after its
+	// fan-ins; unchanged gates kept their base fan-ins.
+	first := nb // the earliest changed gate's position
 	for _, id := range changed {
+		if id >= nb {
+			continue
+		}
+		first = min(first, s.pos[id])
 		for _, fi := range app.Gates[id].Fanin {
-			if s.pos[fi] >= s.pos[id] {
+			if fi < nb && s.pos[fi] >= s.pos[id] {
+				return s.FullRun(app)
+			}
+		}
+	}
+	for _, g := range app.Gates[nb:] {
+		for _, fi := range g.Fanin {
+			if fi >= nb || s.pos[fi] >= first {
 				return s.FullRun(app)
 			}
 		}
 	}
 	s.reset(len(app.Gates))
 	copy(s.res.Signals, s.golden.Signals)
-	for _, id := range changed {
-		s.queue.Push(id)
-	}
 	arenaNext := 0
+	for id := nb; id < len(app.Gates); id++ {
+		sig := s.slot(arenaNext)
+		arenaNext++
+		if err := evalGate(&app.Gates[id], s.res.Signals, sig, s.tail); err != nil {
+			return nil, fmt.Errorf("sim: gate %d: %w", id, err)
+		}
+		s.res.Signals[id] = sig
+	}
+	for _, id := range changed {
+		if id < nb {
+			s.queue.Push(id)
+		}
+	}
 	for {
 		id, ok := s.queue.Pop()
 		if !ok {
@@ -153,9 +189,9 @@ func (s *Simulator) IncrementalRun(app *netlist.Circuit, changed []int) (*Result
 }
 
 // FullRun simulates the candidate from scratch into the recycled arena —
-// the fallback for candidates outside the base gate ID space (e.g. greedy
-// baselines' inverted-wire substitutions append gates). The returned
-// Result is owned by the Simulator; every gate reports SignalDiffers.
+// the fallback for candidates the base order cannot serve (see
+// IncrementalRun). The returned Result is owned by the Simulator; every
+// gate reports SignalDiffers.
 func (s *Simulator) FullRun(app *netlist.Circuit) (*Result, error) {
 	if len(app.PIs) != len(s.vectors.PerPI) {
 		return nil, fmt.Errorf("sim: circuit %q has %d PIs, vectors have %d",
@@ -195,10 +231,7 @@ func (s *Simulator) reset(n int) {
 	}
 	s.dirty = s.dirty[:0]
 	s.queue.Reset()
-	if cap(s.res.Signals) < n {
-		s.res.Signals = make([][]uint64, n)
-	}
-	s.res.Signals = s.res.Signals[:n]
+	s.res.Signals = slices.Grow(s.res.Signals[:0], n)[:n]
 	s.res.N = s.vectors.N
 }
 

@@ -1,7 +1,9 @@
 package sim_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cell"
@@ -171,28 +173,21 @@ func TestIncrementalIdentityCandidate(t *testing.T) {
 	}
 }
 
-// TestIncrementalFallbackAppendedGate covers the greedy baselines'
-// inverted-wire substitution: the candidate grows a gate, leaving the base
-// ID space, and the simulator must transparently fall back to a full run
-// with identical results.
-func TestIncrementalFallbackAppendedGate(t *testing.T) {
-	base := freshBase(t, "c880")
-	v := sim.Random(rand.New(rand.NewSource(11)), len(base.PIs), 500)
-	s, err := sim.NewSimulator(base, v, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cand := base.Clone()
-	// Invert some mid-circuit gate's influence: rewire its consumers
-	// through a fresh inverter (the WireByInvWire shape).
-	target := -1
-	for id, g := range cand.Gates {
-		if !g.Func.IsPseudo() {
-			target = id
-		}
-	}
-	inv := cand.AddGate(cell.Inv, cand.Gates[target].Fanin[0])
-	cand.ReplaceFanin(target, inv)
+// invertedWire applies a greedy inverted-wire substitution to c: it
+// rewires every consumer of target through a fresh inverter of sw and
+// returns the inverter's ID.
+func invertedWire(c *netlist.Circuit, target, sw int) int {
+	inv := c.AddGate(cell.Inv, sw)
+	c.ReplaceFanin(target, inv)
+	return inv
+}
+
+// checkAgainstRun requires every signal of an IncrementalRun of cand to
+// equal a full Run and SignalDiffers to hold exactly on the gates whose
+// waveform differs from the simulator's reference, and on every gate
+// appended beyond it.
+func checkAgainstRun(t *testing.T, what string, s *sim.Simulator, ref, cand *netlist.Circuit, v *sim.Vectors) {
+	t.Helper()
 	full, err := sim.Run(cand, v)
 	if err != nil {
 		t.Fatal(err)
@@ -202,13 +197,122 @@ func TestIncrementalFallbackAppendedGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := range cand.Gates {
-		for w := range full.Signals[id] {
-			if full.Signals[id][w] != incr.Signals[id][w] {
-				t.Fatalf("gate %d word %d: fallback result differs from full run", id, w)
+		if !slices.Equal(full.Signals[id], incr.Signals[id]) {
+			t.Fatalf("%s: gate %d: incremental signal differs from a full run", what, id)
+		}
+		differs := id >= len(ref.Gates) || !slices.Equal(full.Signals[id], s.Golden().Signals[id])
+		if s.SignalDiffers(id) != differs {
+			t.Fatalf("%s: gate %d: SignalDiffers = %v, waveform differs = %v", what, id, s.SignalDiffers(id), differs)
+		}
+	}
+}
+
+// TestIncrementalAppendedInverter runs the greedy baselines' inverted
+// wire incrementally: the candidate appends one inverter whose switch
+// lies in the target's fan-in cone, ahead of every rewired consumer. The
+// simulator's reference is itself a grown circuit, as a greedy round's
+// parent is: c880 and Adder16 after LACs that include inverted wires.
+// The cases take a primary input as the switch, a target that a PO port
+// reads, and random targets and switches.
+func TestIncrementalAppendedInverter(t *testing.T) {
+	for _, name := range []string{"c880", "Adder16"} {
+		base := freshBase(t, name)
+		rng := rand.New(rand.NewSource(13))
+		v := sim.Random(rng, len(base.PIs), 1000)
+		for k := 0; k < 3; k++ {
+			target := applyRandomLAC(t, base, rng)
+			invertedWire(base, base.Gates[target].Fanin[0], base.PIs[rng.Intn(len(base.PIs))])
+		}
+		golden, err := sim.Run(base, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sim.NewSimulator(base, v, golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := base.Live()
+		var phys, poDrivers []int
+		for id, g := range base.Gates {
+			if live[id] && !g.Func.IsPseudo() {
+				phys = append(phys, id)
 			}
 		}
-		if !s.SignalDiffers(id) {
-			t.Fatalf("full-run fallback must conservatively report every gate touched")
+		for _, po := range base.POs {
+			if d := base.Gates[po].Fanin[0]; !base.Gates[d].Func.IsPseudo() {
+				poDrivers = append(poDrivers, d)
+			}
+		}
+		for trial := 0; trial < 40; trial++ {
+			target := phys[rng.Intn(len(phys))]
+			if trial%4 == 1 {
+				target = poDrivers[rng.Intn(len(poDrivers))]
+			}
+			tfi := base.TFI(target)
+			var pis, sws []int
+			for id, g := range base.Gates {
+				switch {
+				case !tfi[id] || id == target || g.Func.IsConst():
+				case g.Func == cell.Input:
+					pis = append(pis, id)
+				default:
+					sws = append(sws, id)
+				}
+			}
+			if trial%4 == 0 && len(pis) > 0 || len(sws) == 0 {
+				sws = pis
+			}
+			if len(sws) == 0 {
+				continue // the target reads constants only
+			}
+			sw := sws[rng.Intn(len(sws))]
+			cand := base.Clone()
+			invertedWire(cand, target, sw)
+			checkAgainstRun(t, fmt.Sprintf("%s trial %d: target %d switch %d", name, trial, target, sw), s, base, cand, v)
+		}
+	}
+}
+
+// TestIncrementalFallbackAppendedGate covers appended gates outside the
+// incremental rule — an appended gate reading a changed gate, and two
+// chained appended gates: the simulator must fall back to a full run with
+// identical results and report every gate touched.
+func TestIncrementalFallbackAppendedGate(t *testing.T) {
+	base := freshBase(t, "c880")
+	v := sim.Random(rand.New(rand.NewSource(11)), len(base.PIs), 500)
+	s, err := sim.NewSimulator(base, v, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := -1
+	for id, g := range base.Gates {
+		if !g.Func.IsPseudo() {
+			target = id
+		}
+	}
+	readsChanged := base.Clone()
+	consumer := readsChanged.Fanouts()[target][0]
+	readsChanged.ReplaceFanin(target, readsChanged.Const0())
+	readsChanged.AddGate(cell.Inv, consumer)
+	chained := base.Clone()
+	inv := chained.AddGate(cell.Inv, chained.Gates[target].Fanin[0])
+	invertedWire(chained, target, inv)
+	for name, cand := range map[string]*netlist.Circuit{"reads a changed gate": readsChanged, "chained": chained} {
+		full, err := sim.Run(cand, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		incr, err := s.Simulate(cand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range cand.Gates {
+			if !slices.Equal(full.Signals[id], incr.Signals[id]) {
+				t.Fatalf("%s: gate %d: fallback result differs from a full run", name, id)
+			}
+			if !s.SignalDiffers(id) {
+				t.Fatalf("%s: gate %d: a full-run fallback must report every gate touched", name, id)
+			}
 		}
 	}
 }

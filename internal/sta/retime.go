@@ -12,8 +12,11 @@ import (
 // a candidate: a netlist that shares the base's gate IDs, ports and
 // topological order (every fan-in precedes its consumer in the base's
 // order) and differs from it only at a sorted change set of gates, each
-// with a new function, fan-ins or drive. Only the gates whose timing can
-// move are re-timed:
+// with a new function, fan-ins or drive. The candidate may also append
+// gates beyond the base, listed in the change set, if each reads only base
+// gates ahead of every changed base gate, as an inverted wire's inverter
+// does; an appended gate is ordered right after its fan-ins. Only the
+// gates whose timing can move are re-timed:
 //
 //   - every old and new fan-in driver of a changed gate, whose load is
 //     re-summed over its candidate consumers;
@@ -21,16 +24,18 @@ import (
 //   - the forward cone of both, in the base's topological order, pruned
 //     wherever a recomputed arrival and depth both equal the report's
 //     (depths are recomputed only when some changed gate has a new
-//     function or new fan-ins: drives alone cannot move them).
+//     function or new fan-ins: drives alone cannot move them);
+//   - each appended gate, right after each of its fan-ins is timed.
 //
 // Every recomputation repeats Analyze's float operations in Analyze's
 // order: a load is summed over consumers in ascending ID, one term per pin,
-// as Analyze accumulates it; fan-in maxima start from 0 and take strictly
-// greater arrivals; the CPD and depth are folded over the POs in port
-// order. Time is therefore bit-identical to Analyze of the candidate, and
-// TrialCPD, the sizing step's one-gate case, to Analyze of the resized
-// netlist. Working memory is reused across timings, so once warm a timing
-// allocates nothing. A Retimer is not safe for concurrent use.
+// as Analyze accumulates it, so an appended gate's pin comes last on its
+// driver; fan-in maxima start from 0 and take strictly greater arrivals;
+// the CPD and depth are folded over the POs in port order. Time is
+// therefore bit-identical to Analyze of the candidate, and TrialCPD, the
+// sizing step's one-gate case, to Analyze of the resized netlist. Working
+// memory is reused across timings, so once warm a timing allocates
+// nothing. A Retimer is not safe for concurrent use.
 type Retimer struct {
 	c       *netlist.Circuit
 	lib     *cell.Library
@@ -67,23 +72,30 @@ const (
 // c's structure must not change while the re-timer is in use. Drives may:
 // after changing one, Rebind to a fresh Analyze.
 func NewRetimer(c *netlist.Circuit, lib *cell.Library, rep *Report) (*Retimer, error) {
-	queue, err := c.NewTopoQueue()
-	if err != nil {
+	t := &Retimer{lib: lib, marked: make([]int, 0, 16)}
+	if err := t.Rebase(c, rep); err != nil {
 		return nil, err
 	}
+	return t, nil
+}
+
+// Rebase binds the re-timer to another circuit c and rep, a full Analyze
+// of c, as NewRetimer would, keeping the working memory it has grown.
+func (t *Retimer) Rebase(c *netlist.Circuit, rep *Report) error {
+	queue, err := c.NewTopoQueue()
+	if err != nil {
+		return err
+	}
 	n := len(c.Gates)
-	t := &Retimer{
-		c:       c,
-		lib:     lib,
-		fanouts: c.Fanouts(),
-		queue:   queue,
-		arrival: make([]float64, n),
-		moved:   make([]int, 0, n),
-		flags:   make([]uint8, n),
-		marked:  make([]int, 0, 16),
+	t.c, t.fanouts, t.queue = c, c.Fanouts(), queue
+	// flags and pinHead are zero between timings, past their lengths too.
+	t.arrival, t.flags = slices.Grow(t.arrival[:0], n)[:n], slices.Grow(t.flags[:0], n)[:n]
+	t.moved = slices.Grow(t.moved, n)
+	if t.depth != nil {
+		t.depth, t.pinHead = slices.Grow(t.depth[:0], n)[:n], slices.Grow(t.pinHead[:0], n)[:n]
 	}
 	t.Rebind(rep)
-	return t, nil
+	return nil
 }
 
 // Rebind points the re-timer at a fresh full report of the same circuit,
@@ -114,9 +126,14 @@ func (t *Retimer) Time(c *netlist.Circuit, changed []int, poArrival []float64) (
 	base, gates, rep := t.c.Gates, c.Gates, t.rep
 	// Depths move only through a new function or new fan-ins; a change set
 	// of drives alone, like every sizing trial, skips them.
-	logic := false
+	logic := len(gates) > len(base)
 	for _, id := range changed {
-		g, b := &gates[id], &base[id]
+		g := &gates[id]
+		if id >= len(base) { // appended: timed after its fan-ins, below
+			t.reload(g.Fanin)
+			continue
+		}
+		b := &base[id]
 		t.mark(id, changedGate)
 		t.reload(b.Fanin)
 		logic = logic || g.Func != b.Func
@@ -130,10 +147,15 @@ func (t *Retimer) Time(c *netlist.Circuit, changed []int, poArrival []float64) (
 		t.depth = slices.Clone(rep.Depth)
 		t.pinHead = make([]int32, len(base))
 	}
+	if n := len(gates); n > len(t.arrival) { // room for appended gates
+		t.arrival = append(t.arrival, make([]float64, n-len(t.arrival))...)
+		t.depth = append(t.depth, make([]int, n-len(t.depth))...)
+		t.pinHead = append(t.pinHead, make([]int32, n-len(t.pinHead))...)
+	}
 	// Pin lists are built back to front, so each reads in ascending order.
 	for i := len(changed) - 1; i >= 0; i-- {
 		id := changed[i]
-		if t.flags[id]&rewired == 0 {
+		if id < len(base) && t.flags[id]&rewired == 0 {
 			continue
 		}
 		for _, fi := range gates[id].Fanin {
@@ -176,14 +198,19 @@ func (t *Retimer) Time(c *netlist.Circuit, changed []int, poArrival []float64) (
 			t.depth[gid] = d
 			depthMoved = d != rep.Depth[gid]
 		}
-		if a == rep.Arrival[gid] && !depthMoved {
-			continue // nothing downstream can move through this gate
+		// Unless it moved, nothing downstream can move through this gate.
+		if a != rep.Arrival[gid] || depthMoved {
+			t.arrival[gid] = a
+			t.moved = append(t.moved, gid)
+			poMoved = poMoved || g.Func == cell.OutPort
+			for _, fo := range t.fanouts[gid] {
+				t.queue.Push(fo)
+			}
 		}
-		t.arrival[gid] = a
-		t.moved = append(t.moved, gid)
-		poMoved = poMoved || g.Func == cell.OutPort
-		for _, fo := range t.fanouts[gid] {
-			t.queue.Push(fo)
+		for id := len(base); id < len(gates); id++ {
+			if slices.Contains(gates[id].Fanin, gid) {
+				t.timeAppended(gates, id)
+			}
 		}
 	}
 
@@ -221,9 +248,31 @@ func (t *Retimer) Time(c *netlist.Circuit, changed []int, poArrival []float64) (
 			t.pinHead[id] = 0
 		}
 	}
+	if len(gates) > len(base) {
+		clear(t.pinHead[len(base):len(gates)])
+	}
 	t.marked = t.marked[:0]
 	t.pins = t.pins[:0]
 	return cpd, maxDepth
+}
+
+// timeAppended times appended gate id from its fan-ins' current arrivals
+// and depths, as Analyze would.
+func (t *Retimer) timeAppended(gates []netlist.Gate, id int) {
+	g := &gates[id]
+	delay := t.lib.Delay(g.Func, g.Drive, t.load(gates, id))
+	maxA, d := 0.0, 0
+	for _, fi := range g.Fanin {
+		if t.arrival[fi] > maxA {
+			maxA = t.arrival[fi]
+		}
+		d = max(d, t.depth[fi])
+	}
+	if !g.Func.IsPseudo() {
+		d++
+	}
+	t.arrival[id] = maxA + delay
+	t.depth[id] = d
 }
 
 // mark flags gate id for the current timing and queues it.
@@ -235,23 +284,30 @@ func (t *Retimer) mark(id int, f uint8) {
 	t.queue.Push(id)
 }
 
-// reload marks the drivers of fan-in list fanin.
+// reload marks the base drivers of fan-in list fanin; appended drivers
+// are timed apart.
 func (t *Retimer) reload(fanin []int) {
 	for _, fi := range fanin {
-		t.mark(fi, reloaded)
+		if fi < len(t.flags) {
+			t.mark(fi, reloaded)
+		}
 	}
 }
 
 // load re-sums the load gate drv drives in the candidate gates, exactly as
 // Analyze does. Its consumers are the base's, minus the rewired gates,
-// merged with the rewired gates that read it in the candidate, in
-// ascending ID.
+// merged with the rewired and appended gates that read it in the
+// candidate, in ascending ID.
 func (t *Retimer) load(gates []netlist.Gate, drv int) float64 {
 	load, k := 0.0, int32(0)
 	if t.pinHead != nil {
 		k = t.pinHead[drv]
 	}
-	for _, fo := range t.fanouts[drv] {
+	var fanouts []int // an appended driver has no base consumers
+	if drv < len(t.fanouts) {
+		fanouts = t.fanouts[drv]
+	}
+	for _, fo := range fanouts {
 		for ; k != 0 && t.pins[k-1].gate < fo; k = t.pins[k-1].next {
 			load += t.pinCap(&gates[t.pins[k-1].gate])
 		}

@@ -305,7 +305,114 @@ func FuzzCandidateTiming(f *testing.F) {
 		cand, changed = lacCandidate(t, rng, c, rng.Intn(4), rng.Intn(4), rng.Intn(2))
 		checkCandidate(t, rt, cand, changed)
 		checkTrial(t, c, rt, rng.Intn(len(c.Gates)), cell.Drive(rng.Intn(int(cell.NumDrives))))
+		if cand, changed := invCandidate(rng, c); cand != nil {
+			checkCandidate(t, rt, cand, changed)
+		}
 	})
+}
+
+// invCandidate applies one random inverted-wire substitution to a clone
+// of c: the consumers of a random physical target read a fresh inverter of
+// a switch from the target's fan-in cone. It returns nil when the target
+// drew has no such switch.
+func invCandidate(rng *rand.Rand, c *netlist.Circuit) (*netlist.Circuit, []int) {
+	target := rng.Intn(len(c.Gates))
+	if c.Gates[target].Func.IsPseudo() {
+		return nil, nil
+	}
+	tfi := c.TFI(target)
+	var switches []int
+	for id := range c.Gates {
+		if tfi[id] && id != target {
+			switches = append(switches, id)
+		}
+	}
+	if len(switches) == 0 {
+		return nil, nil
+	}
+	return withInverter(c, target, switches[rng.Intn(len(switches))])
+}
+
+// withInverter returns a clone of c whose consumers of target read a
+// fresh inverter of sw, and its change set: the rewired consumers and the
+// inverter, ascending.
+func withInverter(c *netlist.Circuit, target, sw int) (*netlist.Circuit, []int) {
+	cand := c.Clone()
+	inv := cand.AddGate(cell.Inv, sw)
+	cand.ReplaceFanin(target, inv)
+	var changed []int
+	for id := range c.Gates {
+		if !slices.Equal(cand.Gates[id].Fanin, c.Gates[id].Fanin) {
+			changed = append(changed, id)
+		}
+	}
+	return cand, append(changed, inv)
+}
+
+// TestCandidateTimingAppendedInverter times inverted-wire candidates,
+// which append an inverter beyond the re-timer's circuit, against a full
+// Analyze. The hand-built circuit runs a chain of inverters from PI a to
+// PO y, the critical path, and a short path from b through t to PO z. The
+// cases: t's consumer, a PO port, reads an inverter of PI b; then of the
+// chain's first gate, whose delay the inverter's extra load raises, which
+// moves the CPD; and a seventh of the target and switch pairs of c880 and
+// Adder16 after LACs and inverted wires.
+func TestCandidateTimingAppendedInverter(t *testing.T) {
+	c := netlist.New("chain")
+	a, b := c.AddInput("a"), c.AddInput("b")
+	first := c.AddGate(cell.Inv, a)
+	last := first
+	for k := 0; k < 8; k++ {
+		last = c.AddGate(cell.Inv, last)
+	}
+	c.AddOutput("y", last)
+	tg := c.AddGate(cell.And2, b, first)
+	c.AddOutput("z", tg)
+	rt, rep := newRetimer(t, c)
+	for _, sw := range []int{b, first} {
+		cand, changed := withInverter(c, tg, sw)
+		checkCandidate(t, rt, cand, changed)
+		if sw == first {
+			want, err := sta.Analyze(cand, lib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.CPD == rep.CPD {
+				t.Fatalf("the inverter's load on the chain left the CPD at %v", rep.CPD)
+			}
+		}
+	}
+	for _, name := range []string{"c880", "Adder16"} {
+		// A greedy round's parent: LACs and inverted wires already applied.
+		c := gen.MustBuild(name)
+		c.Const0()
+		c.Const1()
+		rng := rand.New(rand.NewSource(9))
+		v := sim.Random(rng, len(c.PIs), 256)
+		for k := 0; k < 4; k++ {
+			res, err := sim.Run(c, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lac.RandomChange(c, res, rng)
+			if cand, _ := invCandidate(rng, c); cand != nil {
+				c = cand
+			}
+		}
+		rt, _ := newRetimer(t, c)
+		for target, g := range c.Gates {
+			if g.Func.IsPseudo() {
+				continue
+			}
+			tfi := c.TFI(target)
+			for sw := range c.Gates {
+				if tfi[sw] && sw != target && (sw+target)%7 == 0 {
+					cand, changed := withInverter(c, target, sw)
+					checkCandidate(t, rt, cand, changed)
+				}
+			}
+		}
+	}
 }
 
 // TestCandidateTimingSweep times LAC candidates of real circuits, with and
