@@ -23,7 +23,7 @@
 // genuinely lost work runs again. "-wal auto" derives <store>.wal next to
 // a local store file; an empty -wal disables durability.
 //
-// The preferred client surface is /v2: submit, stream the run's events
+// Clients use the /v2 flow API: submit, stream the run's events
 // (per-iteration progress and every improved solution, over SSE), then
 // read the result with its delay/error/area trade-off front:
 //
@@ -37,22 +37,13 @@
 // /v2 errors carry machine-readable codes ({"error":{"code":...}}), e.g.
 // unknown_benchmark (404), infeasible (422), queue_full (503).
 //
-// The legacy /v1 polling API keeps serving unchanged (same job table,
-// same cache, same JSON shapes):
-//
-//	curl -X POST localhost:8080/v1/flows \
-//	     -d '{"circuit":"Adder16","metric":"nmed","budget":0.0244}'
-//	curl localhost:8080/v1/flows/f000001
-//	curl localhost:8080/v1/flows/f000001/result
-//	curl -X POST localhost:8080/v1/flows/f000001/cancel
-//
-// Every alsd is also a distributed-sweep worker with no extra
-// configuration: the same handler exposes the worker job API
-// (POST /v1/jobs batch submit by canonical job spec, GET /v1/jobs/{hash}
-// result fetch by content hash, GET /healthz readiness) that
-// `experiments -workers http://host:8080,...` drives. Sweep cells and
-// interactive submissions share one hash-keyed store, so either fills the
-// cache for the other.
+// Every alsd is also a sweep endpoint with no extra configuration: the
+// same handler exposes the worker job API (POST /v1/jobs batch submit by
+// canonical job spec, GET /v1/jobs/{hash} result fetch by content hash,
+// GET /healthz readiness) that `experiments -coord http://host:8080`
+// drives directly and alscoord's lanes drive for a registered worker
+// (-register). Sweep cells and interactive submissions share one
+// hash-keyed store, so either fills the cache for the other.
 //
 // Observability (docs/OPERATIONS.md has the full reference):
 //

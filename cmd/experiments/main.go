@@ -14,28 +14,20 @@
 //	experiments -check testdata/golden_quick.json     # CI regression gate
 //	experiments -update-golden testdata/golden_quick.json
 //
-// With -workers the job graph is dispatched to a fleet of alsd daemons
-// over HTTP instead of (or in addition to) the local pool:
-//
-//	experiments -exp all -workers http://h1:8080,http://h2:8080 -out results/
-//	experiments -exp all -workers http://h1:8080 -jobs 4   # plus 4 local lanes
-//	experiments -check testdata/golden_quick.json -workers http://h1:8080
-//
-// Cells are partitioned across workers by content hash, finished cells
-// stream into the -out store as they complete (so -resume works exactly
-// as in a local run), transient worker failures retry with capped
-// backoff, and a dead worker's remaining cells fail over to the
-// survivors. Because every cell is a pure function of its hash, a
-// distributed run renders byte-identical json/csv output to a
-// single-machine run.
-//
-// With -coord the sweep goes through the cluster coordinator (alscoord)
-// instead of a hand-listed fleet: workers join by registering
-// (`alsd -register`), the coordinator schedules by observed throughput,
-// and this command is a thin client of the same job API — output stays
-// byte-identical to -workers and local runs:
+// With -coord the cells run on one endpoint over HTTP instead of the
+// local pool: a cluster coordinator (alscoord, whose workers join with
+// `alsd -register` and are scheduled by observed throughput) or a single
+// alsd. Both serve the same worker job API:
 //
 //	experiments -exp all -coord http://coord:9090 -out results/
+//	experiments -check testdata/golden_quick.json -coord http://h1:8080
+//
+// Finished cells stream into the -out store as they complete, and
+// transient endpoint failures retry with capped backoff. An endpoint
+// that stays down, or drains, fails the run; a -resume then completes
+// it, exactly as after an interrupted local run. Because every cell is a
+// pure function of its hash, a -coord run renders byte-identical
+// json/csv output to a local run.
 //
 // -scale quick (default) runs a reduced optimizer budget suitable for a
 // laptop; -scale paper uses the paper's N=30, Imax=20 and a 1e5-class
@@ -52,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -90,9 +83,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		pop      = fs.Int("pop", 0, "override population size")
 		iters    = fs.Int("iters", 0, "override iterations/rounds")
 		vectors  = fs.Int("vectors", 0, "override Monte-Carlo vector count")
-		jobs     = fs.Int("jobs", 0, "concurrent experiment cells (0 = GOMAXPROCS); with -workers, the local share (0 = remote only)")
-		workers  = fs.String("workers", "", "comma-separated alsd worker URLs; distribute cells across them by content hash (legacy static fleet)")
-		coordURL = fs.String("coord", "", "alscoord base URL; dispatch cells through the cluster coordinator (workers join by registering)")
+		jobs     = fs.Int("jobs", 0, "concurrent local experiment cells (0 = GOMAXPROCS)")
+		coordURL = fs.String("coord", "", "alscoord or alsd base URL; run the cells there instead of locally")
 		outDir   = fs.String("out", "", "directory for the persistent result store and rendered reports")
 		backend  = fs.String("store-backend", "auto", "result-store backend for -out: auto, jsonl or embedded (see docs/STORAGE.md)")
 		resume   = fs.Bool("resume", false, "reuse finished cells from the -out result store")
@@ -132,10 +124,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	// -trace-out records the whole invocation as one trace: a root span
-	// here, the dispatch sweep and its per-request spans under it (remote
-	// workers continue the same trace ID via traceparent), and the local
-	// lanes' job/generation spans. The export is written on every exit
-	// path so an interrupted run still leaves its timeline behind.
+	// here, then either the local pool's job/generation spans or the
+	// dispatch sweep and its per-request spans (an alsd endpoint continues
+	// the same trace ID via traceparent). The export is written on every
+	// exit path so an interrupted run still leaves its timeline behind.
 	var (
 		tracer   *trace.Tracer
 		rootSpan *trace.Span
@@ -159,8 +151,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// -metrics-addr makes a long sweep observable from outside: a tiny
 	// HTTP server exposes the dispatch lane counters plus the -out store
-	// traffic for the run's duration. Registered before the runner is
-	// built so both local and distributed runs share the registry.
+	// traffic for the run's duration.
 	var (
 		reg *telemetry.Registry
 		dm  *dispatch.Metrics
@@ -181,22 +172,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "metrics on http://%s/metrics\n", *metrics)
 	}
 
-	if *coordURL != "" && *workers != "" {
-		fmt.Fprintln(stderr, "-coord and -workers are mutually exclusive (the coordinator owns the fleet)")
+	if *coordURL != "" && *jobs != 0 {
+		fmt.Fprintln(stderr, "-coord and -jobs are mutually exclusive (-jobs sizes the local pool; a -coord run executes nothing locally)")
 		return 2
 	}
-	workerList := *workers
-	if *coordURL != "" {
-		// The coordinator serves the same worker job API as any alsd, so
-		// coordinator mode is the legacy client pointed at one URL: batch
-		// submit, poll by hash, identical bytes out.
-		workerList = *coordURL
-	}
-	runner, err := newJobRunner(workerList, *jobs, dm, tracer, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
+	runner := newJobRunner(*coordURL, *jobs, dm, tracer, stderr)
 
 	if *update != "" {
 		return updateGolden(ctx, *update, *seed, runner, stderr)
@@ -306,50 +286,33 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// jobRunner abstracts where cells execute: the local worker pool, or a
-// distributed fleet through the dispatch coordinator. Either way the
-// ResultSet is keyed by content hash and carries identical deterministic
-// metrics, so everything downstream (rendering, golden checks, stores) is
-// oblivious to the choice.
+// jobRunner abstracts where cells execute: the local worker pool, or one
+// -coord endpoint. Either way the ResultSet is keyed by content hash and
+// carries identical deterministic metrics, so everything downstream
+// (rendering, golden checks, stores) is oblivious to the choice.
 type jobRunner func(ctx context.Context, jobs []exp.Job, st *store.Store) (exp.ResultSet, exp.RunStats, error)
 
-// newJobRunner builds the runner for this invocation. Without -workers,
-// cells run on a local pool of `localJobs` goroutines; with -workers they
-// are partitioned across the fleet, and localJobs > 0 adds that many
-// local lanes (the coordinator machine's share).
-func newJobRunner(workersCSV string, localJobs int, dm *dispatch.Metrics, tracer *trace.Tracer, stderr io.Writer) (jobRunner, error) {
-	if workersCSV == "" {
+// newJobRunner builds the runner for this invocation: a local pool of
+// `localJobs` goroutines without -coord, the dispatch client of the
+// endpoint with it.
+func newJobRunner(endpoint string, localJobs int, dm *dispatch.Metrics, tracer *trace.Tracer, stderr io.Writer) jobRunner {
+	if endpoint == "" {
 		return func(ctx context.Context, jobs []exp.Job, st *store.Store) (exp.ResultSet, exp.RunStats, error) {
 			return exp.RunJobsContext(ctx, jobs, localJobs, st)
-		}, nil
-	}
-	var urls []string
-	for _, u := range strings.Split(workersCSV, ",") {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			continue
 		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		urls = append(urls, u)
 	}
-	if len(urls) == 0 {
-		return nil, errors.New("-workers given but no worker URLs parsed")
+	if !strings.Contains(endpoint, "://") {
+		endpoint = "http://" + endpoint
 	}
 	return func(ctx context.Context, jobs []exp.Job, st *store.Store) (exp.ResultSet, exp.RunStats, error) {
-		rs, dstats, err := dispatch.Run(ctx, jobs, dispatch.Options{
-			Workers:   urls,
-			LocalJobs: localJobs,
-			Store:     st,
-			Metrics:   dm,
-			Tracer:    tracer,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(stderr, format+"\n", args...)
-			},
+		return dispatch.Run(ctx, jobs, dispatch.Options{
+			Endpoint: endpoint,
+			Store:    st,
+			Metrics:  dm,
+			Tracer:   tracer,
+			Logger:   slog.New(slog.NewTextHandler(stderr, nil)),
 		})
-		return rs, dstats.RunStats, err
-	}, nil
+	}
 }
 
 // writeTrace dumps the tracer's buffered spans as JSONL.

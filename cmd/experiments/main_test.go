@@ -8,9 +8,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/coord"
 	"repro/internal/exp"
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 // runCLI invokes the command's run function with captured output.
@@ -179,83 +182,115 @@ func TestGoldenUpdateAndCheckRoundTrip(t *testing.T) {
 	}
 }
 
-// bootWorkers starts n in-process alsd equivalents and returns a -workers
-// flag value addressing them.
-func bootWorkers(t *testing.T, n int) string {
+// bootAlsd starts one in-process alsd equivalent and returns its URL.
+func bootAlsd(t *testing.T) string {
 	t.Helper()
-	var urls []string
-	for i := 0; i < n; i++ {
-		s := service.New(service.Options{Workers: 2, Logf: t.Logf})
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(func() {
-			ts.Close()
-			s.Close()
-		})
-		urls = append(urls, ts.URL)
-	}
-	return strings.Join(urls, ",")
+	s := service.New(service.Options{Workers: 2, Logf: t.Logf})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	return ts.URL
 }
 
-// TestWorkersFlagJSONByteIdenticalToLocal is the tentpole's contract at
-// the CLI surface: dispatching the same sweep to a 2-worker fleet must
-// render byte-identical machine-readable output to the local pool,
-// because every cell is a pure function of its content hash.
-func TestWorkersFlagJSONByteIdenticalToLocal(t *testing.T) {
+// bootCoord starts an in-process alscoord equivalent with two registered
+// in-process workers and returns its URL.
+func bootCoord(t *testing.T) string {
+	t.Helper()
+	st, err := store.Open(filepath.Join(t.TempDir(), "cluster.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The workers never heartbeat, so the interval outlasts the test.
+	c, err := coord.New(coord.Options{Store: st, HeartbeatInterval: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		c.Close()
+		st.Close()
+	})
+	for range 2 {
+		if _, _, err := c.Register(bootAlsd(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ts.URL
+}
+
+// endpoints names both -coord targets: one alsd and a coordinator with
+// two registered workers.
+func endpoints(t *testing.T) map[string]string {
+	return map[string]string{"alsd": bootAlsd(t), "alscoord": bootCoord(t)}
+}
+
+// TestCoordJSONByteIdenticalToLocal is the sweep client's contract at the
+// CLI surface: running the same sweep on an endpoint must render
+// byte-identical machine-readable output to the local pool, because
+// every cell is a pure function of its content hash.
+func TestCoordJSONByteIdenticalToLocal(t *testing.T) {
 	local, localOut, stderr := runCLI(t, cliMatrix("-exp", "table2", "-format", "json", "-jobs", "4")...)
 	if local != 0 {
 		t.Fatalf("local run: %d, stderr %q", local, stderr)
 	}
-
-	workers := bootWorkers(t, 2)
-	dist, distOut, stderr := runCLI(t, cliMatrix("-exp", "table2", "-format", "json", "-workers", workers)...)
-	if dist != 0 {
-		t.Fatalf("distributed run: %d, stderr %q", dist, stderr)
-	}
-	if localOut != distOut {
-		t.Fatalf("distributed JSON differs from local:\n%s\nvs\n%s", distOut, localOut)
-	}
-
-	// The local share composes: -jobs 2 alongside the fleet, same bytes.
-	mixed, mixedOut, stderr := runCLI(t, cliMatrix("-exp", "table2", "-format", "json", "-workers", workers, "-jobs", "2")...)
-	if mixed != 0 {
-		t.Fatalf("mixed run: %d, stderr %q", mixed, stderr)
-	}
-	if mixedOut != localOut {
-		t.Fatalf("mixed local+remote JSON differs from local:\n%s\nvs\n%s", mixedOut, localOut)
+	for name, url := range endpoints(t) {
+		// A URL without a scheme gets http://.
+		code, out, stderr := runCLI(t, cliMatrix("-exp", "table2", "-format", "json", "-coord", strings.TrimPrefix(url, "http://"))...)
+		if code != 0 {
+			t.Fatalf("%s run: %d, stderr %q", name, code, stderr)
+		}
+		if out != localOut {
+			t.Fatalf("%s JSON differs from local:\n%s\nvs\n%s", name, out, localOut)
+		}
 	}
 }
 
-// TestWorkersFlagComposesWithResume: a distributed run fills the -out
-// store, and a resumed invocation serves every cell from cache without
-// touching the (now gone) fleet.
-func TestWorkersFlagComposesWithResume(t *testing.T) {
-	dir := t.TempDir()
-	workers := bootWorkers(t, 2)
-	args := cliMatrix("-exp", "table3", "-format", "csv", "-out", dir)
+// TestCoordComposesWithResume: a -coord run fills the -out store, and a
+// resumed invocation serves every cell from cache without touching the
+// (now gone) endpoint.
+func TestCoordComposesWithResume(t *testing.T) {
+	for name, url := range endpoints(t) {
+		dir := t.TempDir()
+		args := cliMatrix("-exp", "table3", "-format", "csv", "-out", dir)
 
-	code, out1, stderr := runCLI(t, append(args, "-workers", workers)...)
-	if code != 0 {
-		t.Fatalf("distributed run: %d, stderr %q", code, stderr)
-	}
-	if !strings.Contains(stderr, "5 executed") {
-		t.Fatalf("distributed run must execute the 5 cells: %q", stderr)
-	}
+		code, out1, stderr := runCLI(t, append(args, "-coord", url)...)
+		if code != 0 {
+			t.Fatalf("%s run: %d, stderr %q", name, code, stderr)
+		}
+		if !strings.Contains(stderr, "5 executed") {
+			t.Fatalf("%s run must execute the 5 cells: %q", name, stderr)
+		}
 
-	code, out2, stderr := runCLI(t, append(args, "-workers", "http://127.0.0.1:1", "-resume")...)
-	if code != 0 {
-		t.Fatalf("resume run: %d, stderr %q", code, stderr)
-	}
-	if !strings.Contains(stderr, "0 executed, 5 cached") {
-		t.Fatalf("resume must serve all cells from the store: %q", stderr)
-	}
-	if out1 != out2 {
-		t.Fatalf("resumed output differs:\n%s\nvs\n%s", out1, out2)
+		code, out2, stderr := runCLI(t, append(args, "-coord", "http://127.0.0.1:1", "-resume")...)
+		if code != 0 {
+			t.Fatalf("resume run: %d, stderr %q", code, stderr)
+		}
+		if !strings.Contains(stderr, "0 executed, 5 cached") {
+			t.Fatalf("resume must serve all cells from the store: %q", stderr)
+		}
+		if out1 != out2 {
+			t.Fatalf("resumed output differs:\n%s\nvs\n%s", out1, out2)
+		}
 	}
 }
 
+// TestWorkersFlagEmptyURLListExits2: the static-fleet flag is gone, so
+// any -workers value is a usage error.
 func TestWorkersFlagEmptyURLListExits2(t *testing.T) {
 	code, _, stderr := runCLI(t, "-exp", "table2", "-workers", " , ,")
-	if code != 2 || !strings.Contains(stderr, "no worker URLs") {
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -workers") {
+		t.Fatalf("code=%d stderr=%q", code, stderr)
+	}
+}
+
+// TestCoordWithJobsExits2: -jobs sizes the local pool, which a -coord run
+// does not use.
+func TestCoordWithJobsExits2(t *testing.T) {
+	code, _, stderr := runCLI(t, "-exp", "table2", "-coord", "http://127.0.0.1:1", "-jobs", "2")
+	if code != 2 || !strings.Contains(stderr, "-coord") || !strings.Contains(stderr, "-jobs") {
 		t.Fatalf("code=%d stderr=%q", code, stderr)
 	}
 }
@@ -315,15 +350,16 @@ func TestCheckReportsEveryMismatchedCellWithGotWant(t *testing.T) {
 	}
 }
 
-// TestCheckComposesWithWorkers: the golden gate runs its cells through
-// the fleet and still passes exactly.
+// TestCheckComposesWithWorkers: the golden gate runs its cells on an
+// alsd and on a coordinator's workers and still passes exactly.
 func TestCheckComposesWithWorkers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "golden.json")
 	cheapGolden(t, path, false)
-	workers := bootWorkers(t, 2)
-	code, _, stderr := runCLI(t, "-check", path, "-workers", workers)
-	if code != 0 || !strings.Contains(stderr, "golden check passed") {
-		t.Fatalf("distributed check must pass: code=%d stderr=%q", code, stderr)
+	for name, url := range endpoints(t) {
+		code, _, stderr := runCLI(t, "-check", path, "-coord", url)
+		if code != 0 || !strings.Contains(stderr, "golden check passed") {
+			t.Fatalf("%s check must pass: code=%d stderr=%q", name, code, stderr)
+		}
 	}
 }
 

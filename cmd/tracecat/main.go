@@ -5,15 +5,15 @@
 // jsonl` on any alsd, and trace.WriteJSONL generally.
 //
 // Inputs merge: pass several files and/or /debug/traces URLs and spans
-// are joined by trace ID, so a distributed sweep — coordinator export
-// plus each worker's /debug/traces — renders as one fleet-wide timeline.
+// are joined by trace ID, so a distributed sweep — the client's export
+// plus its alsd endpoint's /debug/traces — renders as one timeline.
 //
 // Usage:
 //
-//	experiments -scale quick -trace-out run.jsonl -workers http://h1:8080,http://h2:8080
+//	experiments -scale quick -trace-out run.jsonl -coord http://h1:8080
 //	tracecat -list run.jsonl
 //	tracecat -trace 4bf92f3577b34da6a3ce929d0e0e4736 \
-//	    run.jsonl http://h1:8080/debug/traces http://h2:8080/debug/traces
+//	    run.jsonl http://h1:8080/debug/traces
 //
 // Without -trace, every trace passing -min-dur is rendered, newest last.
 //

@@ -4,8 +4,7 @@
 // Server-Sent Events stream (per-iteration progress and every improved
 // solution — no polling), prints the result with its delay/error/area
 // trade-off front, and demonstrates the dedup cache by resubmitting the
-// identical request. Pass -v1 to run the same scenario over the legacy
-// polling API instead.
+// identical request.
 //
 // It imports service.Request/service.JobViewV2 for the wire types so the
 // example can never drift from the daemon's JSON contract; an out-of-tree
@@ -43,7 +42,6 @@ func main() {
 		budget  = flag.Float64("budget", 0.0244, "error budget")
 		scale   = flag.String("scale", "quick", "run scale: quick|paper")
 		seed    = flag.Int64("seed", 1, "random seed")
-		useV1   = flag.Bool("v1", false, "use the legacy /v1 polling API instead of /v2 SSE")
 	)
 	flag.Parse()
 
@@ -56,11 +54,6 @@ func main() {
 		req.Verilog = string(src)
 	} else {
 		req.Circuit = *circuit
-	}
-
-	if *useV1 {
-		runV1(*addr, req)
-		return
 	}
 
 	first := submit(*addr, req)
@@ -163,60 +156,4 @@ func stream(addr, id string) submittedJob {
 	}
 	log.Fatalf("events stream ended without a terminal event: %v", sc.Err())
 	return submittedJob{}
-}
-
-// runV1 is the original polling scenario, kept runnable against the
-// compatibility surface.
-func runV1(addr string, req service.Request) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	resp, err := http.Post(addr+"/v1/flows", "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
-		log.Fatalf("submit failed (%s): %s", resp.Status, e.Error)
-	}
-	var first service.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&first); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("submitted: job %s (%s, cached=%v)\n", first.ID, first.Status, first.Cached)
-
-	lastIter := -1
-	v := first
-	for v.Status == service.StatusQueued || v.Status == service.StatusRunning {
-		time.Sleep(100 * time.Millisecond)
-		v = fetchV1(addr + "/v1/flows/" + first.ID)
-		if p := v.Progress; p != nil && p.Iter != lastIter {
-			lastIter = p.Iter
-			fmt.Printf("  iter %d/%d  best Ratio_cpd so far %.4f\n", p.Iter, p.Total, p.BestRatioCPD)
-		}
-	}
-	if v.Status != service.StatusDone {
-		log.Fatalf("job ended %s: %s", v.Status, v.Error)
-	}
-	fmt.Printf("done: Ratio_cpd = %.4f, err = %.5g, %d evaluations, %v\n",
-		v.Result.RatioCPD, v.Result.Err, v.Result.Evaluations,
-		time.Duration(v.Result.RuntimeNS).Round(time.Millisecond))
-}
-
-func fetchV1(url string) service.JobView {
-	resp, err := http.Get(url)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var v service.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		log.Fatal(err)
-	}
-	return v
 }

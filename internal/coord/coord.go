@@ -1,22 +1,19 @@
 // Package coord is the cluster control plane: a long-lived coordinator
 // daemon (cmd/alscoord) that owns fleet membership, scheduling and result
-// delivery for a fleet of alsd workers.
-//
-// Where the legacy fleet mode (cmd/experiments -workers) hand-lists
-// worker URLs and partitions cells statically by content hash, the
-// coordinator is registration-driven and throughput-adaptive:
+// delivery for a fleet of alsd workers. It is registration-driven and
+// throughput-adaptive:
 //
 //   - Workers join with POST /cluster/register and stay live by
 //     heartbeating (queue depth and evals/sec from their own telemetry
 //     counters ride along). A worker that misses ExpireAfter heartbeats
 //     is drained: its lane stops, its in-flight cells fail over to the
 //     queue, and it is forgotten until it re-registers — never re-probed.
-//   - Each registered worker is driven by the same lane engine the legacy
-//     mode uses (dispatch.Lane: batch submit, poll by hash, capped
-//     backoff, store-consulted 404 resubmit), but lanes pull from one
-//     shared weighted-fair queue instead of a static partition, sized by
-//     the worker's observed completion rate, so fast workers naturally
-//     take more and idle lanes steal queue-full handbacks.
+//   - Each registered worker is driven by the lane engine every sweep
+//     client uses (dispatch.Lane: batch submit, poll by hash, capped
+//     backoff, store-consulted 404 resubmit); the lanes pull from one
+//     shared weighted-fair queue, sized by the worker's observed
+//     completion rate, so fast workers naturally take more and idle
+//     lanes steal queue-full handbacks.
 //   - Jobs carry a tenant and a priority; dequeue is weighted-fair across
 //     tenants (queue.go) and per-tenant quotas bound how much any one
 //     tenant may keep pending.
@@ -32,9 +29,9 @@
 //
 // The coordinator serves the same worker job API as every alsd
 // (POST /v1/jobs, GET /v1/jobs/{hash}, /healthz), so `experiments
-// -coord=URL` is simply the legacy client pointed at one URL — results
-// are byte-identical to local and static-fleet runs because a cell is a
-// pure function of its content hash, wherever it runs.
+// -coord=URL` drives either one the same way — results are
+// byte-identical to local runs because a cell is a pure function of its
+// content hash, wherever it runs.
 package coord
 
 import (

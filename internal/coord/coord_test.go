@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -223,7 +224,7 @@ func TestFairQueueBlockingPop(t *testing.T) {
 // package level: a sweep dispatched through the coordinator (two
 // registered in-process workers) must produce exactly the local
 // scheduler's deterministic metrics. cmd/experiments -coord is this same
-// client (dispatch.Run with the coordinator as the only worker URL).
+// client (dispatch.Run with the coordinator as its endpoint).
 func TestCoordinatorSweepMatchesLocal(t *testing.T) {
 	jobs := testJobs(31)
 	want := wantResults(t, jobs)
@@ -239,10 +240,9 @@ func TestCoordinatorSweepMatchesLocal(t *testing.T) {
 	}
 
 	got, stats, err := dispatch.Run(context.Background(), jobs, dispatch.Options{
-		Workers:      []string{ts.URL},
+		Endpoint:     ts.URL,
 		PollInterval: 2 * time.Millisecond,
 		Backoff:      2 * time.Millisecond,
-		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,6 +253,28 @@ func TestCoordinatorSweepMatchesLocal(t *testing.T) {
 	}
 	if n := c.met.workers.Value(); n != 2 {
 		t.Fatalf("als_cluster_workers = %d, want 2", n)
+	}
+
+	// Each worker's lane counts its completions on the coordinator's
+	// registry, labelled by the worker URL.
+	var exposition bytes.Buffer
+	if err := c.met.registry.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	completed := 0
+	for _, line := range strings.Split(exposition.String(), "\n") {
+		for _, w := range []string{w1.URL, w2.URL} {
+			if rest, ok := strings.CutPrefix(line, `als_dispatch_cells_completed_total{lane="`+w+`"} `); ok {
+				n, err := strconv.Atoi(rest)
+				if err != nil {
+					t.Fatalf("bad sample %q", line)
+				}
+				completed += n
+			}
+		}
+	}
+	if completed != len(want) {
+		t.Fatalf("als_dispatch_cells_completed_total over the workers = %d, want %d", completed, len(want))
 	}
 }
 
@@ -334,10 +356,9 @@ func TestHeartbeatExpiryFailsOver(t *testing.T) {
 	}()
 
 	got, _, err := dispatch.Run(context.Background(), jobs, dispatch.Options{
-		Workers:      []string{ts.URL},
+		Endpoint:     ts.URL,
 		PollInterval: 2 * time.Millisecond,
 		Backoff:      2 * time.Millisecond,
-		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

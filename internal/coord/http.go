@@ -9,7 +9,7 @@
 //	GET  /cluster/workers     live fleet snapshot (operator surface)
 //
 // Sweep clients (the same worker job API every alsd serves, so
-// `experiments -coord=URL` is just the legacy client with one URL):
+// `experiments -coord=URL` drives a coordinator and an alsd alike):
 //
 //	POST /v1/jobs             batch submit → accepted-prefix BatchResponse
 //	GET  /v1/jobs/{hash}      status/result by content hash

@@ -1,10 +1,10 @@
 // The cluster work queue: weighted-fair across tenants, priority-ordered
-// within one. Unlike the static hash partitions of the legacy fleet mode,
-// every registered worker's lane pulls from this one queue, so placement
-// follows observed throughput (a fast worker simply comes back for more
-// sooner) and an idle lane naturally steals cells another worker had to
-// hand back. None of this affects results: a cell is a pure function of
-// its content hash, so scheduling only decides who computes what first.
+// within one. Every registered worker's lane pulls from this one queue,
+// so placement follows observed throughput (a fast worker simply comes
+// back for more sooner) and an idle lane naturally steals cells another
+// worker had to hand back. None of this affects results: a cell is a
+// pure function of its content hash, so scheduling only decides who
+// computes what first.
 package coord
 
 import (

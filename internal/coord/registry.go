@@ -188,8 +188,7 @@ type WorkerView struct {
 // sweeper expires workers that stopped heartbeating: ExpireAfter silent
 // intervals cancel the worker's lane (failing its cells over to the
 // queue) and drop it from the registry — it is never probed again unless
-// it re-registers. This replaces the legacy mode's dead-base re-probing
-// with a structural guarantee.
+// it re-registers.
 func (c *Coordinator) sweeper() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(c.opts.HeartbeatInterval)
@@ -237,11 +236,9 @@ func (c *Coordinator) runWorkerLane(w *worker, ctx context.Context) {
 		Backoff:      c.opts.Backoff,
 		MaxBackoff:   c.opts.MaxBackoff,
 		PollInterval: c.opts.PollInterval,
-		Logf: func(format string, args ...any) {
-			c.log.Info(fmt.Sprintf(format, args...), "worker", w.id)
-		},
-		Metrics: c.met.dispatch,
-		Sched:   &laneSched{c: c, w: w, ctx: ctx, span: laneSpan},
+		Logger:       c.log.With("worker", w.id),
+		Metrics:      c.met.dispatch,
+		Sched:        &laneSched{c: c, w: w, ctx: ctx, span: laneSpan},
 	}
 	leftovers, cause := l.Run()
 	c.requeue(leftovers)
@@ -360,8 +357,3 @@ func (s *laneSched) Stamp(req *http.Request, sp *trace.Span) {
 }
 
 func (s *laneSched) StartSpan(name string) *trace.Span { return s.span.StartChild(name) }
-
-// Hopeless is always false: the registry holds exactly one lane per
-// worker, and a dead worker is dropped outright rather than left for
-// sibling lanes to re-probe.
-func (s *laneSched) Hopeless() bool { return false }

@@ -1,48 +1,39 @@
-// Package dispatch fans an experiment job set out to a fleet of alsd
-// workers over HTTP, assembling the same ResultSet a single-machine run
-// produces. It is the horizontal-scale-out layer above internal/exp's job
-// graph: every cell is a pure function of its content hash, so where it
-// runs cannot change what it returns — the coordinator only decides
-// placement.
+// Package dispatch runs an experiment job set on one remote endpoint — an
+// alscoord coordinator or a single alsd — through the worker job API of
+// internal/service (batch submit, poll by content hash), assembling the
+// same ResultSet a single-machine run produces. Every cell is a pure
+// function of its content hash, so where it runs cannot change what it
+// returns.
 //
-// The deduplicated, cache-filtered job set (exp.PendingJobs) is
-// partitioned across lanes by content hash; a lane is either one remote
-// worker URL (driven through the worker job API of internal/service:
-// batch submit, poll by hash) or one local executor slot (the -jobs
-// "local share"). Each finished cell streams into the persistent store
-// the moment its lane observes it, so an interrupted or failed
-// distributed run resumes exactly like a local one. Transient transport
-// failures retry with capped exponential backoff; a lane that exhausts
-// its retry budget is declared dead and its unfinished cells fail over to
-// the surviving lanes. The run fails only when a cell itself fails
-// (deterministic — it would fail anywhere) or when no live lane remains.
+// The deduplicated, cache-filtered job set (exp.PendingJobs) feeds one
+// Lane (lane.go), which submits up to SubmitBatch cells at a time. Each
+// finished cell streams into the persistent store the moment the lane
+// observes it, so an interrupted or failed run resumes exactly like a
+// local one. Transient transport failures retry with capped exponential
+// backoff; an endpoint that exhausts its retry budget, or drains, fails
+// the run with its unfinished cells counted, and a -resume completes the
+// sweep from the store. A deterministic job failure fails the run too (it
+// would fail anywhere).
 //
-// Runs are observable two ways: Options.Logf receives lane lifecycle and
-// failover events as text, and Options.Metrics (created once per
-// telemetry.Registry with NewMetrics, shared across runs) exports
-// per-lane throughput, retries, failovers and the remaining-cell gauge —
-// what `experiments -metrics-addr` serves during a sweep.
+// Runs are observable two ways: Options.Logger receives lane events, and
+// Options.Metrics (created once per telemetry.Registry with NewMetrics,
+// shared across runs) exports per-lane throughput, retries and the
+// remaining-cell gauge — what `experiments -metrics-addr` serves during a
+// sweep.
 package dispatch
 
 import (
 	"context"
 	crand "crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
-	"runtime"
-	"sort"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	als "repro"
-	"repro/internal/cell"
 	"repro/internal/exp"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -51,41 +42,33 @@ import (
 
 // Options configures one distributed run.
 type Options struct {
-	// Workers are alsd base URLs (e.g. http://h1:8080); each becomes one
-	// lane. A URL listed twice becomes two lanes feeding the same daemon.
-	Workers []string
-	// LocalJobs > 0 adds that many local executor lanes, so the
-	// coordinator machine contributes its own cores to the sweep.
-	LocalJobs int
+	// Endpoint is the base URL of an alscoord or an alsd
+	// (e.g. http://h1:8080); both serve the worker job API.
+	Endpoint string
 	// Store persists finished cells as they stream back (nil disables
 	// persistence; cached cells are skipped up front either way).
 	Store *store.Store
-	// Lib is the cell library for local lanes (default: the synthetic
-	// 28nm library).
-	Lib *cell.Library
-	// Client issues all worker HTTP requests (default: 30s timeout).
+	// Client issues all endpoint HTTP requests (default: 30s timeout).
 	Client *http.Client
-	// PollInterval spaces result polls per lane (default 50ms).
+	// PollInterval spaces result polls (default 50ms).
 	PollInterval time.Duration
-	// SubmitBatch caps job specs per submission (default 16, so a worker
-	// at the default 64-deep queue absorbs several lanes' bursts).
+	// SubmitBatch caps job specs per submission (default 16).
 	SubmitBatch int
-	// RetryBudget is how many consecutive transport failures a lane
-	// tolerates before it is declared dead (default 4).
+	// RetryBudget is how many consecutive transport failures the run
+	// tolerates before it fails (default 4).
 	RetryBudget int
 	// Backoff is the first retry delay; it doubles per consecutive
 	// failure up to MaxBackoff (defaults 100ms and 2s).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// Logf, when non-nil, receives lane lifecycle and failover events.
-	Logf func(format string, args ...any)
-	// Metrics, when non-nil, records per-lane throughput, retries and
-	// failovers (create once with NewMetrics and share across runs).
+	// Logger receives lane events; nil discards them.
+	Logger *slog.Logger
+	// Metrics, when non-nil, records per-lane throughput and retries
+	// (create once with NewMetrics and share across runs).
 	Metrics *Metrics
-	// Tracer records the sweep as one trace: a root span per run, a child
-	// span per worker submit/poll round trip (each carrying a traceparent
-	// header the worker's middleware continues, so the whole fleet shares
-	// one trace ID), and the local lanes' job spans. Nil disables tracing;
+	// Tracer records the sweep as one trace: a root span per run and a
+	// child span per submit/poll round trip, each carrying a traceparent
+	// header the endpoint's middleware continues. Nil disables tracing;
 	// the X-Request-Id run correlation below works either way.
 	Tracer *trace.Tracer
 }
@@ -112,96 +95,38 @@ func (o Options) withDefaults() Options {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 2 * time.Second
 	}
-	if o.Lib == nil {
-		o.Lib = als.NewLibrary()
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
 	return o
 }
 
-// Stats extends the scheduler's counters with placement detail.
-type Stats struct {
-	exp.RunStats
-	// ByLane counts completed cells per lane name ("local" aggregates
-	// every local slot).
-	ByLane map[string]int
-	// FailedOver counts cells reassigned away from a dead lane.
-	FailedOver int
-	// DeadLanes lists lanes that exhausted their retry budget.
-	DeadLanes []string
-	// TraceID is the fleet-wide trace of this run ("" without a Tracer):
-	// every coordinator span and every worker-side request span of the
-	// sweep shares it, so one /debug/traces?trace= lookup per host
-	// reassembles the whole run.
-	TraceID string
-}
-
-// localLaneName aggregates every local executor slot in Stats.ByLane.
-const localLaneName = "local"
-
-// errPermanent marks failures that must abort the whole run rather than
-// fail over: an invalid spec, a deterministic job failure, a store write
-// error. The run error itself is recorded via shared.fail.
-var errPermanent = errors.New("dispatch: permanent failure")
-
-// shared is the state every lane goroutine works against.
-type shared struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	opts   Options
-	// span is the sweep's root span (nil without a Tracer); runID is the
-	// run's log-correlation token — the trace ID when tracing, a random
-	// "sweep-…" tag otherwise — forwarded as X-Request-Id on every worker
-	// request so worker logs grep by coordinator run either way.
-	span  *trace.Span
-	runID string
-	// failover receives the unfinished cells of dead lanes; its capacity
-	// is the full pending count, so pushes never block.
-	failover chan *Task
-	// done closes when remaining reaches zero.
-	done      chan struct{}
-	remaining atomic.Int64
-	live      atomic.Int64
-
-	mu       sync.Mutex
-	rs       exp.ResultSet
-	stats    *Stats
-	firstErr error
-	// deadBases records base URLs whose lane exhausted its retry budget,
-	// so a second lane configured against the same daemon dies on its
-	// first failure instead of re-probing a base already declared dead.
-	deadBases map[string]bool
-}
-
-// baseDead reports whether some lane already declared this base dead.
-func (s *shared) baseDead(base string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deadBases[base]
-}
-
-// Run executes jobs across the configured lanes and returns the ResultSet
-// keyed by job hash — element-for-element identical to what
-// exp.RunJobsContext computes for the same list, wall-clock fields aside.
-// On cancellation the returned error wraps ctx.Err(), and the store holds
-// every cell that finished, so the run is resumable.
-func Run(ctx context.Context, jobs []exp.Job, opts Options) (exp.ResultSet, Stats, error) {
+// Run executes jobs on opts.Endpoint and returns the ResultSet keyed by
+// job hash — element-for-element identical to what exp.RunJobsContext
+// computes for the same list, wall-clock fields aside. On cancellation the
+// returned error wraps ctx.Err(), and the store holds every cell that
+// finished, so the run is resumable.
+func Run(ctx context.Context, jobs []exp.Job, opts Options) (exp.ResultSet, exp.RunStats, error) {
 	opts = opts.withDefaults()
-	stats := Stats{ByLane: map[string]int{}}
-	if len(opts.Workers) == 0 && opts.LocalJobs <= 0 {
-		return nil, stats, errors.New("dispatch: no workers and no local share")
+	if opts.Endpoint == "" {
+		return nil, exp.RunStats{}, errors.New("dispatch: no endpoint")
 	}
+	base := strings.TrimRight(opts.Endpoint, "/")
 
 	rs := exp.ResultSet{}
-	pending, hashes, runStats, err := exp.PendingJobs(jobs, opts.Store, rs)
+	pending, hashes, stats, err := exp.PendingJobs(jobs, opts.Store, rs)
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.RunStats = runStats
 	if len(pending) == 0 {
 		return rs, stats, nil
+	}
+
+	// The worker job API enforces the service's untrusted-input resource
+	// caps; a spec beyond them (e.g. a -pop override over MaxPopulation)
+	// would 400 the first batch that carries it. Check the whole set up
+	// front so the run fails immediately with the offending job named.
+	for _, j := range pending {
+		if err := service.ValidateJobSpec(j); err != nil {
+			return nil, stats, fmt.Errorf("dispatch: job %s would be rejected by the worker API: %w (lower the override or run without -coord)", j, err)
+		}
 	}
 
 	// One span roots the whole sweep — as a child when the caller already
@@ -216,10 +141,7 @@ func Run(ctx context.Context, jobs []exp.Job, opts Options) (exp.ResultSet, Stat
 	}
 	sweep.SetAttr("jobs", len(jobs))
 	sweep.SetAttr("pending", len(pending))
-	sweep.SetAttr("workers", len(opts.Workers))
-	sweep.SetAttr("local_jobs", opts.LocalJobs)
 	runID := sweep.TraceID()
-	stats.TraceID = runID
 	if runID == "" {
 		var b [8]byte
 		crand.Read(b[:]) //nolint:errcheck // never fails on supported platforms
@@ -227,186 +149,58 @@ func Run(ctx context.Context, jobs []exp.Job, opts Options) (exp.ResultSet, Stat
 	}
 	defer func() {
 		sweep.SetAttr("executed", stats.Executed)
-		sweep.SetAttr("failed_over", stats.FailedOver)
 		sweep.End()
 	}()
 
-	// The worker job API enforces the service's untrusted-input resource
-	// caps; a spec beyond them (e.g. a -pop override over MaxPopulation)
-	// would 400 the first batch that carries it. Check the whole set up
-	// front so the run fails immediately with the offending job named,
-	// instead of mid-sweep — but only when remote lanes exist: a pure
-	// local share runs anything the local scheduler would.
-	if len(opts.Workers) > 0 {
-		for _, j := range pending {
-			if err := service.ValidateJobSpec(j); err != nil {
-				return nil, stats, fmt.Errorf("dispatch: job %s would be rejected by the worker API: %w (lower the override or run without -workers)", j, err)
-			}
+	// Readiness preflight: a typo'd or dead endpoint fails at once with a
+	// clear error instead of burning the full retry budget.
+	if err := probeHealth(ctx, opts.Client, base, runID); err != nil {
+		if ctx.Err() != nil {
+			return nil, stats, fmt.Errorf("dispatch: run cancelled: %w", ctx.Err())
 		}
+		return nil, stats, fmt.Errorf("dispatch: endpoint %s did not answer /healthz: %w", base, err)
 	}
 
-	// Readiness preflight: one concurrent /healthz probe per worker
-	// (unreachable hosts cost one shared 2s deadline, not 2s each).
-	// Unreachable workers still get a lane (a transient outage heals
-	// under the lane's own retry budget, and a truly dead worker's share
-	// fails over), but when nothing at all is reachable the run aborts
-	// with a clear error instead of burning the full retry budget
-	// everywhere.
-	var (
-		reachable int32
-		probeWG   sync.WaitGroup
-	)
-	for _, w := range opts.Workers {
-		probeWG.Add(1)
-		go func(w string) {
-			defer probeWG.Done()
-			if err := probeHealth(ctx, opts.Client, w, runID); err != nil {
-				opts.Logf("dispatch: worker %s not ready: %v", w, err)
-				return
-			}
-			atomic.AddInt32(&reachable, 1)
-		}(w)
-	}
-	probeWG.Wait()
-	if reachable == 0 && opts.LocalJobs <= 0 {
-		return nil, stats, fmt.Errorf("dispatch: none of the %d worker(s) answered /healthz and no local share is configured", len(opts.Workers))
-	}
-
-	// Local lanes run under the sweep span, so their job.run (and
-	// per-generation) spans join the same trace as the remote workers'.
-	runCtx, cancel := context.WithCancel(trace.ContextWith(ctx, sweep))
-	defer cancel()
-	s := &shared{
-		ctx:       runCtx,
-		cancel:    cancel,
-		opts:      opts,
-		span:      sweep,
-		runID:     runID,
-		failover:  make(chan *Task, len(pending)),
-		done:      make(chan struct{}),
-		rs:        rs,
-		stats:     &stats,
-		deadBases: map[string]bool{},
-	}
-	s.remaining.Store(int64(len(pending)))
-	opts.Metrics.runStarted(len(pending))
-	defer func() { opts.Metrics.runEnded(s.remaining.Load()) }()
-
-	// Partition by content hash: lane i owns every cell whose hash maps
-	// to it. Placement is deterministic for a given fleet shape, but has
-	// no bearing on results — only on who computes what first.
-	laneCount := len(opts.Workers) + max(opts.LocalJobs, 0)
-	assigned := make([][]*Task, laneCount)
+	r := &runSched{ctx: ctx, opts: opts, span: sweep, runID: runID, rs: rs}
 	for i := range pending {
-		t := &Task{Job: pending[i], Hash: hashes[i]}
-		lane := laneForHash(t.Hash, laneCount)
-		assigned[lane] = append(assigned[lane], t)
+		r.pending = append(r.pending, &Task{Job: pending[i], Hash: hashes[i]})
 	}
+	opts.Metrics.remaining(int64(len(pending)))
+	defer func() { opts.Metrics.remaining(-int64(len(pending) - r.executed)) }()
 
-	s.live.Store(int64(laneCount))
-	var wg sync.WaitGroup
-	for i, url := range opts.Workers {
-		wg.Add(1)
-		go func(url string, own []*Task) {
-			defer wg.Done()
-			base := strings.TrimRight(url, "/")
-			sched := &runSched{s: s, name: url, base: base, own: own}
-			l := &Lane{
-				Name:         url,
-				Base:         base,
-				Client:       opts.Client,
-				SubmitBatch:  opts.SubmitBatch,
-				RetryBudget:  opts.RetryBudget,
-				Backoff:      opts.Backoff,
-				MaxBackoff:   opts.MaxBackoff,
-				PollInterval: opts.PollInterval,
-				Logf:         opts.Logf,
-				Metrics:      opts.Metrics,
-				Sched:        sched,
-			}
-			if leftovers, cause := l.Run(); cause != nil {
-				// The lane claims its partition lazily through Next/Fill, so
-				// on death the unclaimed remainder is still in sched.own —
-				// fail it over along with the cells the lane had in flight.
-				s.laneDied(url, base, cause, append(leftovers, sched.own...))
-			}
-		}(url, assigned[i])
+	l := &Lane{
+		Name:         base,
+		Base:         base,
+		Client:       opts.Client,
+		SubmitBatch:  opts.SubmitBatch,
+		RetryBudget:  opts.RetryBudget,
+		Backoff:      opts.Backoff,
+		MaxBackoff:   opts.MaxBackoff,
+		PollInterval: opts.PollInterval,
+		Logger:       opts.Logger,
+		Metrics:      opts.Metrics,
+		Sched:        r,
 	}
-	// Each local slot is its own lane; the flow-internal evaluation pool
-	// is split so total local parallelism stays GOMAXPROCS-bounded,
-	// mirroring the local scheduler.
-	evalWorkers := 0
-	if opts.LocalJobs > 1 {
-		evalWorkers = runtime.GOMAXPROCS(0) / opts.LocalJobs
-		if evalWorkers < 1 {
-			evalWorkers = 1
-		}
+	_, cause := l.Run()
+	stats.Executed = r.executed
+	unfinished := len(pending) - r.executed
+	switch {
+	case unfinished == 0:
+		return rs, stats, nil
+	case ctx.Err() != nil:
+		return nil, stats, fmt.Errorf("dispatch: run cancelled: %w", ctx.Err())
+	case r.err != nil:
+		return nil, stats, r.err
 	}
-	for i := 0; i < opts.LocalJobs; i++ {
-		wg.Add(1)
-		go func(own []*Task) {
-			defer wg.Done()
-			runLocalLane(s, evalWorkers, own)
-		}(assigned[len(opts.Workers)+i])
-	}
-	wg.Wait()
-
-	if s.remaining.Load() == 0 {
-		if len(stats.DeadLanes) > 0 {
-			opts.Logf("dispatch: completed despite %d dead lane(s); %d cell(s) failed over", len(stats.DeadLanes), stats.FailedOver)
-		}
-		opts.Logf("dispatch: %d cell(s) done: %s", stats.Executed, laneSummary(stats.ByLane))
-		return s.rs, stats, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, stats, fmt.Errorf("dispatch: run cancelled: %w", err)
-	}
-	s.mu.Lock()
-	err = s.firstErr
-	s.mu.Unlock()
-	if err == nil {
-		err = fmt.Errorf("dispatch: %d cell(s) unfinished", s.remaining.Load())
-	}
-	return nil, stats, err
-}
-
-// laneForHash maps a content hash onto [0, lanes) via its leading hex
-// digits.
-func laneForHash(hash string, lanes int) int {
-	const digits = 15 // 60 bits, always within uint64
-	h := hash
-	if len(h) > digits {
-		h = h[:digits]
-	}
-	v, err := strconv.ParseUint(h, 16, 64)
-	if err != nil {
-		// Content hashes are hex by construction; fall back to a byte sum
-		// for anything else rather than crashing placement.
-		for i := 0; i < len(hash); i++ {
-			v += uint64(hash[i])
-		}
-	}
-	return int(v % uint64(lanes))
-}
-
-func laneSummary(byLane map[string]int) string {
-	parts := make([]string, 0, len(byLane))
-	for lane, n := range byLane {
-		parts = append(parts, fmt.Sprintf("%s=%d", lane, n))
-	}
-	if len(parts) == 0 {
-		return "(nothing executed)"
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, " ")
+	return nil, stats, fmt.Errorf("dispatch: endpoint %s failed with %d cell(s) unfinished: %w", base, unfinished, cause)
 }
 
 // probeHealth issues one short-deadline readiness probe, tagged with the
-// run ID so even the preflight is greppable in worker logs.
+// run ID so even the preflight is greppable in the endpoint's logs.
 func probeHealth(ctx context.Context, client *http.Client, base, runID string) error {
 	probeCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(probeCtx, http.MethodGet, strings.TrimRight(base, "/")+"/healthz", nil)
+	req, err := http.NewRequestWithContext(probeCtx, http.MethodGet, base+"/healthz", nil)
 	if err != nil {
 		return err
 	}
@@ -423,215 +217,114 @@ func probeHealth(ctx context.Context, client *http.Client, base, runID string) e
 	return nil
 }
 
-// ---- shared-state transitions ----------------------------------------------
+// runSched is Run's LaneScheduler. The lane calls it only from Run's own
+// goroutine, so it needs no locking: Next and Fill draw from the run's
+// pending queue, completions land in the ResultSet and the store, and the
+// first failure ends the run.
+type runSched struct {
+	ctx  context.Context
+	opts Options
+	// span is the sweep's root span (nil without a Tracer); runID is the
+	// run's log-correlation token — the trace ID when tracing, a random
+	// "sweep-…" tag otherwise — forwarded as X-Request-Id on every request
+	// so the endpoint's logs grep by sweep either way.
+	span     *trace.Span
+	runID    string
+	pending  []*Task
+	rs       exp.ResultSet
+	executed int
+	err      error
+}
 
-// stamp adds the correlation headers every worker request carries: the
-// run ID for log grepping (meaningful with tracing on or off) and, when
-// sp is a live span, the traceparent the worker's middleware continues.
-func (s *shared) stamp(req *http.Request, sp *trace.Span) {
-	req.Header.Set("X-Request-Id", s.runID)
-	if sc := sp.Context(); sc.Valid() {
-		req.Header.Set("traceparent", sc.Traceparent())
+// Next hands out the next pending cell. The lane asks only once it has
+// nothing unsubmitted or outstanding, so an empty queue ends the run.
+func (r *runSched) Next() (*Task, bool) {
+	if len(r.pending) == 0 || r.err != nil || r.ctx.Err() != nil {
+		return nil, false
+	}
+	t := r.pending[0]
+	r.pending = r.pending[1:]
+	return t, true
+}
+
+// Fill batches up to n more pending cells behind the one Next delivered.
+func (r *runSched) Fill(n int) []*Task {
+	n = min(n, len(r.pending))
+	out := r.pending[:n:n]
+	r.pending = r.pending[n:]
+	return out
+}
+
+func (r *runSched) Context() context.Context { return r.ctx }
+
+// Offload keeps queue-full remainders lane-local: the run has no other
+// lane to give them to.
+func (r *runSched) Offload([]*Task) bool { return false }
+
+// Sleep waits d, returning early on cancellation.
+func (r *runSched) Sleep(d time.Duration) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+	case <-r.ctx.Done():
 	}
 }
 
-// complete records one finished cell: persist first (a cell the store
+// Complete records one finished cell: persist first (a cell the store
 // never saw must not count as done for -resume), then publish.
-func (s *shared) complete(lane string, t *Task, r exp.JobResult) error {
-	if s.opts.Store != nil {
-		putSpan := s.span.StartChild("store.put")
-		putSpan.SetAttr("lane", lane)
+func (r *runSched) Complete(t *Task, res exp.JobResult) error {
+	if r.opts.Store != nil {
+		putSpan := r.span.StartChild("store.put")
 		putSpan.SetAttr("hash", t.Hash)
-		err := s.opts.Store.Put(t.Hash, r)
+		err := r.opts.Store.Put(t.Hash, res)
 		putSpan.End()
 		if err != nil {
 			return err
 		}
 	}
-	s.mu.Lock()
-	s.rs[t.Hash] = r
-	s.stats.Executed++
-	s.stats.ByLane[lane]++
-	s.mu.Unlock()
-	s.opts.Metrics.cellCompleted(lane)
-	if s.remaining.Add(-1) == 0 {
-		close(s.done)
-	}
+	r.rs[t.Hash] = res
+	r.executed++
+	r.opts.Metrics.remaining(-1)
 	return nil
 }
 
-// fail records the run's first fatal error and cancels every lane.
-func (s *shared) fail(err error) {
-	s.mu.Lock()
-	if s.firstErr == nil {
-		s.firstErr = err
-	}
-	s.mu.Unlock()
-	s.cancel()
-}
-
-// laneDied pushes a dead lane's unfinished cells to the failover pool; if
-// it was the last live lane and work remains, the run fails (the store
-// already holds every finished cell, so a -resume completes it later).
-func (s *shared) laneDied(name, base string, cause error, leftovers []*Task) {
-	s.opts.Logf("dispatch: lane %s dead (%v); failing over %d cell(s)", name, cause, len(leftovers))
-	s.opts.Metrics.laneDead(len(leftovers))
-	s.mu.Lock()
-	s.stats.DeadLanes = append(s.stats.DeadLanes, name)
-	s.stats.FailedOver += len(leftovers)
-	if base != "" {
-		s.deadBases[base] = true
-	}
-	s.mu.Unlock()
-	for _, t := range leftovers {
-		s.failover <- t
-	}
-	if s.live.Add(-1) == 0 && s.remaining.Load() > 0 {
-		s.fail(fmt.Errorf("dispatch: every lane is dead with %d cell(s) unfinished (last: %s: %w)", s.remaining.Load(), name, cause))
-	}
-}
-
-// next pops the lane's own queue, then blocks on the failover pool until
-// a task arrives, the run completes, or the run is cancelled.
-func (s *shared) next(own *[]*Task) (*Task, bool) {
-	if len(*own) > 0 {
-		t := (*own)[0]
-		*own = (*own)[1:]
-		return t, true
-	}
-	select {
-	case <-s.done:
-		return nil, false
-	case <-s.ctx.Done():
-		return nil, false
-	case t := <-s.failover:
-		return t, true
-	}
-}
-
-// sleep waits d, returning early on completion or cancellation.
-func (s *shared) sleep(d time.Duration) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-s.done:
-	case <-s.ctx.Done():
-	}
-}
-
-// ---- local lane ------------------------------------------------------------
-
-// runLocalLane executes cells in-process, one at a time. A job error here
-// is deterministic (the same cell fails identically everywhere), so it
-// aborts the run rather than failing over.
-func runLocalLane(s *shared, evalWorkers int, own []*Task) {
-	for {
-		t, ok := s.next(&own)
-		if !ok {
-			return
-		}
-		r, err := t.Job.RunContext(s.ctx, s.opts.Lib, evalWorkers)
-		if err != nil {
-			if s.ctx.Err() == nil {
-				s.fail(fmt.Errorf("dispatch: local: %w", err))
-			}
-			return
-		}
-		if err := s.complete(localLaneName, t, r); err != nil {
-			s.fail(err)
-			return
-		}
-	}
-}
-
-// ---- static-fleet lane scheduler -------------------------------------------
-
-// runSched binds one lane of a static-fleet Run to the run's shared
-// state: the lane's own hash partition feeds it first, then the failover
-// pool; completions and failures land in the run's ResultSet and
-// first-error slot. It is the LaneScheduler the legacy -workers mode has
-// always effectively been.
-type runSched struct {
-	s    *shared
-	name string
-	base string
-	own  []*Task
-}
-
-func (r *runSched) Next() (*Task, bool) { return r.s.next(&r.own) }
-
-// Fill opportunistically batches additional failed-over cells behind the
-// one Next delivered.
-func (r *runSched) Fill(n int) []*Task {
-	var out []*Task
-	for len(out) < n {
-		select {
-		case t := <-r.s.failover:
-			out = append(out, t)
-		default:
-			return out
-		}
-	}
-	return out
-}
-
-func (r *runSched) Context() context.Context { return r.s.ctx }
-
-// Offload keeps queue-full remainders lane-local: in the static fleet
-// the partition already is this lane's fair share.
-func (r *runSched) Offload([]*Task) bool { return false }
-
-func (r *runSched) Sleep(d time.Duration) { r.s.sleep(d) }
-
-func (r *runSched) Complete(t *Task, res exp.JobResult) error {
-	return r.s.complete(r.name, t, res)
-}
-
-// JobFailed aborts the whole run: the failure is deterministic, so the
-// cell would fail identically on every other lane too.
+// JobFailed aborts the run: the failure is deterministic, so the cell
+// would fail identically anywhere.
 func (r *runSched) JobFailed(t *Task, msg string) error {
-	err := fmt.Errorf("dispatch: job %s failed on %s: %s", t.Job, r.name, msg)
-	r.s.fail(err)
-	return err
+	r.Fatal(fmt.Errorf("dispatch: job %s failed on %s: %s", t.Job, r.opts.Endpoint, msg))
+	return r.err
 }
 
-func (r *runSched) Fatal(err error) { r.s.fail(err) }
+// Fatal records the run's first fatal error; the lane stops right after.
+func (r *runSched) Fatal(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
 
-// Lookup consults the run's (possibly fleet-shared) store, so a cell a
-// worker forgot is completed from persisted state instead of re-running
-// when any other party already computed it.
+// Lookup consults the run's (possibly fleet-shared) store, so a cell the
+// endpoint forgot is completed from persisted state instead of re-running
+// when another party already computed it.
 func (r *runSched) Lookup(hash string) (exp.JobResult, bool) {
-	if r.s.opts.Store == nil {
+	if r.opts.Store == nil {
 		return exp.JobResult{}, false
 	}
 	var res exp.JobResult
-	if ok, err := r.s.opts.Store.Decode(hash, &res); err != nil || !ok {
+	if ok, err := r.opts.Store.Decode(hash, &res); err != nil || !ok {
 		return exp.JobResult{}, false
 	}
 	return res, true
 }
 
-func (r *runSched) Stamp(req *http.Request, sp *trace.Span) { r.s.stamp(req, sp) }
-
-func (r *runSched) StartSpan(name string) *trace.Span { return r.s.span.StartChild(name) }
-
-func (r *runSched) Hopeless() bool { return r.s.baseDead(r.base) }
-
-// errorBody extracts {"error": ...} from a response body for messages.
-func errorBody(raw []byte) string {
-	var e struct {
-		Error string `json:"error"`
+// Stamp adds the correlation headers every request carries: the run ID
+// for log grepping (meaningful with tracing on or off) and, when sp is a
+// live span, the traceparent the endpoint's middleware continues.
+func (r *runSched) Stamp(req *http.Request, sp *trace.Span) {
+	req.Header.Set("X-Request-Id", r.runID)
+	if sc := sp.Context(); sc.Valid() {
+		req.Header.Set("traceparent", sc.Traceparent())
 	}
-	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	s := strings.TrimSpace(string(raw))
-	if len(s) > 200 {
-		s = s[:200] + "…"
-	}
-	if s == "" {
-		return "(empty body)"
-	}
-	return s
 }
+
+func (r *runSched) StartSpan(name string) *trace.Span { return r.span.StartChild(name) }

@@ -1,12 +1,16 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,6 +19,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/service"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // testJobs is the cheapest real cross-experiment matrix: TABLE II on c880
@@ -85,16 +90,68 @@ func assertSameMetrics(t *testing.T, got, want exp.ResultSet) {
 	}
 }
 
+// proxy fronts a real worker: intercept sees every request first and may
+// answer it itself (returning true); the rest are relayed unchanged.
+func proxy(t *testing.T, real string, intercept func(w http.ResponseWriter, r *http.Request) bool) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !intercept(w, r) {
+			relay(w, r, real)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// relay forwards r to the real worker and returns the body it relayed.
+func relay(w http.ResponseWriter, r *http.Request, real string) []byte {
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, real+r.URL.Path, r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return nil
+	}
+	req.Header = r.Header.Clone()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return nil
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+	w.WriteHeader(resp.StatusCode)
+	w.Write(body) //nolint:errcheck
+	return body
+}
+
+// forgetOnce answers the first result poll with the worker's 404 for an
+// unknown hash, calling before(hash) first.
+func forgetOnce(forgot *atomic.Bool, before func(hash string)) func(http.ResponseWriter, *http.Request) bool {
+	return func(w http.ResponseWriter, r *http.Request) bool {
+		if r.Method != http.MethodGet || !strings.HasPrefix(r.URL.Path, "/v1/jobs/") || !forgot.CompareAndSwap(false, true) {
+			return false
+		}
+		before(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"))
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusNotFound)
+		w.Write([]byte(`{"error":"service: unknown job hash"}`)) //nolint:errcheck
+		return true
+	}
+}
+
+// deadEndpoint returns the URL of a listener that is already closed.
+func deadEndpoint() string {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	return dead.URL
+}
+
 func TestDistributedMatchesLocalRun(t *testing.T) {
 	jobs := testJobs(3)
 	want := wantResults(t, jobs)
 
-	w1 := newWorker(t, service.Options{})
-	w2 := newWorker(t, service.Options{})
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{w1.URL, w2.URL},
-		Logf:    t.Logf,
-	}))
+	w := newWorker(t, service.Options{})
+	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{Endpoint: w.URL}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,145 +159,53 @@ func TestDistributedMatchesLocalRun(t *testing.T) {
 	if stats.Executed != len(want) {
 		t.Fatalf("executed = %d, want %d", stats.Executed, len(want))
 	}
-	total := 0
-	for lane, n := range stats.ByLane {
-		if lane != w1.URL && lane != w2.URL {
-			t.Fatalf("unexpected lane %q", lane)
-		}
-		total += n
-	}
-	if total != len(want) {
-		t.Fatalf("per-lane counts sum to %d, want %d", total, len(want))
-	}
-	if len(stats.DeadLanes) != 0 || stats.FailedOver != 0 {
-		t.Fatalf("healthy fleet reported deaths: %+v", stats)
-	}
 }
 
-func TestLocalShareOnlyMatchesLocalRun(t *testing.T) {
-	jobs := testJobs(4)
-	want := wantResults(t, jobs)
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		LocalJobs: 3,
-		Logf:      t.Logf,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameMetrics(t, got, want)
-	if stats.ByLane[localLaneName] != len(want) {
-		t.Fatalf("local lane ran %d cells, want %d", stats.ByLane[localLaneName], len(want))
-	}
-}
-
-func TestMixedWorkersAndLocalShare(t *testing.T) {
-	jobs := testJobs(5)
-	want := wantResults(t, jobs)
-	w1 := newWorker(t, service.Options{})
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers:   []string{w1.URL},
-		LocalJobs: 2,
-		Logf:      t.Logf,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameMetrics(t, got, want)
-	if stats.ByLane[w1.URL] == 0 || stats.ByLane[localLaneName] == 0 {
-		t.Fatalf("both the worker and the local share must execute cells: %+v", stats.ByLane)
-	}
-}
-
-// flakyWorker proxies a real worker but starts failing every request with
-// 500 once allow requests have been served — a deterministic mid-run
-// death.
-func flakyWorker(t *testing.T, allow int64) (*httptest.Server, *atomic.Int64) {
-	t.Helper()
+// TestFirstSubmitFillsTheBatch: the run hands its lane a full batch, so
+// the first POST /v1/jobs carries min(SubmitBatch, pending) cells rather
+// than one cell at a time.
+func TestFirstSubmitFillsTheBatch(t *testing.T) {
+	jobs := testJobs(14)
 	real := newWorker(t, service.Options{})
-	var served atomic.Int64
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if served.Add(1) > allow {
-			http.Error(w, `{"error":"injected worker death"}`, http.StatusInternalServerError)
-			return
-		}
-		resp, err := http.Get(real.URL + r.URL.Path)
-		if r.Method == http.MethodPost {
-			resp, err = http.Post(real.URL+r.URL.Path, "application/json", r.Body)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				w.Write(buf[:n]) //nolint:errcheck
+	var (
+		mu      sync.Mutex
+		batches []int
+	)
+	p := proxy(t, real.URL, func(w http.ResponseWriter, r *http.Request) bool {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			raw, _ := io.ReadAll(r.Body)
+			var br service.BatchRequest
+			if err := json.Unmarshal(raw, &br); err != nil {
+				t.Errorf("batch body: %v", err)
 			}
-			if err != nil {
-				return
-			}
+			mu.Lock()
+			batches = append(batches, len(br.Jobs))
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(raw))
 		}
-	}))
-	t.Cleanup(proxy.Close)
-	return proxy, &served
-}
-
-// TestFailoverMidRun kills one of two workers after it has accepted work
-// (healthz + first submit round succeed, then nothing but 500s): the
-// survivor must absorb the dead lane's cells and the run must still match
-// the local reference exactly.
-func TestFailoverMidRun(t *testing.T) {
-	jobs := testJobs(6)
-	want := wantResults(t, jobs)
-	healthy := newWorker(t, service.Options{})
-	flaky, _ := flakyWorker(t, 2) // healthz + one submit, then dead
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{healthy.URL, flaky.URL},
-		Logf:    t.Logf,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameMetrics(t, got, want)
-	if len(stats.DeadLanes) != 1 || stats.DeadLanes[0] != flaky.URL {
-		t.Fatalf("flaky lane must be reported dead: %+v", stats.DeadLanes)
-	}
-	if stats.FailedOver == 0 {
-		t.Fatal("dead lane owned cells, so failover count must be positive")
-	}
-	if stats.ByLane[healthy.URL] != len(want) {
-		t.Fatalf("survivor must complete every cell: %+v", stats.ByLane)
+		return false
+	})
+	for _, batch := range []int{0, 4} { // 0 selects the default, 16
+		mu.Lock()
+		batches = nil
+		mu.Unlock()
+		opts := fastOpts(Options{Endpoint: p.URL, SubmitBatch: batch})
+		if _, _, err := Run(context.Background(), jobs, opts); err != nil {
+			t.Fatal(err)
+		}
+		want := min(opts.withDefaults().SubmitBatch, len(jobs))
+		mu.Lock()
+		if len(batches) == 0 || batches[0] != want {
+			t.Errorf("SubmitBatch %d: batch sizes %v, want the first to carry %d cells", batch, batches, want)
+		}
+		mu.Unlock()
 	}
 }
 
-// TestDeadAtStartWorkerFailsOver: a worker that never comes up (connection
-// refused from the first request) loses its share to the survivor.
-func TestDeadAtStartWorkerFailsOver(t *testing.T) {
-	jobs := testJobs(7)
-	want := wantResults(t, jobs)
-	healthy := newWorker(t, service.Options{})
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // keep the URL, kill the listener
-
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{healthy.URL, dead.URL},
-		Logf:    t.Logf,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameMetrics(t, got, want)
-	if len(stats.DeadLanes) != 1 || stats.DeadLanes[0] != dead.URL {
-		t.Fatalf("dead-at-start lane must be reported: %+v", stats.DeadLanes)
-	}
-}
-
-// TestAllLanesDeadIsResumable: when every lane dies the run errors, but
-// the store keeps what finished, and a local re-run with the same store
-// completes the sweep — the distributed path never forfeits -resume.
+// TestAllLanesDeadIsResumable: an endpoint that dies mid-run fails the
+// run with the unfinished cells counted, but the store keeps what
+// finished, and a local re-run with the same store completes the sweep —
+// the distributed path never forfeits -resume.
 func TestAllLanesDeadIsResumable(t *testing.T) {
 	jobs := testJobs(8)
 	st, err := store.Open(filepath.Join(t.TempDir(), "results.jsonl"))
@@ -249,75 +214,77 @@ func TestAllLanesDeadIsResumable(t *testing.T) {
 	}
 	defer st.Close()
 
-	f1, _ := flakyWorker(t, 1) // healthz only, dead at first submit
-	f2, _ := flakyWorker(t, 1)
-	_, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{f1.URL, f2.URL},
-		Store:   st,
-		Logf:    t.Logf,
-	}))
+	// The proxy relays until it has delivered the first finished cell,
+	// then answers nothing but 500s.
+	real := newWorker(t, service.Options{})
+	var dead atomic.Bool
+	p := proxy(t, real.URL, func(w http.ResponseWriter, r *http.Request) bool {
+		if dead.Load() {
+			http.Error(w, `{"error":"injected worker death"}`, http.StatusInternalServerError)
+			return true
+		}
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			if body := relay(w, r, real.URL); bytes.Contains(body, []byte(`"status": "done"`)) {
+				dead.Store(true)
+			}
+			return true
+		}
+		return false
+	})
+	_, stats, err := Run(context.Background(), jobs, fastOpts(Options{Endpoint: p.URL, Store: st}))
 	if err == nil {
-		t.Fatal("run with every lane dead must fail")
+		t.Fatal("run against a dead endpoint must fail")
 	}
-	if !strings.Contains(err.Error(), "unfinished") {
-		t.Fatalf("error must report unfinished cells: %v", err)
+	if !strings.Contains(err.Error(), "unfinished") || !strings.Contains(err.Error(), p.URL) {
+		t.Fatalf("error must name the endpoint and count unfinished cells: %v", err)
 	}
-	if len(stats.DeadLanes) != 2 {
-		t.Fatalf("both lanes must be dead: %+v", stats.DeadLanes)
+	if stats.Executed == 0 || st.Len() != stats.Executed {
+		t.Fatalf("the store must keep the %d finished cell(s); it holds %d", stats.Executed, st.Len())
 	}
 
 	rs, runStats, err := exp.RunJobs(jobs, 0, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runStats.Executed+runStats.Cached != len(rs) {
-		t.Fatalf("resume accounting: %+v over %d cells", runStats, len(rs))
+	if runStats.Cached != stats.Executed || runStats.Executed+runStats.Cached != len(rs) {
+		t.Fatalf("resume accounting: %+v over %d cells, %d cached before", runStats, len(rs), stats.Executed)
 	}
 	assertSameMetrics(t, rs, wantResults(t, jobs))
 }
 
 // TestUnreachableFleetWithoutLocalShareFailsFast: the readiness preflight
-// turns a typo'd fleet into an immediate, clear error.
+// turns a typo'd endpoint into an immediate, clear error.
 func TestUnreachableFleetWithoutLocalShareFailsFast(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	_, _, err := Run(context.Background(), testJobs(9), fastOpts(Options{
-		Workers: []string{dead.URL},
-		Logf:    t.Logf,
-	}))
+	_, _, err := Run(context.Background(), testJobs(9), fastOpts(Options{Endpoint: deadEndpoint()}))
 	if err == nil || !strings.Contains(err.Error(), "healthz") {
-		t.Fatalf("unreachable fleet must fail the preflight: %v", err)
+		t.Fatalf("unreachable endpoint must fail the preflight: %v", err)
 	}
 }
 
 // TestOverCapOverrideFailsFastWithWorkers: a spec the worker API would
 // 400 (here: a population override beyond the service resource cap)
-// fails the run up front with the job named — before any worker is
-// contacted — while a pure local share still runs it.
+// fails the run up front with the job named — before the endpoint is
+// contacted.
 func TestOverCapOverrideFailsFastWithWorkers(t *testing.T) {
 	jobs := testJobs(13)
 	jobs[0].Population = service.MaxPopulation + 1
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // never contacted: validation precedes the preflight
-	_, _, err := Run(context.Background(), jobs[:1], fastOpts(Options{
-		Workers: []string{dead.URL},
-		Logf:    t.Logf,
-	}))
-	if err == nil || !strings.Contains(err.Error(), "population") || !strings.Contains(err.Error(), "-workers") {
+	// Never contacted: validation precedes the preflight.
+	_, _, err := Run(context.Background(), jobs[:1], fastOpts(Options{Endpoint: deadEndpoint()}))
+	if err == nil || !strings.Contains(err.Error(), "population") || !strings.Contains(err.Error(), "-coord") {
 		t.Fatalf("over-cap spec must fail fast naming the cap: %v", err)
 	}
 }
 
 func TestNoLanesConfiguredErrors(t *testing.T) {
 	_, _, err := Run(context.Background(), testJobs(1), Options{})
-	if err == nil || !strings.Contains(err.Error(), "no workers") {
-		t.Fatalf("lane-less run must error: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "no endpoint") {
+		t.Fatalf("endpoint-less run must error: %v", err)
 	}
 }
 
 // TestCachedRunNeedsNoWorkers: a fully cached sweep returns before any
 // HTTP traffic — resubmitting a finished sweep costs nothing even when
-// the fleet is gone.
+// the endpoint is gone.
 func TestCachedRunNeedsNoWorkers(t *testing.T) {
 	jobs := testJobs(10)
 	st, err := store.Open(filepath.Join(t.TempDir(), "results.jsonl"))
@@ -330,19 +297,13 @@ func TestCachedRunNeedsNoWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{dead.URL},
-		Store:   st,
-		Logf:    t.Logf,
-	}))
+	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{Endpoint: deadEndpoint(), Store: st}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameMetrics(t, got, want)
 	if stats.Executed != 0 || stats.Cached != len(want) {
-		t.Fatalf("cached run must not execute: %+v", stats.RunStats)
+		t.Fatalf("cached run must not execute: %+v", stats)
 	}
 }
 
@@ -354,40 +315,11 @@ func TestWorkerAmnesiaResubmits(t *testing.T) {
 	want := wantResults(t, jobs)
 	real := newWorker(t, service.Options{})
 	var forgot atomic.Bool
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") && forgot.CompareAndSwap(false, true) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusNotFound)
-			w.Write([]byte(`{"error":"service: unknown job hash"}`)) //nolint:errcheck
-			return
-		}
-		resp, err := http.Get(real.URL + r.URL.Path)
-		if r.Method == http.MethodPost {
-			resp, err = http.Post(real.URL+r.URL.Path, "application/json", r.Body)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 32<<10)
-		for {
-			n, rerr := resp.Body.Read(buf)
-			if n > 0 {
-				w.Write(buf[:n]) //nolint:errcheck
-			}
-			if rerr != nil {
-				return
-			}
-		}
-	}))
-	t.Cleanup(proxy.Close)
+	p := proxy(t, real.URL, forgetOnce(&forgot, func(string) {}))
 
-	got, _, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{proxy.URL},
-		Logf:    t.Logf,
-	}))
+	reg := telemetry.NewRegistry()
+	m := NewMetrics(reg)
+	got, _, err := Run(context.Background(), jobs, fastOpts(Options{Endpoint: p.URL, Metrics: m}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,48 +327,64 @@ func TestWorkerAmnesiaResubmits(t *testing.T) {
 		t.Fatal("the injected 404 never triggered")
 	}
 	assertSameMetrics(t, got, want)
+	if n := m.resubmits.With(p.URL).Value(); n != 1 {
+		t.Fatalf("resubmits = %d, want 1", n)
+	}
+	if n := m.cellsCompleted.With(p.URL).Value(); n != int64(len(want)) {
+		t.Fatalf("cells completed = %d, want %d", n, len(want))
+	}
+}
+
+// TestResubmitConsultsStoreFirst: when a worker 404s a hash the shared
+// store already holds (another party computed it), the lane must complete
+// the cell from the store instead of resubmitting — zero
+// als_dispatch_resubmits_total, identical results. The proxy simulates
+// the race by writing the reference result into the store at the moment
+// it fakes the worker's amnesia.
+func TestResubmitConsultsStoreFirst(t *testing.T) {
+	jobs := testJobs(21)
+	want := wantResults(t, jobs)
+	st, err := store.Open(filepath.Join(t.TempDir(), "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	real := newWorker(t, service.Options{})
+	var forgot atomic.Bool
+	p := proxy(t, real.URL, forgetOnce(&forgot, func(hash string) {
+		// Another party "already computed" this hash: persist it, then
+		// deny all knowledge.
+		if res, ok := want[hash]; ok {
+			if err := st.Put(hash, res); err != nil {
+				t.Errorf("store put: %v", err)
+			}
+		}
+	}))
+
+	reg := telemetry.NewRegistry()
+	m := NewMetrics(reg)
+	got, _, err := Run(context.Background(), jobs, fastOpts(Options{Endpoint: p.URL, Store: st, Metrics: m}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !forgot.Load() {
+		t.Fatal("the injected 404 never triggered")
+	}
+	assertSameMetrics(t, got, want)
+	if n := m.resubmits.With(p.URL).Value(); n != 0 {
+		t.Fatalf("store-resolvable 404 caused %d resubmit(s), want 0", n)
+	}
 }
 
 // TestCancelledRunWrapsContextCanceled mirrors the local scheduler's
 // contract so cmd/experiments prints the same -resume hint either way.
 func TestCancelledRunWrapsContextCanceled(t *testing.T) {
+	w := newWorker(t, service.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Run(ctx, testJobs(12), fastOpts(Options{
-		LocalJobs: 2,
-		Logf:      t.Logf,
-	}))
+	_, _, err := Run(ctx, testJobs(12), fastOpts(Options{Endpoint: w.URL}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run error = %v, want context.Canceled wrap", err)
-	}
-}
-
-// TestPartitionIsDeterministicAndTotal: every hash maps to exactly one
-// lane, stably.
-func TestPartitionIsDeterministicAndTotal(t *testing.T) {
-	jobs := testJobs(3)
-	for _, lanes := range []int{1, 2, 3, 7} {
-		counts := make([]int, lanes)
-		for _, j := range jobs {
-			h, err := j.Hash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			lane := laneForHash(h, lanes)
-			if lane != laneForHash(h, lanes) {
-				t.Fatal("placement must be deterministic")
-			}
-			if lane < 0 || lane >= lanes {
-				t.Fatalf("lane %d out of range [0,%d)", lane, lanes)
-			}
-			counts[lane]++
-		}
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if total != len(jobs) {
-			t.Fatalf("partition dropped cells: %v over %d jobs", counts, len(jobs))
-		}
 	}
 }

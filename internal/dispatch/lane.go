@@ -1,12 +1,11 @@
-// The lane engine: the reusable half of the dispatcher. A Lane drives
-// one worker URL through the worker job API — submit batches of specs,
-// poll results by content hash, retry transient transport failures with
-// capped exponential backoff, requeue cells the worker forgot or
-// cancelled — exactly the machinery cmd/experiments' static fleet mode
-// has always used, extracted behind a LaneScheduler so the coordinator
-// daemon (internal/coord) can reuse it with a different scheduling
-// policy (shared weighted-fair queue, throughput-adaptive windows, work
-// stealing) instead of static hash partitioning.
+// The lane engine. A Lane drives one base URL through the worker job API
+// — submit batches of specs, poll results by content hash, retry
+// transient transport failures with capped exponential backoff, requeue
+// cells the worker forgot or cancelled. Its scheduling half sits behind a
+// LaneScheduler with two implementations: Run's pending queue against one
+// endpoint (dispatch.go), and the coordinator daemon's per-worker lanes
+// over its shared weighted-fair queue (internal/coord), which add
+// throughput-adaptive windows and work stealing.
 package dispatch
 
 import (
@@ -16,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"strings"
 	"time"
 
 	"repro/internal/exp"
@@ -47,9 +48,9 @@ type LaneScheduler interface {
 	// lane between steps and aborts in-flight worker requests.
 	Context() context.Context
 	// Offload hands unsubmitted tasks back when the worker reports a full
-	// queue. Returning false keeps them lane-local (the static fleet
-	// mode); returning true lets an idle lane steal them (the
-	// coordinator's shared queue).
+	// queue. Returning false keeps them lane-local (Run's single lane);
+	// returning true lets an idle lane steal them (the coordinator's
+	// shared queue).
 	Offload(tasks []*Task) bool
 	// Sleep pauses between polls and backoffs, waking early on shutdown.
 	Sleep(d time.Duration)
@@ -57,27 +58,27 @@ type LaneScheduler interface {
 	// the lane's run (e.g. the result could not be persisted).
 	Complete(t *Task, r exp.JobResult) error
 	// JobFailed reports a deterministic job failure (the cell would fail
-	// identically anywhere). A non-nil return aborts the lane without
-	// failover; nil lets it continue with its other cells.
+	// identically anywhere). A non-nil return aborts the lane; nil lets it
+	// continue with its other cells.
 	JobFailed(t *Task, errMsg string) error
 	// Fatal reports an error that poisons the whole run (incompatible
 	// worker build, rejected batch, marshalling failure).
 	Fatal(err error)
 	// Lookup consults the shared result store before a 404 resubmission:
 	// a worker that forgot a cell may still be beaten by another lane (or
-	// another coordinator) that already persisted it.
+	// another sweep) that already persisted it.
 	Lookup(hash string) (exp.JobResult, bool)
 	// Stamp adds correlation headers to an outgoing worker request.
 	Stamp(req *http.Request, sp *trace.Span)
 	// StartSpan opens a child span for one worker round trip (nil is
 	// fine; trace spans are nil-safe).
 	StartSpan(name string) *trace.Span
-	// Hopeless reports that this lane's base URL has already been
-	// declared dead elsewhere (another lane to the same daemon exhausted
-	// its budget), so burning a second retry budget re-probing it is
-	// pointless.
-	Hopeless() bool
 }
+
+// errPermanent ends a lane whose scheduler already holds the cause (via
+// Fatal or a non-nil JobFailed): an invalid spec, a deterministic job
+// failure, a store write error. The lane stops; nothing retries.
+var errPermanent = errors.New("dispatch: permanent failure")
 
 // Lane drives one worker base URL. Configure the exported fields, then
 // call Run from a single goroutine; all internal state is
@@ -91,7 +92,7 @@ type Lane struct {
 	Backoff      time.Duration
 	MaxBackoff   time.Duration
 	PollInterval time.Duration
-	Logf         func(format string, args ...any)
+	Logger       *slog.Logger // nil discards
 	Metrics      *Metrics
 	Sched        LaneScheduler
 
@@ -103,7 +104,7 @@ type Lane struct {
 	// resets it, exceeding the retry budget kills the lane.
 	failures int
 	// resubmits counts cells this lane requeued because the worker forgot
-	// or cancelled them. Only the first one logs a line (a worker restart
+	// or cancelled them. Only the first one logs (a worker restart
 	// typically forgets a whole batch at once, and per-cell lines buried
 	// the interesting logs); the rest ride the als_dispatch_resubmits_total
 	// counter and the lane's exit summary.
@@ -113,17 +114,16 @@ type Lane struct {
 // Run drives the lane until the scheduler shuts it down, the run is
 // cancelled, or the lane dies. It returns every task the lane still
 // owned and, when the lane died (retry budget exhausted, worker
-// draining), the cause — nil means a clean exit whose leftovers need no
-// failover (the run is ending anyway) unless the caller wants to
-// requeue them.
+// draining), the cause — nil means a clean exit (the run is ending
+// anyway, or the scheduler recorded a fatal error).
 func (l *Lane) Run() ([]*Task, error) {
-	if l.Logf == nil {
-		l.Logf = func(string, ...any) {}
+	if l.Logger == nil {
+		l.Logger = slog.New(slog.DiscardHandler)
 	}
 	l.outstanding = map[string]*Task{}
 	defer func() {
 		if l.resubmits > 1 {
-			l.Logf("dispatch: lane %s resubmitted %d cells total", l.Name, l.resubmits)
+			l.Logger.Info("lane resubmitted cells", "lane", l.Name, "cells", l.resubmits)
 		}
 	}()
 	for {
@@ -139,7 +139,7 @@ func (l *Lane) Run() ([]*Task, error) {
 		}
 		if err := l.step(); err != nil {
 			if errors.Is(err, errPermanent) {
-				return l.leftovers(), nil // the run itself is failing; nothing to fail over to
+				return l.leftovers(), nil // the scheduler already holds the cause
 			}
 			return l.leftovers(), err
 		}
@@ -183,35 +183,32 @@ func (l *Lane) step() error {
 }
 
 // transient handles one transport-level failure: back off and retry until
-// the consecutive-failure budget is spent, then report the lane dead. A
-// base another lane already declared dead is not worth a second budget —
-// the lane dies on its first failure instead of re-probing it.
+// the consecutive-failure budget is spent, then report the lane dead.
 func (l *Lane) transient(op string, err error) error {
 	l.failures++
 	if l.failures > l.RetryBudget {
 		return fmt.Errorf("%s failed %d consecutive time(s): %w", op, l.failures, err)
-	}
-	if l.Sched.Hopeless() {
-		return fmt.Errorf("%s failed and %s is already declared dead: %w", op, l.Base, err)
 	}
 	l.Metrics.retried(l.Name)
 	backoff := l.Backoff << (l.failures - 1)
 	if backoff > l.MaxBackoff {
 		backoff = l.MaxBackoff
 	}
-	l.Logf("dispatch: lane %s: %s failed (attempt %d/%d, retrying in %v): %v",
-		l.Name, op, l.failures, l.RetryBudget+1, backoff, err)
+	l.Logger.Warn("lane request failed; retrying", "lane", l.Name, "op", op,
+		"attempt", l.failures, "attempts", l.RetryBudget+1, "backoff", backoff.String(), "error", err.Error())
 	l.Sched.Sleep(backoff)
 	return nil
 }
 
 // complete publishes one finished cell through the scheduler, converting
-// a publication failure into a run-fatal error.
+// a publication failure into a run-fatal error, and counts it for the
+// lane.
 func (l *Lane) complete(t *Task, r exp.JobResult) error {
 	if err := l.Sched.Complete(t, r); err != nil {
 		l.Sched.Fatal(err)
 		return errPermanent
 	}
+	l.Metrics.completed(l.Name)
 	return nil
 }
 
@@ -349,14 +346,14 @@ func (l *Lane) poll() error {
 				// The shared store already holds this cell — another lane
 				// (or a previous run) computed it while the worker forgot
 				// it. Complete from the store instead of re-running.
-				l.Logf("dispatch: lane %s forgot %.12s… but the shared store has it; skipping resubmit", l.Name, hash)
+				l.Logger.Info("worker forgot a cell the shared store has; skipping resubmit", "lane", l.Name, "hash", hash)
 				if err := l.complete(t, r); err != nil {
 					return err
 				}
 				continue
 			}
 			l.unsubmitted = append(l.unsubmitted, t)
-			l.noteResubmit(fmt.Sprintf("dispatch: lane %s forgot %.12s… (worker restarted?); resubmitting", l.Name, hash))
+			l.noteResubmit("worker forgot a cell (restarted?); resubmitting", hash)
 			continue
 		default:
 			return l.transient("poll", fmt.Errorf("HTTP %d: %s", resp.StatusCode, errorBody(raw)))
@@ -385,20 +382,39 @@ func (l *Lane) poll() error {
 			// cell itself is fine — run it elsewhere.
 			delete(l.outstanding, hash)
 			l.unsubmitted = append(l.unsubmitted, t)
-			l.noteResubmit(fmt.Sprintf("dispatch: lane %s cancelled %.12s…; resubmitting", l.Name, hash))
+			l.noteResubmit("worker cancelled a cell; resubmitting", hash)
 		}
 	}
 	return nil
 }
 
-// noteResubmit counts one requeued cell. The first one per lane logs the
-// given line (with a pointer to the counter); later ones stay quiet — a
-// restarted worker forgets its whole outstanding set at once, and one
-// line per cell used to drown the run log.
-func (l *Lane) noteResubmit(line string) {
+// noteResubmit counts one requeued cell. The first one per lane logs msg
+// (with a pointer to the counter); later ones stay quiet — a restarted
+// worker forgets its whole outstanding set at once, and one line per cell
+// used to drown the run log.
+func (l *Lane) noteResubmit(msg, hash string) {
 	l.Metrics.resubmitted(l.Name)
 	l.resubmits++
 	if l.resubmits == 1 {
-		l.Logf("%s (further lane resubmissions counted in als_dispatch_resubmits_total)", line)
+		l.Logger.Info(msg, "lane", l.Name, "hash", hash,
+			"note", "further resubmissions counted in als_dispatch_resubmits_total")
 	}
+}
+
+// errorBody extracts {"error": ...} from a response body for messages.
+func errorBody(raw []byte) string {
+	var e struct {
+		Error string `json:"error"`
+	}
+	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+		return e.Error
+	}
+	s := strings.TrimSpace(string(raw))
+	if len(s) > 200 {
+		s = s[:200] + "…"
+	}
+	if s == "" {
+		return "(empty body)"
+	}
+	return s
 }

@@ -8,85 +8,64 @@ import (
 	"repro/internal/trace"
 )
 
-// A traced two-worker sweep must produce ONE trace ID that spans the
-// coordinator's sweep/submit/poll spans and, on every worker that
-// executed jobs, remote-parent request spans with job.run children — the
-// fleet-wide causal chain the tracing subsystem exists to provide. The
-// results must stay bit-identical to the untraced local run.
+// A traced sweep must produce ONE trace ID that spans the client's
+// sweep/submit/poll spans and, on the worker, remote-parent request spans
+// with job.run children — the fleet-wide causal chain the tracing
+// subsystem exists to provide. The results must stay bit-identical to the
+// untraced local run.
 func TestFleetTraceSpansCoordinatorAndWorkers(t *testing.T) {
 	jobs := testJobs(5)
 	want := wantResults(t, jobs)
 
-	coord := trace.New(trace.Options{Service: "experiments"})
-	workerTracers := []*trace.Tracer{
-		trace.New(trace.Options{Service: "w1"}),
-		trace.New(trace.Options{Service: "w2"}),
-	}
-	w1 := newWorker(t, service.Options{Tracer: workerTracers[0]})
-	w2 := newWorker(t, service.Options{Tracer: workerTracers[1]})
+	client := trace.New(trace.Options{Service: "experiments"})
+	workerTracer := trace.New(trace.Options{Service: "w1"})
+	w := newWorker(t, service.Options{Tracer: workerTracer})
 
-	got, stats, err := Run(context.Background(), jobs, fastOpts(Options{
-		Workers: []string{w1.URL, w2.URL},
-		Tracer:  coord,
-		Logf:    t.Logf,
-	}))
+	got, _, err := Run(context.Background(), jobs, fastOpts(Options{Endpoint: w.URL, Tracer: client}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameMetrics(t, got, want)
 
-	fleetID := stats.TraceID
-	if len(fleetID) != 32 {
-		t.Fatalf("stats.TraceID = %q, want a 32-hex trace ID", fleetID)
-	}
-
-	// Coordinator side: the sweep root plus at least one submit and one
-	// poll span, all under the fleet trace.
-	var sawSweep, sawSubmit, sawPoll bool
-	for _, r := range coord.Snapshot() {
-		if r.TraceID != fleetID {
-			t.Fatalf("coordinator span %q escaped the fleet trace: %s", r.Name, r.TraceID)
-		}
-		switch r.Name {
-		case "dispatch.sweep":
-			sawSweep = true
+	// Client side: the sweep root plus at least one submit and one poll
+	// span, all under the sweep's trace.
+	var fleetID string
+	var sawSubmit, sawPoll bool
+	for _, r := range client.Snapshot() {
+		if r.Name == "dispatch.sweep" {
+			fleetID = r.TraceID
 			if !r.Root() {
 				t.Errorf("dispatch.sweep is not the root: %+v", r)
 			}
-		case "dispatch.submit":
-			sawSubmit = true
-		case "dispatch.poll":
-			sawPoll = true
 		}
 	}
-	if !sawSweep || !sawSubmit || !sawPoll {
-		t.Fatalf("coordinator trace incomplete: sweep=%v submit=%v poll=%v", sawSweep, sawSubmit, sawPoll)
+	if len(fleetID) != 32 {
+		t.Fatalf("sweep trace ID = %q, want a 32-hex trace ID", fleetID)
+	}
+	for _, r := range client.Snapshot() {
+		if r.TraceID != fleetID {
+			t.Fatalf("client span %q escaped the sweep trace: %s", r.Name, r.TraceID)
+		}
+		sawSubmit = sawSubmit || r.Name == "dispatch.submit"
+		sawPoll = sawPoll || r.Name == "dispatch.poll"
+	}
+	if !sawSubmit || !sawPoll {
+		t.Fatalf("client trace incomplete: submit=%v poll=%v", sawSubmit, sawPoll)
 	}
 
-	// Worker side: each lane that executed jobs must carry the SAME trace
-	// ID, stitched in via remote-parent request spans, with terminal
-	// job.run spans underneath. (Health probes root their own traces —
-	// they carry no traceparent — so membership is checked per span.)
-	lanes := []string{w1.URL, w2.URL}
-	for i, wt := range workerTracers {
-		if stats.ByLane[lanes[i]] == 0 {
+	// Worker side: the SAME trace ID, stitched in via remote-parent
+	// request spans, with terminal job.run spans underneath. (Health
+	// probes root their own traces — they carry no traceparent — so
+	// membership is checked per span.)
+	var sawRemote, sawJobRun bool
+	for _, r := range workerTracer.Snapshot() {
+		if r.TraceID != fleetID {
 			continue
 		}
-		var sawRemote, sawJobRun bool
-		for _, r := range wt.Snapshot() {
-			if r.TraceID != fleetID {
-				continue
-			}
-			if r.RemoteParent {
-				sawRemote = true
-			}
-			if r.Name == "job.run" && r.Attrs["status"] != nil {
-				sawJobRun = true
-			}
-		}
-		if !sawRemote || !sawJobRun {
-			t.Errorf("worker %d (%d jobs) missing fleet spans: remote=%v job.run=%v",
-				i+1, stats.ByLane[lanes[i]], sawRemote, sawJobRun)
-		}
+		sawRemote = sawRemote || r.RemoteParent
+		sawJobRun = sawJobRun || (r.Name == "job.run" && r.Attrs["status"] != nil)
+	}
+	if !sawRemote || !sawJobRun {
+		t.Errorf("worker missing sweep spans: remote=%v job.run=%v", sawRemote, sawJobRun)
 	}
 }

@@ -10,21 +10,10 @@ import (
 // maxBodyBytes bounds a submission body (the verilog source dominates).
 const maxBodyBytes = MaxVerilogBytes + 1<<20
 
-// Handler returns the HTTP/JSON API. The preferred surface is /v2
-// (registerV2 in v2.go): SSE event streaming, solution fronts, paginated
-// listing and structured error codes. The legacy /v1 surface below stays
-// mounted unchanged as a compatibility adapter over the same job table:
-//
-//	POST /v1/flows             submit a flow (Request body) → JobView
-//	GET  /v1/flows             list jobs → []JobView
-//	GET  /v1/flows/{id}        one job's status and progress → JobView
-//	GET  /v1/flows/{id}/result finished result → JobView (409 while the
-//	                           job is queued/running, 410 once it ended
-//	                           failed or cancelled — stop polling)
-//	POST /v1/flows/{id}/cancel cancel a queued or running job → JobView
-//
-// plus the worker-facing job API (worker.go) used by the distributed
-// sweep coordinator:
+// Handler returns the HTTP/JSON API. Flow clients use /v2 (registerV2 in
+// v2.go): submission, SSE event streaming, solution fronts, paginated
+// listing and structured error codes. Beside it sit the worker-facing job
+// API (worker.go) that sweep clients and the cluster coordinator drive:
 //
 //	POST /v1/jobs              batch-submit exp.Job specs → BatchResponse
 //	GET  /v1/jobs/{hash}       status/result by content hash → JobView
@@ -47,16 +36,10 @@ const maxBodyBytes = MaxVerilogBytes + 1<<20
 // structured access log, and every request is counted/timed by route
 // pattern (see instrument in metrics.go).
 //
-// /v1 errors are JSON objects {"error": "..."}: 400 malformed or invalid
-// requests, 404 unknown job, 409 result not ready yet, 410 result will
-// never exist, 503 queue full or draining.
+// Errors outside /v2 are JSON objects {"error": "..."}: 400 malformed or
+// invalid requests, 404 unknown hash or key, 503 queue full or draining.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/flows", s.handleSubmit)
-	mux.HandleFunc("GET /v1/flows", s.handleList)
-	mux.HandleFunc("GET /v1/flows/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/flows/{id}/result", s.handleResult)
-	mux.HandleFunc("POST /v1/flows/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("POST /v1/jobs", s.handleBatchSubmit)
 	mux.HandleFunc("GET /v1/jobs/{hash}", s.handleJobByHash)
 	s.registerV2(mux)
@@ -78,65 +61,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	v, err := s.Submit(r.Context(), req)
-	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-	case v.Status == StatusDone:
-		writeJSON(w, http.StatusOK, v) // cache/dedup hit, result ready now
-	default:
-		writeJSON(w, http.StatusAccepted, v)
-	}
-}
-
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs())
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("service: unknown job"))
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("service: unknown job"))
-		return
-	}
-	switch {
-	case v.Status == StatusDone:
-		writeJSON(w, http.StatusOK, v)
-	case v.Status.terminal(): // failed/cancelled: no result will ever come
-		writeJSON(w, http.StatusGone, v)
-	default:
-		writeJSON(w, http.StatusConflict, v)
-	}
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.Cancel(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("service: unknown job"))
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
 }
 
 // handleBatchSubmit accepts job specs in order until one is rejected: an

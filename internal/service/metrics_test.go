@@ -40,30 +40,30 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Options{Workers: 1, Store: st})
 
-	v, code := postFlow(t, ts, quickReq(1))
+	v, _, code := postV2(t, ts, quickReq(1))
 	if code >= 300 {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 	waitDone(t, ts, v.ID)
 	// Identical resubmission: the job is still in the table, so this is a
 	// dedup hit (not a store hit), answered synchronously.
-	if _, code := postFlow(t, ts, quickReq(1)); code != http.StatusOK {
+	if _, _, code := postV2(t, ts, quickReq(1)); code != http.StatusOK {
 		t.Fatalf("dedup resubmit: HTTP %d, want 200", code)
 	}
 
 	m := scrape(t, ts.URL)
 	for series, want := range map[string]float64{
-		"als_jobs_submitted_total":                                   2,
-		"als_jobs_executed_total":                                    1,
-		"als_jobs_deduped_total":                                     1,
-		`als_jobs_completed_total{status="done"}`:                    1,
-		"als_jobs_running":                                           0,
-		"als_queue_depth":                                            0,
-		"als_job_duration_seconds_count":                             1,
-		"als_store_puts_total":                                       2, // result + front
-		"als_sse_subscribers":                                        0,
-		`als_http_requests_total{route="POST /v1/flows",code="202"}`: 1,
-		`als_http_requests_total{route="POST /v1/flows",code="200"}`: 1,
+		"als_jobs_submitted_total":                                  2,
+		"als_jobs_executed_total":                                   1,
+		"als_jobs_deduped_total":                                    1,
+		`als_jobs_completed_total{status="done"}`:                   1,
+		"als_jobs_running":                                          0,
+		"als_queue_depth":                                           0,
+		"als_job_duration_seconds_count":                            1,
+		"als_store_puts_total":                                      2, // result + front
+		"als_sse_subscribers":                                       0,
+		`als_http_requests_total{route="POST /v2/jobs",code="202"}`: 1,
+		`als_http_requests_total{route="POST /v2/jobs",code="200"}`: 1,
 	} {
 		if m[series] != want {
 			t.Errorf("%s = %v, want %v", series, m[series], want)
@@ -160,7 +160,7 @@ func TestMetricsMonotonicUnderConcurrentJobs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, code := postFlow(t, ts, quickReq(int64(100+i)))
+			v, _, code := postV2(t, ts, quickReq(int64(100+i)))
 			if code >= 300 {
 				t.Errorf("submit %d: HTTP %d", i, code)
 				return

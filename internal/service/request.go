@@ -158,8 +158,8 @@ func validate(req Request) (*flowSpec, error) {
 		// path, but the error unwraps to the same sentinel BenchmarkByName
 		// (the runtime path in buildCircuit) would wrap, so the /v2 layer
 		// maps it to a status code with errors.Is instead of matching
-		// prose — while the /v1 message text stays exactly what it always
-		// was (a plain %w would append the sentinel's text).
+		// prose — while the message text stays exactly what it always was
+		// (a plain %w would append the sentinel's text).
 		return nil, &unknownCircuitError{msg: fmt.Sprintf("service: unknown circuit %q (valid: %s)",
 			req.Circuit, strings.Join(gen.Names(), ", "))}
 	}
@@ -185,8 +185,8 @@ func validate(req Request) (*flowSpec, error) {
 	return sp, nil
 }
 
-// unknownCircuitError keeps the legacy /v1 message text byte-stable
-// while classifying as als.ErrUnknownBenchmark for errors.Is.
+// unknownCircuitError keeps the message text byte-stable while
+// classifying as als.ErrUnknownBenchmark for errors.Is.
 type unknownCircuitError struct{ msg string }
 
 func (e *unknownCircuitError) Error() string { return e.msg }

@@ -14,9 +14,9 @@
 //     its cache entry with the equivalent cmd/experiments cell);
 //   - service.go (this file): the job table, queue, worker pool,
 //     cancellation and graceful drain;
-//   - http.go: the HTTP/JSON API (submit/list/status/result/cancel);
-//   - v2.go: the /v2 surface — SSE event streaming, solution fronts,
-//     pagination, structured error codes;
+//   - http.go: the route table and the operational endpoints;
+//   - v2.go: the flow API (/v2) — submission, SSE event streaming,
+//     solution fronts, pagination, structured error codes;
 //   - worker.go: the worker-facing job API (batch submit by canonical
 //     exp.Job spec, result fetch by content hash) that lets any running
 //     daemon serve as a distributed-sweep worker for internal/dispatch;
@@ -168,8 +168,8 @@ type jobState struct {
 	cached   bool // answered from the persistent store, never computed here
 	progress Progress
 	result   *exp.JobResult
-	// front is the run's trade-off solution set (v2 surface only; v1
-	// responses never carry it).
+	// front is the run's trade-off solution set (/v2 views only; the
+	// worker job API's JobView never carries it).
 	front []SolutionView
 	// errMsg is the human-readable failure text; failCode is the
 	// machine-readable /v2 error code derived from the failure's sentinel
@@ -582,25 +582,6 @@ func (s *Server) evictLocked() {
 	s.order = kept
 }
 
-// Job returns a point-in-time view of one job. Terminal jobs that were
-// evicted from the table — or finished by a previous process and
-// recovered from the WAL's job snapshot — resolve to a synthesized view:
-// identity and final status survive, and a done job's result is re-read
-// from the persistent store; per-run detail (spec, progress, timings) is
-// gone.
-func (s *Server) Job(id string) (JobView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		if t, ok := s.tombs[id]; ok {
-			return s.tombViewLocked(id, t), true
-		}
-		return JobView{}, false
-	}
-	return s.viewLocked(j), true
-}
-
 // tombViewLocked synthesizes the view of a tombstoned terminal job;
 // s.mu held.
 func (s *Server) tombViewLocked(id string, t jobTomb) JobView {
@@ -620,17 +601,6 @@ func (s *Server) tombViewLocked(id string, t jobTomb) JobView {
 		v.Error = "job cancelled; detail evicted from the job table"
 	}
 	return v
-}
-
-// Jobs lists every job in submission order.
-func (s *Server) Jobs() []JobView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobView, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.viewLocked(s.jobs[id]))
-	}
-	return out
 }
 
 // QueueDepth reports how many accepted jobs are waiting for a worker —

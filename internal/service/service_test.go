@@ -36,55 +36,22 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// postFlow submits a request over HTTP and decodes the JobView.
-func postFlow(t *testing.T, ts *httptest.Server, req Request) (JobView, int) {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/flows", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var v JobView
-	if resp.StatusCode < 400 {
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return v, resp.StatusCode
-}
-
-// getJob fetches one job's status view.
-func getJob(t *testing.T, ts *httptest.Server, id string) JobView {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/flows/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var v JobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-// waitDone polls a job over HTTP until it reaches a terminal state.
-func waitDone(t *testing.T, ts *httptest.Server, id string) JobView {
+// waitDone polls a job on /v2 until it reaches a terminal state.
+func waitDone(t *testing.T, ts *httptest.Server, id string) JobViewV2 {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		v := getJob(t, ts, id)
+		var v JobViewV2
+		if _, code := getV2(t, ts, "/v2/jobs/"+id, &v); code != http.StatusOK {
+			t.Fatalf("job %s status = %d", id, code)
+		}
 		if v.Status.terminal() {
 			return v
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish in time", id)
-	return JobView{}
+	return JobViewV2{}
 }
 
 // TestSubmitMatchesDirectFlow is the end-to-end identity check: an
@@ -93,7 +60,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) JobView {
 func TestSubmitMatchesDirectFlow(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 
-	v, code := postFlow(t, ts, quickReq(7))
+	v, _, code := postV2(t, ts, quickReq(7))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", code)
 	}
@@ -119,13 +86,8 @@ func TestSubmitMatchesDirectFlow(t *testing.T) {
 	}
 
 	// The result endpoint serves the finished job.
-	resp, err := http.Get(ts.URL + "/v1/flows/" + v.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result status = %d, want 200", resp.StatusCode)
+	if _, code := getV2(t, ts, "/v2/jobs/"+v.ID+"/result", nil); code != http.StatusOK {
+		t.Fatalf("result status = %d, want 200", code)
 	}
 	// Progress must have reached the final iteration of the quick preset.
 	if got.Progress == nil || got.Progress.Iter != got.Progress.Total || got.Progress.Total != 8 {
@@ -145,7 +107,7 @@ func TestDuplicateServedFromCache(t *testing.T) {
 	}
 	s, ts := newTestServer(t, Options{Store: st})
 
-	first, _ := postFlow(t, ts, quickReq(1))
+	first, _, _ := postV2(t, ts, quickReq(1))
 	if first.Cached {
 		t.Fatal("first submission must not be cached")
 	}
@@ -155,7 +117,7 @@ func TestDuplicateServedFromCache(t *testing.T) {
 	}
 
 	// Identical second POST: answered immediately from the finished job.
-	second, code := postFlow(t, ts, quickReq(1))
+	second, _, code := postV2(t, ts, quickReq(1))
 	if code != http.StatusOK || second.Status != StatusDone || !second.Cached {
 		t.Fatalf("duplicate: code=%d status=%q cached=%v, want 200/done/true", code, second.Status, second.Cached)
 	}
@@ -182,7 +144,7 @@ func TestDuplicateServedFromCache(t *testing.T) {
 	}
 	defer st2.Close()
 	s2, ts2 := newTestServer(t, Options{Store: st2})
-	third, code := postFlow(t, ts2, quickReq(1))
+	third, _, code := postV2(t, ts2, quickReq(1))
 	if code != http.StatusOK || third.Status != StatusDone || !third.Cached {
 		t.Fatalf("post-restart: code=%d status=%q cached=%v, want 200/done/true", code, third.Status, third.Cached)
 	}
@@ -202,7 +164,7 @@ func TestVerilogUpload(t *testing.T) {
 	src := als.WriteVerilog(als.Benchmark("Adder16"))
 
 	req := Request{Verilog: src, Metric: "NMED", Budget: 0.0244, Vectors: 256, Iterations: 2}
-	v, code := postFlow(t, ts, req)
+	v, _, code := postV2(t, ts, req)
 	if code != http.StatusAccepted {
 		t.Fatalf("verilog submit status = %d, want 202", code)
 	}
@@ -220,7 +182,7 @@ func TestVerilogUpload(t *testing.T) {
 	// The same netlist with different formatting must hash identically.
 	variant := "// a comment\n" + strings.ReplaceAll(src, "\n", "\n\n")
 	req.Verilog = variant
-	dup, code := postFlow(t, ts, req)
+	dup, _, code := postV2(t, ts, req)
 	if code != http.StatusOK || !dup.Cached || dup.Hash != done.Hash {
 		t.Errorf("formatting variant: code=%d cached=%v hash match=%v, want cache hit",
 			code, dup.Cached, dup.Hash == done.Hash)
@@ -235,19 +197,20 @@ func TestCancelMidIteration(t *testing.T) {
 	req := quickReq(1)
 	req.Iterations = 5000 // minutes of work if never cancelled
 
-	v, _ := postFlow(t, ts, req)
+	v, _, _ := postV2(t, ts, req)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("job never reported progress")
 		}
-		jv := getJob(t, ts, v.ID)
+		var jv JobViewV2
+		getV2(t, ts, "/v2/jobs/"+v.ID, &jv)
 		if jv.Progress != nil && jv.Progress.Iter >= 1 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	resp, err := http.Post(ts.URL+"/v1/flows/"+v.ID+"/cancel", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/v2/jobs/"+v.ID+"/cancel", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,17 +231,12 @@ func TestCancelMidIteration(t *testing.T) {
 	}
 
 	// A cancelled job's result is gone for good (410), not "retry later".
-	rr, err := http.Get(ts.URL + "/v1/flows/" + v.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr.Body.Close()
-	if rr.StatusCode != http.StatusGone {
-		t.Errorf("cancelled result status = %d, want 410", rr.StatusCode)
+	if e, code := getV2(t, ts, "/v2/jobs/"+v.ID+"/result", nil); code != http.StatusGone || e.Error.Code != CodeJobCancelled {
+		t.Errorf("cancelled result = %d %q, want 410 %s", code, e.Error.Code, CodeJobCancelled)
 	}
 
 	// A cancelled job's hash is not poisoned: resubmitting runs afresh.
-	again, code := postFlow(t, ts, quickReq(1))
+	again, _, code := postV2(t, ts, quickReq(1))
 	if code != http.StatusAccepted || again.Cached {
 		t.Fatalf("resubmit after cancel: code=%d cached=%v, want a fresh run", code, again.Cached)
 	}
@@ -292,15 +250,15 @@ func TestCancelMidIteration(t *testing.T) {
 // in-flight jobs instead of hanging.
 func TestDrain(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	v, _ := postFlow(t, ts, quickReq(3))
+	v, _, _ := postV2(t, ts, quickReq(3))
 
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if jv, _ := s.Job(v.ID); jv.Status != StatusDone {
+	if jv, _ := s.JobV2(v.ID); jv.Status != StatusDone {
 		t.Errorf("after drain, job is %q, want done", jv.Status)
 	}
-	if _, code := postFlow(t, ts, quickReq(4)); code != http.StatusServiceUnavailable {
+	if _, _, code := postV2(t, ts, quickReq(4)); code != http.StatusServiceUnavailable {
 		t.Errorf("submit while drained: status %d, want 503", code)
 	}
 }
@@ -309,12 +267,13 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	req := quickReq(1)
 	req.Iterations = 5000
-	v, _ := postFlow(t, ts, req)
+	v, _, _ := postV2(t, ts, req)
 
 	// Wait until it is actually running so drain has something in flight.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if jv := getJob(t, ts, v.ID); jv.Status == StatusRunning {
+		var jv JobViewV2
+		if getV2(t, ts, "/v2/jobs/"+v.ID, &jv); jv.Status == StatusRunning {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -327,7 +286,7 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	if err := s.Drain(ctx); err == nil {
 		t.Fatal("drain with expired deadline must report the timeout")
 	}
-	if jv, _ := s.Job(v.ID); jv.Status != StatusCancelled {
+	if jv, _ := s.JobV2(v.ID); jv.Status != StatusCancelled {
 		t.Errorf("after timed-out drain, job is %q, want cancelled", jv.Status)
 	}
 }
@@ -339,8 +298,8 @@ func TestCancelQueuedJob(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	long := quickReq(1)
 	long.Iterations = 5000
-	running, _ := postFlow(t, ts, long)
-	queued, _ := postFlow(t, ts, quickReq(9))
+	running, _, _ := postV2(t, ts, long)
+	queued, _, _ := postV2(t, ts, quickReq(9))
 
 	if v, ok := s.Cancel(queued.ID); !ok || v.Status != StatusCancelled {
 		t.Fatalf("cancel queued: ok=%v status=%q", ok, v.Status)
@@ -421,16 +380,16 @@ func TestHTTPErrorPaths(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := get("/v1/flows/f999999"); code != http.StatusNotFound {
+	if code := get("/v2/jobs/f999999"); code != http.StatusNotFound {
 		t.Errorf("unknown job status = %d, want 404", code)
 	}
-	if code := get("/v1/flows/f999999/result"); code != http.StatusNotFound {
+	if code := get("/v2/jobs/f999999/result"); code != http.StatusNotFound {
 		t.Errorf("unknown result status = %d, want 404", code)
 	}
 
 	// Malformed JSON and unknown fields are 400s.
 	for _, body := range []string{"{not json", `{"circut":"Adder16"}`} {
-		resp, err := http.Post(ts.URL+"/v1/flows", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v2/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,14 +402,32 @@ func TestHTTPErrorPaths(t *testing.T) {
 	// A not-yet-finished job's result is a 409 conflict.
 	req := quickReq(1)
 	req.Iterations = 5000
-	v, _ := postFlow(t, ts, req)
-	resp, err := http.Get(ts.URL + "/v1/flows/" + v.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
+	v, _, _ := postV2(t, ts, req)
+	if e, code := getV2(t, ts, "/v2/jobs/"+v.ID+"/result", nil); code != http.StatusConflict || e.Error.Code != CodeNotReady {
+		t.Errorf("pending result = %d %q, want 409 %s", code, e.Error.Code, CodeNotReady)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("pending result status = %d, want 409", resp.StatusCode)
+
+	// The retired /v1 flow API answers 404 on all five routes.
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/flows"},
+		{http.MethodGet, "/v1/flows"},
+		{http.MethodGet, "/v1/flows/" + v.ID},
+		{http.MethodGet, "/v1/flows/" + v.ID + "/result"},
+		{http.MethodPost, "/v1/flows/" + v.ID + "/cancel"},
+	} {
+		body, _ := json.Marshal(quickReq(2))
+		req, err := http.NewRequest(route.method, ts.URL+route.path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", route.method, route.path, resp.StatusCode)
+		}
 	}
 
 	// healthz answers with counters.
@@ -478,11 +455,11 @@ func TestQueueFull(t *testing.T) {
 	s, ts := newTestServer(t, Options{QueueDepth: 2})
 	long := quickReq(1)
 	long.Iterations = 5000
-	postFlow(t, ts, long) // occupies the single worker
+	postV2(t, ts, long) // occupies the single worker
 
 	accepted, full := 1, 0
 	for seed := int64(10); seed < 16; seed++ {
-		if _, code := postFlow(t, ts, quickReq(seed)); code == http.StatusServiceUnavailable {
+		if _, _, code := postV2(t, ts, quickReq(seed)); code == http.StatusServiceUnavailable {
 			full++
 		} else {
 			accepted++
@@ -513,34 +490,34 @@ func TestJobTableEviction(t *testing.T) {
 	var ids []string
 	for seed := int64(1); seed <= 4; seed++ {
 		req.Seed = seed
-		v, code := postFlow(t, ts, req)
+		v, _, code := postV2(t, ts, req)
 		if code != http.StatusAccepted {
 			t.Fatalf("seed %d: code %d", seed, code)
 		}
 		ids = append(ids, v.ID)
 		waitDone(t, ts, v.ID)
 	}
-	if n := len(s.Jobs()); n > 2 {
+	if n := s.JobsPage(0, 0).Total; n > 2 {
 		t.Errorf("job table holds %d entries, want <= MaxJobs=2", n)
 	}
 	// Eviction bounds memory but no longer breaks id polling: the oldest
 	// terminal job resolves through its id→hash tombstone, result re-read
 	// from the store (per-run detail is gone by design).
-	v0, ok := s.Job(ids[0])
-	if !ok {
-		t.Error("evicted terminal job must still resolve by id (tombstone)")
+	var v0 JobViewV2
+	if _, code := getV2(t, ts, "/v2/jobs/"+ids[0], &v0); code != http.StatusOK {
+		t.Errorf("evicted terminal job must still resolve by id (tombstone): status %d", code)
 	} else if v0.Status != StatusDone || v0.Result == nil {
 		t.Errorf("tombstoned job view = status %s, result %v; want done with a store-read result", v0.Status, v0.Result)
 	}
 	// The evicted job's result is still one store lookup away.
 	req.Seed = 1
-	v, code := postFlow(t, ts, req)
+	v, _, code := postV2(t, ts, req)
 	if code != http.StatusOK || !v.Cached {
 		t.Errorf("evicted job resubmission: code=%d cached=%v, want store hit", code, v.Cached)
 	}
 }
 
-// TestListOrders checks the list endpoint returns jobs in submission
+// TestListOrders checks the paged listing returns jobs in submission
 // order with distinct IDs.
 func TestListOrders(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
@@ -548,18 +525,14 @@ func TestListOrders(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		req := quickReq(seed)
 		req.Iterations = 1
-		v, _ := postFlow(t, ts, req)
+		v, _, _ := postV2(t, ts, req)
 		ids = append(ids, v.ID)
 	}
-	resp, err := http.Get(ts.URL + "/v1/flows")
-	if err != nil {
-		t.Fatal(err)
+	var page JobPage
+	if _, code := getV2(t, ts, "/v2/jobs", &page); code != http.StatusOK {
+		t.Fatalf("list status = %d", code)
 	}
-	defer resp.Body.Close()
-	var list []JobView
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
+	list := page.Jobs
 	if len(list) != 3 {
 		t.Fatalf("list has %d jobs, want 3", len(list))
 	}

@@ -109,7 +109,7 @@ func TestSubmitTracePipeline(t *testing.T) {
 	tr := trace.New(trace.Options{Service: "test"})
 	_, ts := newTestServer(t, Options{Tracer: tr, Store: st})
 
-	v, code := postFlow(t, ts, quickReq(11))
+	v, _, code := postV2(t, ts, quickReq(11))
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("submit: HTTP %d", code)
 	}

@@ -1,14 +1,12 @@
-// The /v2 API surface: the versioned HTTP contract aligned with the
-// session-based als/v2 package. Where /v1 collapses a flow to one result
-// polled by the client, /v2 exposes the run the way the optimizer
+// The /v2 flow API: the versioned HTTP contract aligned with the
+// session-based als/v2 package. It exposes a run the way the optimizer
 // produces it — live Server-Sent Events (per-iteration progress, every
 // improved solution, a terminal event), a trade-off front of solutions in
 // the result, paginated job listing, and machine-readable error codes
 // mapped from the als sentinel errors with errors.Is (never by matching
-// error prose). /v1 stays mounted unchanged as the compatibility adapter:
-// both generations share the job table, the worker pool and the
-// content-hash cache, so a job submitted on either surface is visible —
-// and deduplicated — on both.
+// error prose). It shares the job table, the worker pool and the
+// content-hash cache with the worker job API (worker.go), so a cell
+// submitted on either is deduplicated against both.
 
 package service
 
@@ -29,9 +27,9 @@ type SolutionView struct {
 	Area     float64 `json:"area"`
 }
 
-// JobViewV2 is the /v2 snapshot of one job: the v1 view plus the run's
-// solution front. Keeping the front out of JobView is what guarantees
-// /v1 responses never change shape.
+// JobViewV2 is the /v2 snapshot of one job: the worker job API's JobView
+// plus the run's solution front. Keeping the front out of JobView keeps
+// /v1/jobs responses unchanged.
 type JobViewV2 struct {
 	JobView
 	Front []SolutionView `json:"front,omitempty"`
@@ -163,19 +161,19 @@ func (s *Server) closeSubsLocked(j *jobState) {
 }
 
 // subscribe registers a live event subscription for a job. For a job
-// already terminal it returns a nil channel and the terminal event as
-// the snapshot; otherwise the snapshot replays the job's current
-// progress so a mid-run subscriber starts consistent.
+// already terminal (tombstoned ones included) it returns a nil channel
+// and the terminal event as the snapshot; otherwise the snapshot replays
+// the job's current progress so a mid-run subscriber starts consistent.
 func (s *Server) subscribe(id string) (ch chan JobEvent, snapshot []JobEvent, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, found := s.jobs[id]
-	if !found {
-		return nil, nil, false
-	}
-	if j.status.terminal() {
-		v := s.viewV2Locked(j)
-		return nil, []JobEvent{{Type: string(j.status), Job: &v}}, true
+	j, live := s.jobs[id]
+	if !live || j.status.terminal() {
+		v, found := s.lookupLocked(id)
+		if !found {
+			return nil, nil, false
+		}
+		return nil, []JobEvent{{Type: string(v.Status), Job: &v}}, true
 	}
 	if j.progress.Total != 0 {
 		p := j.progress
@@ -203,15 +201,28 @@ func (s *Server) unsubscribe(id string, ch chan JobEvent) {
 	}
 }
 
-// JobV2 returns a point-in-time /v2 view of one job.
+// JobV2 returns a point-in-time /v2 view of one job. Terminal jobs that
+// were evicted from the table — or finished by a previous process and
+// recovered from the WAL's job snapshot — resolve to a synthesized view
+// from their tombstone: identity and final status survive, and a done
+// job's result is re-read from the persistent store; per-run detail
+// (spec, progress, timings, front) is gone.
 func (s *Server) JobV2(id string) (JobViewV2, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobViewV2{}, false
+	return s.lookupLocked(id)
+}
+
+// lookupLocked resolves a job ID: the live table first, then the
+// tombstones; s.mu held.
+func (s *Server) lookupLocked(id string) (JobViewV2, bool) {
+	if j, ok := s.jobs[id]; ok {
+		return s.viewV2Locked(j), true
 	}
-	return s.viewV2Locked(j), true
+	if t, ok := s.tombs[id]; ok {
+		return JobViewV2{JobView: s.tombViewLocked(id, t)}, true
+	}
+	return JobViewV2{}, false
 }
 
 // JobsPage lists one page of jobs in submission order. A limit <= 0
@@ -259,9 +270,11 @@ func (s *Server) viewV2Locked(j *jobState) JobViewV2 {
 
 // registerV2 mounts the /v2 surface:
 //
-//	POST /v2/jobs              submit a flow (same Request schema as /v1)
+//	POST /v2/jobs              submit a flow (Request body) → JobViewV2
 //	GET  /v2/jobs              paginated listing (?offset=&limit=) → JobPage
-//	GET  /v2/jobs/{id}         one job's status, progress and front
+//	GET  /v2/jobs/{id}         one job's status, progress and front (an
+//	                           evicted or pre-restart terminal job keeps
+//	                           resolving from its tombstone, without front)
 //	GET  /v2/jobs/{id}/events  live SSE stream (progress/solution events,
 //	                           then one terminal done/failed/cancelled
 //	                           event; terminal jobs get the terminal event
@@ -380,12 +393,12 @@ func (s *Server) handleV2Result(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleV2Cancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	v1, ok := s.Cancel(id)
+	jv, ok := s.Cancel(id)
 	if !ok {
 		writeV2Error(w, http.StatusNotFound, CodeUnknownJob, "service: unknown job")
 		return
 	}
-	v := JobViewV2{JobView: v1}
+	v := JobViewV2{JobView: jv}
 	if snap, ok := s.JobV2(id); ok {
 		v = snap
 	}

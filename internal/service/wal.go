@@ -19,9 +19,9 @@
 // Terminal records carry the job's table ID (PR 10; absent in older
 // logs, which still parse), and "job" records — written by Compact — are
 // the durable job-table snapshot: id → hash/status mappings that let a
-// restarted daemon keep answering /v1 and /v2 polls for jobs that
-// finished (or were evicted) before the crash, instead of 404ing ids it
-// once promised.
+// restarted daemon keep answering /v2 polls (status, result, events,
+// cancel) for jobs that finished (or were evicted) before the crash,
+// instead of 404ing ids it once promised.
 //
 // The file is corrupt-tolerant the same way the JSONL store is: an
 // undecodable line (the torn tail of a SIGKILLed append) is skipped and

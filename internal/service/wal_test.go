@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,17 +52,17 @@ func walServer(t *testing.T, dir string, opts Options) (*Server, *store.Store, *
 }
 
 // waitServerDone polls the job table directly until id is terminal.
-func waitServerDone(t *testing.T, s *Server, id string) JobView {
+func waitServerDone(t *testing.T, s *Server, id string) JobViewV2 {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		if v, ok := s.Job(id); ok && v.Status.terminal() {
+		if v, ok := s.JobV2(id); ok && v.Status.terminal() {
 			return v
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish in time", id)
-	return JobView{}
+	return JobViewV2{}
 }
 
 // TestWALReplayCompletesLostJobs is the core crash-recovery property:
@@ -99,7 +101,7 @@ func TestWALReplayCompletesLostJobs(t *testing.T) {
 	if !strings.Contains(scrape.String(), "als_wal_replayed_total 3") {
 		t.Fatalf("als_wal_replayed_total after replay:\n%s", scrape.String())
 	}
-	views := s.Jobs()
+	views := s.JobsPage(0, 0).Jobs
 	if len(views) != 3 {
 		t.Fatalf("job table has %d jobs after replay, want 3", len(views))
 	}
@@ -168,7 +170,7 @@ func TestWALStoreHitReplayNoRecompute(t *testing.T) {
 	st1.Close()
 
 	s2, _, _ := walServer(t, dir, Options{Workers: 1})
-	views := s2.Jobs()
+	views := s2.JobsPage(0, 0).Jobs
 	if len(views) != 1 {
 		t.Fatalf("job table has %d jobs, want 1", len(views))
 	}
@@ -318,7 +320,7 @@ func TestWALVerilogReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _, _ := walServer(t, dir, Options{Workers: 1})
-	views := s.Jobs()
+	views := s.JobsPage(0, 0).Jobs
 	if len(views) != 1 {
 		t.Fatalf("job table has %d jobs, want 1", len(views))
 	}
@@ -441,7 +443,7 @@ func TestWALDedupSingleExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _, _ := walServer(t, dir, Options{Workers: 2})
-	views := s.Jobs()
+	views := s.JobsPage(0, 0).Jobs
 	if len(views) != 1 {
 		t.Fatalf("job table has %d jobs after deduped replay, want 1", len(views))
 	}
@@ -456,8 +458,9 @@ func TestWALDedupSingleExecution(t *testing.T) {
 
 // TestWALJobTableSurvivesRestart is the durable-job-table property: a
 // job id handed to a client before a crash keeps resolving on the
-// restarted daemon — terminal status intact and the done result re-read
-// from the store — and fresh ids never collide with remembered ones.
+// restarted daemon's /v2 routes — terminal status intact, the done result
+// re-read from the store — and fresh ids never collide with remembered
+// ones.
 func TestWALJobTableSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, _, wal1 := walServer(t, dir, Options{Workers: 1})
@@ -468,6 +471,16 @@ func TestWALJobTableSurvivesRestart(t *testing.T) {
 	done := waitServerDone(t, s1, v.ID)
 	if done.Status != StatusDone {
 		t.Fatalf("seed job ended %q", done.Status)
+	}
+	long := quickReq(73)
+	long.Iterations = 5000
+	cv, err := s1.Submit(context.Background(), long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Cancel(cv.ID)
+	if got := waitServerDone(t, s1, cv.ID); got.Status != StatusCancelled {
+		t.Fatalf("cancelled job ended %q", got.Status)
 	}
 	s1.Close()
 	wal1.Close()
@@ -484,21 +497,39 @@ func TestWALJobTableSurvivesRestart(t *testing.T) {
 	defer wal2.Close()
 	s2 := New(Options{Store: st2, WAL: wal2, Logf: t.Logf})
 	defer s2.Close()
+	ts := httptest.NewServer(s2.Handler())
+	defer ts.Close()
 
-	got, ok := s2.Job(v.ID)
-	if !ok {
-		t.Fatalf("restarted daemon forgot job id %s", v.ID)
+	for _, path := range []string{"/v2/jobs/" + v.ID, "/v2/jobs/" + v.ID + "/result"} {
+		var got JobViewV2
+		if _, code := getV2(t, ts, path, &got); code != http.StatusOK {
+			t.Fatalf("GET %s on the restarted daemon = %d, want 200", path, code)
+		}
+		if got.Status != StatusDone || got.Hash != v.Hash || !got.Cached {
+			t.Fatalf("GET %s = %+v, want done/%s from store", path, got, v.Hash)
+		}
+		if got.Result == nil || got.Result.RatioCPD != done.Result.RatioCPD || got.Result.Err != done.Result.Err {
+			t.Fatalf("GET %s result %+v differs from original %+v", path, got.Result, done.Result)
+		}
 	}
-	if got.Status != StatusDone || got.Hash != v.Hash || !got.Cached {
-		t.Fatalf("recovered view = %+v, want done/%s from store", got, v.Hash)
+	if events := readSSE(t, ts.URL+"/v2/jobs/"+v.ID+"/events"); len(events) != 1 || events[0].name != string(StatusDone) {
+		t.Fatalf("events of a remembered job = %+v, want exactly one done event", events)
 	}
-	if got.Result == nil || got.Result.RatioCPD != done.Result.RatioCPD || got.Result.Err != done.Result.Err {
-		t.Fatalf("recovered result %+v differs from original %+v", got.Result, done.Result)
+	// A remembered cancelled job's result is gone for good.
+	if e, code := getV2(t, ts, "/v2/jobs/"+cv.ID+"/result", nil); code != http.StatusGone || e.Error.Code != CodeJobCancelled {
+		t.Fatalf("result of a remembered cancelled job = %d %q, want 410 %s", code, e.Error.Code, CodeJobCancelled)
 	}
 	// Cancel of a remembered terminal id reports it untouched, like any
 	// other terminal job.
-	if cv, ok := s2.Cancel(v.ID); !ok || cv.Status != StatusDone {
-		t.Fatalf("Cancel(%s) on restarted daemon = (%+v, %v)", v.ID, cv, ok)
+	resp, err := http.Post(ts.URL+"/v2/jobs/"+v.ID+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cancelled JobViewV2
+	err = json.NewDecoder(resp.Body).Decode(&cancelled)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || cancelled.Status != StatusDone {
+		t.Fatalf("cancel of %s on the restarted daemon = %d %+v (%v)", v.ID, resp.StatusCode, cancelled, err)
 	}
 	// The id sequence restarts past every remembered id: a new submission
 	// must not reuse the promised id.
@@ -506,22 +537,24 @@ func TestWALJobTableSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nv.ID == v.ID {
-		t.Fatalf("fresh job reused remembered id %s", v.ID)
+	if nv.ID == v.ID || nv.ID == cv.ID {
+		t.Fatalf("fresh job reused remembered id %s", nv.ID)
 	}
-	if idSeq(nv.ID) <= idSeq(v.ID) {
-		t.Fatalf("fresh id %s does not follow remembered id %s", nv.ID, v.ID)
+	if idSeq(nv.ID) <= idSeq(cv.ID) {
+		t.Fatalf("fresh id %s does not follow remembered id %s", nv.ID, cv.ID)
 	}
 	waitServerDone(t, s2, nv.ID)
 }
 
 // TestEvictedJobIDStillResolves: terminal-job eviction (MaxJobs) leaves a
-// tombstone behind, so a client polling an old id gets its final status
-// and store-backed result instead of a 404.
+// tombstone behind, so a client polling an old id on /v2 gets its final
+// status and store-backed result instead of a 404.
 func TestEvictedJobIDStillResolves(t *testing.T) {
 	dir := t.TempDir()
 	s, _, _ := walServer(t, dir, Options{Workers: 1, MaxJobs: 2})
-	var views []JobView
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var views []JobViewV2
 	for seed := int64(81); seed <= 83; seed++ {
 		v, err := s.Submit(context.Background(), quickReq(seed))
 		if err != nil {
@@ -534,18 +567,23 @@ func TestEvictedJobIDStillResolves(t *testing.T) {
 		views = append(views, done)
 	}
 	// MaxJobs 2 forces the oldest terminal job out when the third arrives.
-	if n := len(s.Jobs()); n >= 3 {
+	if n := s.JobsPage(0, 0).Total; n >= 3 {
 		t.Fatalf("job table holds %d jobs, eviction never happened", n)
 	}
 	first := views[0]
-	got, ok := s.Job(first.ID)
-	if !ok {
-		t.Fatalf("evicted job id %s no longer resolves", first.ID)
+	for _, path := range []string{"/v2/jobs/" + first.ID, "/v2/jobs/" + first.ID + "/result"} {
+		var got JobViewV2
+		if _, code := getV2(t, ts, path, &got); code != http.StatusOK {
+			t.Fatalf("GET %s of an evicted job = %d, want 200", path, code)
+		}
+		if got.Status != StatusDone || got.Hash != first.Hash || got.Result == nil {
+			t.Fatalf("GET %s = %+v, want done/%s with store-backed result", path, got, first.Hash)
+		}
+		if got.Result.RatioCPD != first.Result.RatioCPD {
+			t.Fatalf("GET %s result %+v differs from original %+v", path, got.Result, first.Result)
+		}
 	}
-	if got.Status != StatusDone || got.Hash != first.Hash || got.Result == nil {
-		t.Fatalf("evicted view = %+v, want done/%s with store-backed result", got, first.Hash)
-	}
-	if got.Result.RatioCPD != first.Result.RatioCPD {
-		t.Fatalf("evicted result %+v differs from original %+v", got.Result, first.Result)
+	if events := readSSE(t, ts.URL+"/v2/jobs/"+first.ID+"/events"); len(events) != 1 || events[0].name != string(StatusDone) {
+		t.Fatalf("events of an evicted job = %+v, want exactly one done event", events)
 	}
 }

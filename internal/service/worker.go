@@ -1,9 +1,10 @@
-// Worker-facing job API: the endpoints a distributed-sweep coordinator
-// (internal/dispatch) drives. Where the flow API (/v1/flows) speaks the
-// client-friendly Request schema and addresses jobs by server-assigned ID,
-// the worker API speaks canonical exp.Job specs and addresses results by
-// content hash — the same identity cmd/experiments and the store use — so
-// any running alsd is a valid sweep worker with no extra configuration:
+// Worker-facing job API: the endpoints a sweep client (internal/dispatch)
+// and the cluster coordinator's lanes drive. Where the flow API (/v2/jobs)
+// speaks the client-friendly Request schema and addresses jobs by
+// server-assigned ID, the worker API speaks canonical exp.Job specs and
+// addresses results by content hash — the same identity cmd/experiments
+// and the store use — so any running alsd is a valid sweep endpoint with
+// no extra configuration:
 //
 //	POST /v1/jobs        batch-submit job specs → BatchResponse
 //	GET  /v1/jobs/{hash} status/result by content hash → JobView

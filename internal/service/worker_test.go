@@ -110,11 +110,11 @@ func TestBatchSubmitAndFetchByHash(t *testing.T) {
 }
 
 // TestBatchSubmitDedupsAgainstFlowAPI: a spec batch and an equivalent
-// /v1/flows submission share one content hash, so only one flow executes.
+// /v2/jobs submission share one content hash, so only one flow executes.
 func TestBatchSubmitDedupsAgainstFlowAPI(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 
-	v, code := postFlow(t, ts, quickReq(9))
+	v, _, code := postV2(t, ts, quickReq(9))
 	if code != http.StatusAccepted {
 		t.Fatalf("flow submit: %d", code)
 	}

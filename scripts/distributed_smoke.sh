@@ -4,38 +4,35 @@
 #
 #     scripts/distributed_smoke.sh
 #
-# It asserts the three guarantees the tentpole claims:
+# A sweep runs locally or on one -coord endpoint: an alscoord with
+# registered workers, or a single alsd. It asserts:
 #
-#   1. Determinism: a 2-worker distributed run of the quick TABLE II suite
+#   1. Determinism + golden gate: an `experiments -coord` sweep of the
+#      quick TABLE II suite through alscoord with two registered workers
 #      renders byte-identical -format json output to a single-process
-#      -jobs 4 run (cells are pure functions of their content hash).
-#   2. Golden gate: the exact golden-metrics check passes when its cells
-#      are computed through the fleet.
-#   3. Failover + resume: with one worker SIGKILLed mid-sweep, the
-#      coordinator fails its remaining cells over to the survivor, the
-#      output is still byte-identical, and the -out store is complete —
-#      a -resume re-run executes nothing.
-#   4. Distributed tracing: the traced 2-worker run produces ONE trace ID
-#      spanning coordinator and workers (and stays byte-identical to the
-#      untraced single-process reference), and the merged tracecat render
-#      shows the whole causal chain — dispatch submits, worker queue
-#      waits, per-generation evaluation, store puts, critical path.
-#   5. Durability: an alsd SIGKILLed with accepted jobs still queued
-#      replays its write-ahead log on restart, every accepted submission
-#      completes, and each result is byte-identical to a fresh daemon
-#      recomputing the same requests (runtime_ns is the only wall-clock
-#      field and is excluded; see docs/STORAGE.md).
-#   6. Backend matrix: the same distributed sweep through workers running
-#      the embedded (binary-log) store backend stays byte-identical to
-#      the single-process reference.
-#   7. Shared store: a hub + satellite fleet where the satellite uses the
-#      hub's /store surface as its result store (-store-remote) renders
-#      byte-identical output, and every result lands in the hub's store.
-#   8. Cluster mode: workers REGISTER with an alscoord control plane
-#      (instead of the client naming them with -workers), and an
-#      `experiments -coord` sweep is byte-identical to the single-process
-#      reference — including when one registered worker is SIGKILLed
-#      mid-sweep and the coordinator drains it and fails its cells over.
+#      -jobs 4 run (cells are pure functions of their content hash), and
+#      the exact golden-metrics check passes through it.
+#   2. Failover + resume: with one registered worker SIGKILLed mid-sweep,
+#      the coordinator drains it and fails its cells over, the output is
+#      still byte-identical, and the -out store is complete — a -resume
+#      re-run executes nothing and prints identical bytes.
+#   3. Distributed tracing: a traced sweep through -coord at one alsd
+#      produces ONE trace ID shared by client and worker (and stays
+#      byte-identical to the untraced single-process reference), the
+#      merged tracecat render shows the whole causal chain — dispatch
+#      submits, worker queue waits, per-generation evaluation, store puts,
+#      critical path — and the golden gate passes through that alsd.
+#   4. Durability: an alsd SIGKILLed with accepted /v2/jobs submissions
+#      still queued replays its write-ahead log on restart, every accepted
+#      submission completes, and each result is byte-identical to a fresh
+#      daemon recomputing the same requests (runtime_ns is the only
+#      wall-clock field and is excluded; see docs/STORAGE.md).
+#   5. Backend matrix: the same sweep through -coord at an alsd running
+#      the embedded (binary-log) store backend stays byte-identical to the
+#      single-process reference.
+#   6. Shared store: -coord at a satellite alsd that uses a hub's /store
+#      surface as its result store (-store-remote) renders byte-identical
+#      output, and every result lands in the hub's store.
 #
 # Requires: go, curl, jq. Ports default to 8491-8495 (W1_PORT..W4_PORT,
 # COORD_PORT).
@@ -93,107 +90,134 @@ suite=(-exp table2 -format json -seed 1)
 say "reference: single-process -jobs 4 run"
 "$work/experiments" "${suite[@]}" -jobs 4 -out "$work/single" >"$work/single.json"
 
-say "booting 2 alsd workers on :$W1_PORT and :$W2_PORT"
-start_worker "$W1_PORT" w1.jsonl
-start_worker "$W2_PORT" w2.jsonl
+# ---- cluster mode: registration, -coord sweep, mid-sweep worker kill -----
+# The coordinator owns the fleet: workers register with it (-register),
+# heartbeat, and the experiments client names only the coordinator. The
+# short heartbeat cadence makes a silent worker expire within ~a second.
+say "cluster mode: alscoord + 2 registered workers"
+"$work/alscoord" -addr "127.0.0.1:$COORD_PORT" -store "$work/coord.jsonl" \
+  -hb-interval 300ms -expire-after 2 >"$work/coord.log" 2>&1 &
+pids+=($!)
+COORD_PID=${pids[-1]}
+wait_ready "$COORD"
+start_worker "$W1_PORT" cw1.jsonl -register "$COORD"
+CW1_PID=${pids[-1]}
+start_worker "$W2_PORT" cw2.jsonl -register "$COORD"
+CW2_PID=${pids[-1]}
 wait_ready "$W1"
 wait_ready "$W2"
-
-say "distributed run across both workers (traced)"
-"$work/experiments" "${suite[@]}" -workers "$W1,$W2" -out "$work/dist" \
-  -trace-out "$work/dist.trace.jsonl" \
-  >"$work/dist.json" 2>"$work/dist.log"
-cmp "$work/single.json" "$work/dist.json" \
-  || { echo "distributed JSON differs from single-process run" >&2; exit 1; }
-say "byte-identical json output confirmed (tracing did not perturb results)"
-
-say "one trace ID spans the whole fleet"
-tid=$(grep -oE '^trace [0-9a-f]{32}$' "$work/dist.log" | head -1 | awk '{print $2}')
-[ -n "$tid" ] || { echo "coordinator never printed its trace ID" >&2; cat "$work/dist.log" >&2; exit 1; }
-for url in "$W1" "$W2"; do
-  curl -fsS "$url/debug/traces?trace=$tid&format=jsonl" >"$work/worker.trace.jsonl"
-  grep -q "$tid" "$work/worker.trace.jsonl" \
-    || { echo "worker $url holds no spans of trace $tid" >&2; exit 1; }
+for _ in $(seq 1 100); do
+  [ "$(curl -fsS "$COORD/cluster/workers" | jq -re length)" = 2 ] && break
+  sleep 0.1
 done
-say "rendering the merged fleet timeline through tracecat"
-"$work/tracecat" -trace "$tid" "$work/dist.trace.jsonl" \
-  "$W1/debug/traces" "$W2/debug/traces" >"$work/trace.txt"
-for span in dispatch.sweep dispatch.submit queue.wait job.run \
-            als.generation store.put "critical path"; do
-  grep -q "$span" "$work/trace.txt" \
-    || { echo "fleet timeline is missing $span:" >&2; cat "$work/trace.txt" >&2; exit 1; }
-done
-say "fleet timeline complete: submit -> queue-wait -> evaluate -> store"
+[ "$(curl -fsS "$COORD/cluster/workers" | jq -re length)" = 2 ] \
+  || { echo "workers never registered with the coordinator" >&2; cat "$work/coord.log" >&2; exit 1; }
+say "both workers registered; -coord sweep must match the single-process reference"
+"$work/experiments" "${suite[@]}" -coord "$COORD" >"$work/coord.json" 2>"$work/coordrun.log"
+cmp "$work/single.json" "$work/coord.json" \
+  || { echo "-coord run differs from single-process run" >&2; exit 1; }
+say "cluster-mode output byte-identical"
 
-say "golden-metrics gate through the fleet"
-"$work/experiments" -check testdata/golden_quick.json -workers "$W1,$W2" \
+say "golden-metrics gate through the coordinator"
+"$work/experiments" -check testdata/golden_quick.json -coord "$COORD" \
   2>&1 | tee "$work/golden.log"
 grep -q "golden check passed" "$work/golden.log"
 
-# ---- failover -------------------------------------------------------------
 # Fresh seed (nothing cached anywhere) and a heavier per-cell budget so the
 # sweep is long enough to lose a worker halfway through. W2 is SIGKILLed as
-# soon as its own stats show it computed a cell — i.e. genuinely mid-run,
-# with cells it still owns — and the coordinator must fail those over to W1.
-failover_suite=(-exp table2 -format json -seed 99 -vectors 32768 -iters 8)
-W2_PID=${pids[1]}
-
-say "failover reference: single-process run at seed 99"
-"$work/experiments" "${failover_suite[@]}" -jobs 4 >"$work/single99.json"
-
-say "distributed run with W2 killed mid-sweep"
-# W2's executed counter is cumulative across the earlier phases; the kill
-# must wait for cells of *this* sweep, so trigger on growth past the
-# pre-run baseline.
+# soon as its own stats show it computed a cell of this sweep — genuinely
+# mid-run — and the coordinator must fail its cells over to W1.
+say "cluster failover: SIGKILL one registered worker mid-sweep"
+coord_suite=(-exp table2 -format json -seed 77 -vectors 32768 -iters 8)
+"$work/experiments" "${coord_suite[@]}" -jobs 4 >"$work/single77.json"
 base=$(curl -fsS "$W2/healthz" | jq -re .stats.executed)
 (
   while :; do
     ex=$(curl -fsS "$W2/healthz" 2>/dev/null | jq -re .stats.executed) || exit 0
     if [ "$ex" -gt "$base" ]; then
-      kill -9 "$W2_PID"
-      echo "killed W2 (pid $W2_PID) after it executed $((ex - base)) cell(s) of this sweep"
+      kill -9 "$CW2_PID"
+      echo "killed registered worker (pid $CW2_PID) after $((ex - base)) cell(s) of this sweep"
       exit 0
     fi
     sleep 0.05
   done
 ) &
 killer=$!
-"$work/experiments" "${failover_suite[@]}" -workers "$W1,$W2" \
-  -out "$work/failover" >"$work/failover.json" 2>"$work/failover.log"
+"$work/experiments" "${coord_suite[@]}" -coord "$COORD" -out "$work/coord77" \
+  >"$work/coord77.json" 2>"$work/coord77.log"
 wait "$killer"
-grep -q "dead" "$work/failover.log" \
-  || { echo "coordinator never reported the dead lane" >&2; cat "$work/failover.log" >&2; exit 1; }
-cmp "$work/single99.json" "$work/failover.json" \
-  || { echo "failover run JSON differs from single-process run" >&2; exit 1; }
-say "failover produced byte-identical output"
+cmp "$work/single77.json" "$work/coord77.json" \
+  || { echo "cluster failover run differs from single-process run" >&2; exit 1; }
+dropped=$(curl -fsS "$COORD/metrics" | awk '$1 == "als_cluster_workers_expired_total" {print $2}')
+[ "${dropped:-0}" -ge 1 ] \
+  || { echo "coordinator never drained the killed worker (als_cluster_workers_expired_total=$dropped)" >&2; exit 1; }
+[ "$(curl -fsS "$COORD/cluster/workers" | jq -re length)" = 1 ] \
+  || { echo "killed worker still in the registry" >&2; exit 1; }
+say "cluster failover byte-identical; killed worker drained from the registry"
 
 say "resume after failover: every cell must already be in the store"
-"$work/experiments" "${failover_suite[@]}" -workers "$W1" -resume \
-  -out "$work/failover" >"$work/resume.json" 2>"$work/resume.log"
+"$work/experiments" "${coord_suite[@]}" -coord "$COORD" -resume \
+  -out "$work/coord77" >"$work/resume.json" 2>"$work/resume.log"
 grep -q "0 executed, 35 cached" "$work/resume.log" \
   || { echo "-resume after failover recomputed cells:" >&2; cat "$work/resume.log" >&2; exit 1; }
-cmp "$work/single99.json" "$work/resume.json"
+cmp "$work/single77.json" "$work/resume.json"
 
-say "draining the surviving worker"
-kill -TERM "${pids[0]}"
-wait "${pids[0]}"
+say "stopping the cluster"
+kill -TERM "$CW1_PID" "$COORD_PID"
+wait "$CW1_PID" "$COORD_PID" 2>/dev/null || true
+
+# ---- fleet trace: -coord at one alsd --------------------------------------
+# alscoord roots its own lane traces, so the client-to-worker trace runs
+# against an alsd endpoint directly.
+say "traced sweep through -coord at one alsd on :$W1_PORT"
+start_worker "$W1_PORT" w1.jsonl
+wait_ready "$W1"
+"$work/experiments" "${suite[@]}" -coord "$W1" -out "$work/dist" \
+  -trace-out "$work/dist.trace.jsonl" \
+  >"$work/dist.json" 2>"$work/dist.log"
+cmp "$work/single.json" "$work/dist.json" \
+  || { echo "traced -coord JSON differs from single-process run" >&2; exit 1; }
+say "byte-identical json output confirmed (tracing did not perturb results)"
+
+say "one trace ID spans client and worker"
+tid=$(grep -oE '^trace [0-9a-f]{32}$' "$work/dist.log" | head -1 | awk '{print $2}')
+[ -n "$tid" ] || { echo "client never printed its trace ID" >&2; cat "$work/dist.log" >&2; exit 1; }
+curl -fsS "$W1/debug/traces?trace=$tid&format=jsonl" >"$work/worker.trace.jsonl"
+grep -q "$tid" "$work/worker.trace.jsonl" \
+  || { echo "worker $W1 holds no spans of trace $tid" >&2; exit 1; }
+say "rendering the merged timeline through tracecat"
+"$work/tracecat" -trace "$tid" "$work/dist.trace.jsonl" "$W1/debug/traces" >"$work/trace.txt"
+for span in dispatch.sweep dispatch.submit queue.wait job.run \
+            als.generation store.put "critical path"; do
+  grep -q "$span" "$work/trace.txt" \
+    || { echo "timeline is missing $span:" >&2; cat "$work/trace.txt" >&2; exit 1; }
+done
+say "timeline complete: submit -> queue-wait -> evaluate -> store"
+
+say "golden-metrics gate through one alsd"
+"$work/experiments" -check testdata/golden_quick.json -coord "$W1" \
+  2>&1 | tee "$work/golden1.log"
+grep -q "golden check passed" "$work/golden1.log"
+kill -TERM "${pids[-1]}"
+wait "${pids[-1]}" 2>/dev/null || true
 
 # ---- durability: SIGKILL mid-queue, WAL replay on restart ----------------
 # One slow worker and heavy per-job budgets (quick-scale jobs finish in
-# milliseconds — too fast to lose) so most submissions are still queued at
-# the kill. The restarted daemon must replay its WAL, finish every
+# milliseconds — too fast to lose; at 8 iterations these took ~50 ms, so
+# all four had finished before the kill) so most submissions are still
+# queued at the kill. The restarted daemon must replay its WAL, finish every
 # accepted job, and each result must be byte-identical to a fresh daemon
 # recomputing the same requests (ids and wall-clock timestamps differ by
 # design; the result payload may not, except runtime_ns).
 wal_seeds=(101 102 103 104)
 wal_body() { # seed
-  printf '{"circuit":"Adder16","metric":"nmed","budget":0.0244,"seed":%d,"vectors":32768,"iterations":8}' "$1"
+  printf '{"circuit":"Adder16","metric":"nmed","budget":0.0244,"seed":%d,"vectors":32768,"iterations":100}' "$1"
 }
 
 poll_done() { # url seed out-file; resubmits (dedup/cache hit) until done
   local v
   for _ in $(seq 1 600); do
-    v=$(curl -fsS -X POST "$1/v1/flows" -d "$(wal_body "$2")")
+    v=$(curl -fsS -X POST "$1/v2/jobs" -d "$(wal_body "$2")")
     if [ "$(jq -re .status <<<"$v")" = done ]; then
       jq -S '.result | del(.runtime_ns)' <<<"$v" >>"$3"
       return 0
@@ -211,7 +235,7 @@ W3_PID=$!
 pids+=("$W3_PID")
 wait_ready "$W3"
 for seed in "${wal_seeds[@]}"; do
-  curl -fsS -X POST "$W3/v1/flows" -d "$(wal_body "$seed")" | jq -re .hash >/dev/null
+  curl -fsS -X POST "$W3/v2/jobs" -d "$(wal_body "$seed")" | jq -re .hash >/dev/null
 done
 kill -9 "$W3_PID"
 wait "$W3_PID" 2>/dev/null || true
@@ -244,32 +268,30 @@ say "replayed results byte-identical to fresh recompute"
 kill -TERM "${pids[@]: -2}" 2>/dev/null || true
 for pid in "${pids[@]: -2}"; do wait "$pid" 2>/dev/null || true; done
 
-# ---- backend matrix: the quick suite through embedded-backend workers ----
-say "backend matrix: distributed run on embedded-store workers"
+# ---- backend matrix: the quick suite through an embedded-backend alsd ----
+say "backend matrix: -coord run on an embedded-store alsd"
 start_worker "$W1_PORT" w1.emb -store-backend embedded
-start_worker "$W2_PORT" w2.emb -store-backend embedded
 wait_ready "$W1"
-wait_ready "$W2"
-"$work/experiments" "${suite[@]}" -workers "$W1,$W2" >"$work/embedded.json"
+"$work/experiments" "${suite[@]}" -coord "$W1" >"$work/embedded.json"
 cmp "$work/single.json" "$work/embedded.json" \
   || { echo "embedded-backend run differs from single-process run" >&2; exit 1; }
 [ "$(head -c 9 "$work/w1.emb")" = "ALSEMBED1" ] \
   || { echo "w1.emb is not an embedded-format store" >&2; exit 1; }
 say "embedded backend byte-identical"
-kill -TERM "${pids[@]: -2}" 2>/dev/null || true
-for pid in "${pids[@]: -2}"; do wait "$pid" 2>/dev/null || true; done
+kill -TERM "${pids[-1]}" 2>/dev/null || true
+wait "${pids[-1]}" 2>/dev/null || true
 
 # ---- shared store: hub + satellite through the remote backend ------------
 # The hub serves its store at /store; the satellite has no store file of
-# its own and reads/writes the hub's over HTTP. Every cell either worker
-# computes is a cache hit for the other, and the sweep output stays
-# byte-identical to the single-process reference.
+# its own and reads/writes the hub's over HTTP. The sweep runs on the
+# satellite, every result it computes lands in the hub's store, and the
+# output stays byte-identical to the single-process reference.
 say "shared store: hub (jsonl) + satellite (-store-remote hub)"
 start_worker "$W3_PORT" hub.jsonl -wal ""
 start_worker "$W4_PORT" satellite -store-remote "$W3" -wal ""
 wait_ready "$W3"
 wait_ready "$W4"
-"$work/experiments" "${suite[@]}" -workers "$W3,$W4" >"$work/remote.json"
+"$work/experiments" "${suite[@]}" -coord "$W4" >"$work/remote.json"
 cmp "$work/single.json" "$work/remote.json" \
   || { echo "remote-store run differs from single-process run" >&2; exit 1; }
 sat_executed=$(curl -fsS "$W4/healthz" | jq -re .stats.executed)
@@ -278,62 +300,6 @@ sat_executed=$(curl -fsS "$W4/healthz" | jq -re .stats.executed)
 hub_records=$(curl -fsS "$W3/store/" | wc -l)
 [ "$hub_records" -ge 35 ] \
   || { echo "hub store holds only $hub_records records for a 35-cell sweep" >&2; exit 1; }
-say "remote-store fleet byte-identical; satellite computed $sat_executed cells into the hub's $hub_records-record store"
-
-# ---- cluster mode: registration, -coord sweep, mid-sweep worker kill -----
-# The coordinator owns the fleet: workers register with it (-register),
-# heartbeat, and the experiments client names only the coordinator. The
-# short heartbeat cadence makes a silent worker expire within ~a second.
-say "cluster mode: alscoord + 2 registered workers"
-kill -TERM "${pids[@]: -2}" 2>/dev/null || true
-for pid in "${pids[@]: -2}"; do wait "$pid" 2>/dev/null || true; done
-"$work/alscoord" -addr "127.0.0.1:$COORD_PORT" -store "$work/coord.jsonl" \
-  -hb-interval 300ms -expire-after 2 >"$work/coord.log" 2>&1 &
-pids+=($!)
-wait_ready "$COORD"
-start_worker "$W1_PORT" cw1.jsonl -register "$COORD"
-start_worker "$W2_PORT" cw2.jsonl -register "$COORD"
-CW2_PID=${pids[-1]}
-wait_ready "$W1"
-wait_ready "$W2"
-for _ in $(seq 1 100); do
-  [ "$(curl -fsS "$COORD/cluster/workers" | jq -re length)" = 2 ] && break
-  sleep 0.1
-done
-[ "$(curl -fsS "$COORD/cluster/workers" | jq -re length)" = 2 ] \
-  || { echo "workers never registered with the coordinator" >&2; cat "$work/coord.log" >&2; exit 1; }
-say "both workers registered; -coord sweep must match the single-process reference"
-"$work/experiments" "${suite[@]}" -coord "$COORD" >"$work/coord.json" 2>"$work/coordrun.log"
-cmp "$work/single.json" "$work/coord.json" \
-  || { echo "-coord run differs from single-process run" >&2; exit 1; }
-say "cluster-mode output byte-identical"
-
-say "cluster failover: SIGKILL one registered worker mid-sweep"
-coord_suite=(-exp table2 -format json -seed 77 -vectors 32768 -iters 8)
-"$work/experiments" "${coord_suite[@]}" -jobs 4 >"$work/single77.json"
-base=$(curl -fsS "$W2/healthz" | jq -re .stats.executed)
-(
-  while :; do
-    ex=$(curl -fsS "$W2/healthz" 2>/dev/null | jq -re .stats.executed) || exit 0
-    if [ "$ex" -gt "$base" ]; then
-      kill -9 "$CW2_PID"
-      echo "killed registered worker (pid $CW2_PID) after $((ex - base)) cell(s) of this sweep"
-      exit 0
-    fi
-    sleep 0.05
-  done
-) &
-killer=$!
-"$work/experiments" "${coord_suite[@]}" -coord "$COORD" \
-  >"$work/coord77.json" 2>"$work/coord77.log"
-wait "$killer"
-cmp "$work/single77.json" "$work/coord77.json" \
-  || { echo "cluster failover run differs from single-process run" >&2; exit 1; }
-dropped=$(curl -fsS "$COORD/metrics" | awk '$1 == "als_cluster_workers_expired_total" {print $2}')
-[ "${dropped:-0}" -ge 1 ] \
-  || { echo "coordinator never drained the killed worker (als_cluster_workers_expired_total=$dropped)" >&2; exit 1; }
-[ "$(curl -fsS "$COORD/cluster/workers" | jq -re length)" = 1 ] \
-  || { echo "killed worker still in the registry" >&2; exit 1; }
-say "cluster failover byte-identical; killed worker drained from the registry"
+say "remote-store sweep byte-identical; satellite computed $sat_executed cells into the hub's $hub_records-record store"
 
 say "distributed smoke passed"
