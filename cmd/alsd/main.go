@@ -21,7 +21,8 @@
 // hard with jobs queued or running re-enqueues them on restart — already
 // persisted results are answered from the store bit-identically, only
 // genuinely lost work runs again. "-wal auto" derives <store>.wal next to
-// a local store file; an empty -wal disables durability.
+// a local store file; an empty -wal disables durability. A WAL belongs to
+// one daemon: a second one given the same file exits at startup.
 //
 // Clients use the /v2 flow API: submit, stream the run's events
 // (per-iteration progress and every improved solution, over SSE), then

@@ -454,6 +454,8 @@ func TestWALReplayResumesSweep(t *testing.T) {
 		t.Fatalf("submit: reason=%q err=%v", reason, err)
 	}
 	// Simulated SIGKILL: no Close, no drain — only the file contents count.
+	// The killed process's descriptors close, which releases its WAL.
+	wal.Close()
 	wal2, err := OpenWAL(filepath.Join(dir, "coord.wal"))
 	if err != nil {
 		t.Fatal(err)

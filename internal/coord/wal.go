@@ -1,8 +1,8 @@
-// The coordinator's write-ahead log. Like the service WAL it is a
-// newline-delimited JSON journal replayed on startup, but it covers the
-// control plane's promises instead of one daemon's queue: accepted cells
-// (with tenant and priority, so a replayed cell rejoins the same fair
-// queue), their terminal transitions, result subscriptions, and completed
+// The coordinator's write-ahead log. Like the service WAL it is an
+// internal/journal WAL replayed on startup, but it covers the control
+// plane's promises instead of one daemon's queue: accepted cells (with
+// tenant and priority, so a replayed cell rejoins the same fair queue),
+// their terminal transitions, result subscriptions, and completed
 // webhook deliveries. A SIGKILLed coordinator therefore re-enqueues the
 // cells it owed, re-arms its subscriptions, and re-delivers exactly the
 // envelopes that never got a 2xx — at-least-once across the crash,
@@ -13,19 +13,12 @@
 //	{"op":"accept","hash":"…","tenant":"acme","priority":2,"job":{…exp.Job…}}
 //	{"op":"done","hash":"…"}          // or "failed"
 //	{"op":"sub","sub_id":"sub-1","url":"http://…","secret":"…","hashes":["…"]}
-//	{"op":"delivered","sub_id":"sub-1","hash":"…"}
+//	{"op":"delivered","hash":"…","sub_id":"sub-1"}
 package coord
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sync"
-
 	"repro/internal/exp"
+	"repro/internal/journal"
 )
 
 // WAL op vocabulary.
@@ -72,44 +65,24 @@ type WALSubscription struct {
 // WAL is the append-only journal. Open with OpenWAL; every append is
 // fsynced before it returns.
 type WAL struct {
-	mu      sync.Mutex
-	path    string
-	f       *os.File
+	log     *journal.Log[walRecord]
 	pending []WALCell
 	subs    []WALSubscription
-	corrupt int
 }
 
 // OpenWAL opens (creating if needed) the journal at path and scans it:
 // unresolved accepts become Pending, subscription state becomes Subs.
-// Undecodable lines are counted, not fatal, and a torn final line — the
-// SIGKILL landed mid-append — is healed so the next append starts clean.
+// Undecodable lines are counted, not fatal. It fails while another
+// process has the journal open.
 func OpenWAL(path string) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("coord: open wal: %w", err)
-	}
-	w := &WAL{path: path, f: f}
 	open := map[string]*WALCell{}
 	subs := map[string]*WALSubscription{}
 	var order, subOrder []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<24)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var r walRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			w.corrupt++
-			continue
-		}
+	log, err := journal.Open(path, true, func(r *walRecord) bool {
 		switch r.Op {
 		case walOpAccept:
 			if r.Job == nil || r.Hash == "" {
-				w.corrupt++
-				continue
+				return false
 			}
 			if _, ok := open[r.Hash]; !ok {
 				order = append(order, r.Hash)
@@ -119,8 +92,7 @@ func OpenWAL(path string) (*WAL, error) {
 			delete(open, r.Hash)
 		case walOpSub:
 			if r.SubID == "" || r.URL == "" {
-				w.corrupt++
-				continue
+				return false
 			}
 			if _, ok := subs[r.SubID]; !ok {
 				subOrder = append(subOrder, r.SubID)
@@ -131,13 +103,14 @@ func OpenWAL(path string) (*WAL, error) {
 				s.Delivered = append(s.Delivered, r.Hash)
 			}
 		default:
-			w.corrupt++
+			return false
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("coord: scan wal: %w", err)
-	}
+	w := &WAL{log: log}
 	for _, h := range order {
 		if c, ok := open[h]; ok {
 			w.pending = append(w.pending, *c)
@@ -146,153 +119,63 @@ func OpenWAL(path string) (*WAL, error) {
 	for _, id := range subOrder {
 		w.subs = append(w.subs, *subs[id])
 	}
-	if info, err := f.Stat(); err == nil && info.Size() > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], info.Size()-1); err == nil && last[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("coord: heal wal tail: %w", err)
-			}
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("coord: seek wal: %w", err)
-	}
 	return w, nil
 }
 
 // Pending returns the accepted-but-unresolved cells found at open, in
 // first-accept order.
-func (w *WAL) Pending() []WALCell {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]WALCell(nil), w.pending...)
-}
+func (w *WAL) Pending() []WALCell { return append([]WALCell(nil), w.pending...) }
 
 // Subs returns the subscriptions found at open, registration order.
-func (w *WAL) Subs() []WALSubscription {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]WALSubscription(nil), w.subs...)
-}
+func (w *WAL) Subs() []WALSubscription { return append([]WALSubscription(nil), w.subs...) }
 
 // Corrupt reports how many undecodable lines the open scan skipped.
-func (w *WAL) Corrupt() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.corrupt
-}
+func (w *WAL) Corrupt() int { return w.log.Corrupt() }
 
 // Path returns the journal's file path.
-func (w *WAL) Path() string { return w.path }
+func (w *WAL) Path() string { return w.log.Path() }
 
 // Accept records one accepted cell; durable before it returns.
-func (w *WAL) Accept(c WALCell) error {
-	return w.append(walRecord{Op: walOpAccept, Hash: c.Hash, Tenant: c.Tenant, Priority: c.Priority, Job: &c.Job})
-}
+func (w *WAL) Accept(c WALCell) error { return w.log.Append(acceptRecord(c)) }
 
 // Resolve records a cell's terminal transition (walOpDone or walOpFailed).
 func (w *WAL) Resolve(op, hash string) error {
-	return w.append(walRecord{Op: op, Hash: hash})
+	return w.log.Append(walRecord{Op: op, Hash: hash})
 }
 
 // Sub records one subscription registration.
-func (w *WAL) Sub(s WALSubscription) error {
-	return w.append(walRecord{Op: walOpSub, SubID: s.ID, URL: s.URL, Secret: s.Secret, Hashes: s.Hashes})
-}
+func (w *WAL) Sub(s WALSubscription) error { return w.log.Append(subRecord(s)) }
 
 // Delivered records one 2xx-acknowledged envelope, so a restart does not
 // re-deliver it.
 func (w *WAL) Delivered(subID, hash string) error {
-	return w.append(walRecord{Op: walOpDelivered, SubID: subID, Hash: hash})
+	return w.log.Append(walRecord{Op: walOpDelivered, SubID: subID, Hash: hash})
 }
 
-func (w *WAL) append(r walRecord) error {
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("coord: marshal wal record: %w", err)
-	}
-	raw = append(raw, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.f.Write(raw); err != nil {
-		return fmt.Errorf("coord: append wal: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("coord: sync wal: %w", err)
-	}
-	return nil
+func acceptRecord(c WALCell) walRecord {
+	return walRecord{Op: walOpAccept, Hash: c.Hash, Tenant: c.Tenant, Priority: c.Priority, Job: &c.Job}
 }
 
-// Compact rewrites the journal to exactly the live state — one accept per
-// still-pending cell, one sub plus its delivered records per subscription
-// — via tmp file + rename, then reopens for appending. The coordinator
-// calls it once per startup, after replay.
+func subRecord(s WALSubscription) walRecord {
+	return walRecord{Op: walOpSub, SubID: s.ID, URL: s.URL, Secret: s.Secret, Hashes: s.Hashes}
+}
+
+// Compact rewrites the journal to exactly the live state — one sub plus
+// its delivered records per subscription, one accept per still-pending
+// cell. The coordinator calls it once per startup, after replay.
 func (w *WAL) Compact(cells []WALCell, subs []WALSubscription) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	tmp := w.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("coord: compact wal: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	enc := json.NewEncoder(bw)
-	write := func(r walRecord) error {
-		if err := enc.Encode(r); err != nil {
-			f.Close()
-			os.Remove(tmp) //nolint:errcheck // best-effort cleanup
-			return fmt.Errorf("coord: compact wal: %w", err)
-		}
-		return nil
-	}
+	var recs []walRecord
 	for _, s := range subs {
-		if err := write(walRecord{Op: walOpSub, SubID: s.ID, URL: s.URL, Secret: s.Secret, Hashes: s.Hashes}); err != nil {
-			return err
-		}
+		recs = append(recs, subRecord(s))
 		for _, h := range s.Delivered {
-			if err := write(walRecord{Op: walOpDelivered, SubID: s.ID, Hash: h}); err != nil {
-				return err
-			}
+			recs = append(recs, walRecord{Op: walOpDelivered, SubID: s.ID, Hash: h})
 		}
 	}
-	for i := range cells {
-		c := cells[i]
-		if err := write(walRecord{Op: walOpAccept, Hash: c.Hash, Tenant: c.Tenant, Priority: c.Priority, Job: &c.Job}); err != nil {
-			return err
-		}
+	for _, c := range cells {
+		recs = append(recs, acceptRecord(c))
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
-		return fmt.Errorf("coord: compact wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
-		return fmt.Errorf("coord: compact wal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("coord: compact wal: %w", err)
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		return fmt.Errorf("coord: compact wal: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("coord: compact wal: %w", err)
-	}
-	nf, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("coord: reopen wal: %w", err)
-	}
-	w.f = nf
-	return nil
+	return w.log.Rewrite(recs)
 }
 
 // Close releases the journal file.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close()
-}
+func (w *WAL) Close() error { return w.log.Close() }

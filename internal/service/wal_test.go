@@ -147,7 +147,7 @@ func TestWALStoreHitReplayNoRecompute(t *testing.T) {
 	dir := t.TempDir()
 
 	// Run the job once to obtain its real persisted result.
-	s1, st1, _ := walServer(t, dir, Options{Workers: 1})
+	s1, st1, wal1 := walServer(t, dir, Options{Workers: 1})
 	v, err := s1.Submit(context.Background(), quickReq(21))
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +157,8 @@ func TestWALStoreHitReplayNoRecompute(t *testing.T) {
 		t.Fatalf("seed job ended %q", done.Status)
 	}
 	s1.Close()
+	// A killed daemon's descriptors close, which releases its WAL.
+	wal1.Close()
 
 	// Reconstruct the crash window: result persisted, accept unresolved.
 	req := quickReq(21)
@@ -383,6 +385,49 @@ func TestWALRecordShapeFrozen(t *testing.T) {
 		default:
 			t.Errorf("op vocabulary changed: %q", op)
 		}
+	}
+}
+
+// TestWALSecondOpenRefused: one daemon owns a WAL. Two alsd on one store
+// with the default -wal auto would both open <store>.wal: the second
+// would replay the first one's live accepts, and its startup compaction
+// would rename a new file over the one the first still appends to.
+func TestWALSecondOpenRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "queue.wal")
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	refused := func(when string) {
+		t.Helper()
+		w2, err := OpenWAL(path)
+		if err == nil {
+			w2.Close()
+			t.Fatalf("%s: a second OpenWAL of a WAL in use succeeded", when)
+		}
+		if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "-wal") {
+			t.Fatalf("%s: error %q should name %s and -wal", when, msg, path)
+		}
+	}
+	refused("after open")
+	if err := w.Accept("abc", quickReq(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Compact([]WALPending{{Hash: "abc", Req: quickReq(1)}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	refused("after compaction")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w3, err := OpenWAL(path)
+	if err != nil {
+		t.Fatalf("OpenWAL after the owner closed: %v", err)
+	}
+	defer w3.Close()
+	if p := w3.Pending(); len(p) != 1 || p[0].Hash != "abc" {
+		t.Fatalf("Pending() after compaction = %+v, want the one accept", p)
 	}
 }
 

@@ -9,12 +9,11 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
+
+	"repro/internal/journal"
 )
 
 // Backend is a content-addressed byte store. Implementations must be safe
@@ -56,110 +55,41 @@ type record struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// jsonlBackend is the default file format: one JSON object per line,
-// append-only, flushed per Put, fully indexed in memory at open. It is
-// bit-compatible with every store file written since the format was
-// introduced; Open auto-detects it (anything without the embedded
-// backend's magic header).
-//
-// Concurrency: safe within one process. Two processes appending to one
-// JSONL file interleave whole lines only by luck of the flush size — use
-// the embedded backend when daemons must share a file.
-type jsonlBackend struct {
-	mu      sync.Mutex
-	path    string
-	f       *os.File
-	w       *bufio.Writer
-	mem     map[string][]byte
-	order   []string // insertion order, for deterministic iteration
-	corrupt int
+// index is the in-memory payload map both file backends keep: every
+// record is read at open, so a warm Get takes no file lock and reads no
+// file. Results here are small JSON records, which makes the trade cheap.
+type index struct {
+	mu    sync.Mutex
+	mem   map[string][]byte
+	order []string // first-insertion order, for deterministic iteration
 }
 
-// openJSONL loads (or creates) the JSONL file at path. Undecodable lines
-// — e.g. the tail of a run killed mid-write — are skipped and counted in
-// Corrupt(); every well-formed record is kept. A record whose hash
-// repeats overwrites the earlier payload (last writer wins).
-func openJSONL(path string) (*jsonlBackend, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open: %w", err)
+// setLocked records payload as hash's latest; the caller holds mu.
+func (x *index) setLocked(hash string, payload []byte) {
+	if x.mem == nil {
+		x.mem = map[string][]byte{}
 	}
-	b := &jsonlBackend{path: path, f: f, mem: map[string][]byte{}}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil || r.Hash == "" || len(r.Payload) == 0 {
-			b.corrupt++
-			continue
-		}
-		if _, seen := b.mem[r.Hash]; !seen {
-			b.order = append(b.order, r.Hash)
-		}
-		b.mem[r.Hash] = append([]byte(nil), r.Payload...)
+	if _, seen := x.mem[hash]; !seen {
+		x.order = append(x.order, hash)
 	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: scan %s: %w", path, err)
-	}
-	// A run killed mid-write leaves an unterminated partial line at the
-	// tail. Terminate it before appending, or the first new record would
-	// be glued onto the garbage and lost at the next open.
-	if end, err := f.Seek(0, 2); err == nil && end > 0 {
-		buf := make([]byte, 1)
-		if _, err := f.ReadAt(buf, end-1); err == nil && buf[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: terminate partial tail: %w", err)
-			}
-		}
-	}
-	b.w = bufio.NewWriter(f)
-	return b, nil
+	x.mem[hash] = payload
 }
 
-func (b *jsonlBackend) Get(hash string) ([]byte, bool, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	p, ok := b.mem[hash]
+func (x *index) Get(hash string) ([]byte, bool, error) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	p, ok := x.mem[hash]
 	return p, ok, nil
 }
 
-func (b *jsonlBackend) Put(hash string, payload []byte) error {
-	line, err := json.Marshal(record{Hash: hash, Payload: payload})
-	if err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.f == nil {
-		return fmt.Errorf("store: put %.12s…: store is closed", hash)
-	}
-	if _, err := b.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("store: append: %w", err)
-	}
-	if err := b.w.Flush(); err != nil {
-		return fmt.Errorf("store: flush: %w", err)
-	}
-	if _, seen := b.mem[hash]; !seen {
-		b.order = append(b.order, hash)
-	}
-	b.mem[hash] = append([]byte(nil), payload...)
-	return nil
-}
-
-func (b *jsonlBackend) Scan(fn func(hash string, payload []byte) error) error {
-	b.mu.Lock()
-	hashes := append([]string(nil), b.order...)
-	b.mu.Unlock()
+func (x *index) Scan(fn func(hash string, payload []byte) error) error {
+	x.mu.Lock()
+	hashes := append([]string(nil), x.order...)
+	x.mu.Unlock()
 	for _, h := range hashes {
-		b.mu.Lock()
-		p := b.mem[h]
-		b.mu.Unlock()
+		x.mu.Lock()
+		p := x.mem[h]
+		x.mu.Unlock()
 		if err := fn(h, p); err != nil {
 			return err
 		}
@@ -167,31 +97,58 @@ func (b *jsonlBackend) Scan(fn func(hash string, payload []byte) error) error {
 	return nil
 }
 
-func (b *jsonlBackend) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.mem)
+func (x *index) Len() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return len(x.mem)
 }
 
-func (b *jsonlBackend) Corrupt() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.corrupt
+// jsonlBackend is the default file format: an internal/journal log of
+// record lines, written with one write per Put and no fsync, fully
+// indexed in memory at open. It is bit-compatible with every store file
+// written since the format was introduced; Open auto-detects it (anything
+// without the embedded backend's magic header).
+//
+// Concurrency: safe within one process. Two processes appending to one
+// JSONL file interleave whole lines only by luck of the write size — use
+// the embedded backend when daemons must share a file.
+type jsonlBackend struct {
+	index
+	log *journal.Log[record]
 }
 
-// Close flushes and closes the backing file. The in-memory index stays
-// readable; further Puts fail.
-func (b *jsonlBackend) Close() error {
+// openJSONL loads (or creates) the JSONL file at path. Undecodable lines
+// — e.g. the tail of a run killed mid-write — are skipped and counted in
+// Corrupt(); every well-formed record is kept. A record whose hash
+// repeats overwrites the earlier payload (last writer wins).
+func openJSONL(path string) (*jsonlBackend, error) {
+	b := &jsonlBackend{}
+	log, err := journal.Open(path, false, func(r *record) bool {
+		if r.Hash == "" || len(r.Payload) == 0 {
+			return false
+		}
+		b.setLocked(r.Hash, r.Payload) // b is not shared yet
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	b.log = log
+	return b, nil
+}
+
+func (b *jsonlBackend) Put(hash string, payload []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.f == nil {
-		return nil
+	if err := b.log.Append(record{Hash: hash, Payload: payload}); err != nil {
+		return fmt.Errorf("store: put %.12s…: %w", hash, err)
 	}
-	flushErr := b.w.Flush()
-	closeErr := b.f.Close()
-	b.f = nil
-	if flushErr != nil {
-		return fmt.Errorf("store: close: %w", flushErr)
-	}
-	return closeErr
+	b.setLocked(hash, append([]byte(nil), payload...))
+	return nil
 }
+
+func (b *jsonlBackend) Corrupt() int { return b.log.Corrupt() }
+
+// Close closes the backing file. The in-memory index stays readable;
+// further Puts fail.
+func (b *jsonlBackend) Close() error { return b.log.Close() }

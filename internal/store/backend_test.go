@@ -2,13 +2,16 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -320,6 +323,53 @@ func TestEmbeddedTornTail(t *testing.T) {
 	if got := s3.Corrupt(); got != 0 {
 		t.Fatalf("Corrupt on clean file = %d, want 0", got)
 	}
+}
+
+// FuzzEmbeddedOpen opens arbitrary bytes after the magic header as an
+// embedded store. Open must succeed, keeping whatever whole frames lead
+// the bytes, and a Put afterwards must come back on reopen behind them,
+// with the torn rest gone (Corrupt 0).
+func FuzzEmbeddedOpen(f *testing.F) {
+	valid := func(k, v string) []byte {
+		rec := binary.LittleEndian.AppendUint32(nil, uint32(len(k)))
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(len(v)))
+		rec = append(append(rec, k...), v...)
+		return binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec[8:]))
+	}
+	f.Add([]byte{})
+	f.Add(valid("h1", `{"a":1}`))
+	f.Add(append(valid("h1", `1`), 6, 0, 0, 0, 200, 0, 0, 0, 'h', 'a', 'l'))
+	f.Add(append(valid("h1", `1`), 1, 0, 0, 0, 255, 255, 255, 3))
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		path := filepath.Join(t.TempDir(), "s.emb")
+		if err := os.WriteFile(path, append([]byte(embMagic), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenEmbedded(path)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		before := s.Hashes()
+		if err := s.PutRaw("fuzz-put", json.RawMessage(`{"n":1}`)); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		s.Close()
+		s2, err := OpenEmbedded(path)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer s2.Close()
+		want := append(before, "fuzz-put")
+		if slices.Contains(before, "fuzz-put") {
+			want = before
+		}
+		if got := s2.Hashes(); !slices.Equal(got, want) || s2.Corrupt() != 0 {
+			t.Fatalf("reopen gave %q with %d corrupt, want %q with 0", got, s2.Corrupt(), want)
+		}
+		if raw, ok := s2.Get("fuzz-put"); !ok || string(raw) != `{"n":1}` {
+			t.Fatalf("Get after reopen = %q, %v", raw, ok)
+		}
+	})
 }
 
 // TestEmbeddedTwoHandles opens the same file twice (as two daemons on one

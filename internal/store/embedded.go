@@ -11,7 +11,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
+
+	"repro/internal/journal"
 )
 
 // embMagic is the file-format header Open sniffs to auto-detect an
@@ -41,17 +42,12 @@ const (
 // file and every cold read a shared one, and each operation first
 // re-scans the log from the last known-good offset — appends are the only
 // mutation, so another daemon's writes are picked up incrementally, never
-// re-read from the start. Within a process a mutex serializes operations.
-//
-// Like the JSONL backend it keeps the full payload index in memory:
-// results here are small JSON records, and the trade buys lock-free warm
-// Gets.
+// re-read from the start. Within a process the index's mutex serializes
+// operations.
 type embeddedBackend struct {
-	mu      sync.Mutex
+	index
 	path    string
 	f       *os.File
-	mem     map[string][]byte
-	order   []string
 	corrupt int
 	off     int64 // end of the last whole record we have parsed
 }
@@ -61,12 +57,12 @@ func openEmbedded(path string) (*embeddedBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	b := &embeddedBackend{path: path, f: f, mem: map[string][]byte{}}
-	if err := flockFile(f, true); err != nil {
+	b := &embeddedBackend{path: path, f: f}
+	if err := journal.Lock(f, true, true); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: lock %s: %w", path, err)
 	}
-	defer funlockFile(f) //nolint:errcheck // advisory unlock; close drops it anyway
+	defer journal.Unlock(f) //nolint:errcheck // advisory unlock; close drops it anyway
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -116,8 +112,8 @@ func (b *embeddedBackend) refreshLocked(heal bool) error {
 		}
 		klen := binary.LittleEndian.Uint32(hdr[0:4])
 		vlen := binary.LittleEndian.Uint32(hdr[4:8])
-		if klen == 0 || klen > embMaxKey || vlen > embMaxVal {
-			break // implausible header: torn tail
+		if klen == 0 || klen > embMaxKey || vlen > embMaxVal || 8+int64(klen)+int64(vlen)+4 > end-off {
+			break // implausible header, or a frame longer than the file: torn tail
 		}
 		buf := make([]byte, int(klen)+int(vlen)+4)
 		if _, err := io.ReadFull(r, buf); err != nil {
@@ -127,11 +123,7 @@ func (b *embeddedBackend) refreshLocked(heal bool) error {
 		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[klen+vlen:]) {
 			break
 		}
-		key := string(buf[:klen])
-		if _, seen := b.mem[key]; !seen {
-			b.order = append(b.order, key)
-		}
-		b.mem[key] = append([]byte(nil), buf[klen:klen+vlen]...)
+		b.setLocked(string(buf[:klen]), buf[klen:klen+vlen])
 		off += 8 + int64(len(buf))
 	}
 	b.off = off
@@ -157,11 +149,11 @@ func (b *embeddedBackend) Get(hash string) ([]byte, bool, error) {
 	}
 	// Cold miss: another process may have appended it. Rescan the tail
 	// under a shared lock, then decide.
-	if err := flockFile(b.f, false); err != nil {
+	if err := journal.Lock(b.f, false, true); err != nil {
 		return nil, false, fmt.Errorf("store: lock %s: %w", b.path, err)
 	}
 	err := b.refreshLocked(false)
-	funlockFile(b.f) //nolint:errcheck // advisory unlock
+	journal.Unlock(b.f) //nolint:errcheck // advisory unlock
 	if err != nil {
 		return nil, false, err
 	}
@@ -188,10 +180,10 @@ func (b *embeddedBackend) Put(hash string, payload []byte) error {
 	if b.f == nil {
 		return fmt.Errorf("store: put %.12s…: store is closed", hash)
 	}
-	if err := flockFile(b.f, true); err != nil {
+	if err := journal.Lock(b.f, true, true); err != nil {
 		return fmt.Errorf("store: lock %s: %w", b.path, err)
 	}
-	defer funlockFile(b.f) //nolint:errcheck // advisory unlock
+	defer journal.Unlock(b.f) //nolint:errcheck // advisory unlock
 	// Catch up on other writers (and heal any torn tail) so the append
 	// lands exactly at the end of the last whole record.
 	if err := b.refreshLocked(true); err != nil {
@@ -201,44 +193,26 @@ func (b *embeddedBackend) Put(hash string, payload []byte) error {
 		return fmt.Errorf("store: append %s: %w", b.path, err)
 	}
 	b.off += int64(len(rec))
-	if _, seen := b.mem[hash]; !seen {
-		b.order = append(b.order, hash)
-	}
-	b.mem[hash] = append([]byte(nil), payload...)
+	b.setLocked(hash, append([]byte(nil), payload...))
 	return nil
 }
 
 func (b *embeddedBackend) Scan(fn func(hash string, payload []byte) error) error {
 	b.mu.Lock()
 	if b.f != nil {
-		if err := flockFile(b.f, false); err != nil {
+		if err := journal.Lock(b.f, false, true); err != nil {
 			b.mu.Unlock()
 			return fmt.Errorf("store: lock %s: %w", b.path, err)
 		}
 		err := b.refreshLocked(false)
-		funlockFile(b.f) //nolint:errcheck // advisory unlock
+		journal.Unlock(b.f) //nolint:errcheck // advisory unlock
 		if err != nil {
 			b.mu.Unlock()
 			return err
 		}
 	}
-	hashes := append([]string(nil), b.order...)
 	b.mu.Unlock()
-	for _, h := range hashes {
-		b.mu.Lock()
-		p := b.mem[h]
-		b.mu.Unlock()
-		if err := fn(h, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (b *embeddedBackend) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.mem)
+	return b.index.Scan(fn)
 }
 
 func (b *embeddedBackend) Corrupt() int {

@@ -14,8 +14,9 @@
 // matrix):
 //
 //   - JSONL (default): one {"hash":...,"payload":...} object per line,
-//     append-only, flushed per Put, corrupt-line tolerant. Bit-compatible
-//     with every store file this repo ever wrote. Single-process.
+//     append-only, written per Put, corrupt-line tolerant (an
+//     internal/journal log). Bit-compatible with every store file this
+//     repo ever wrote. Single-process.
 //   - Embedded: a single-file, CRC-framed binary log safe for several
 //     daemons on one host via flock(2); torn tails from a SIGKILLed
 //     writer are detected and healed (embedded.go).
