@@ -277,10 +277,6 @@ type EvalCacheStats struct {
 	// Lookups counts cache-eligible candidate evaluations; Hits the ones
 	// answered from the whole-candidate memo.
 	Lookups, Hits int64
-	// UnitHits and UnitMisses count per-change cone-delta lookups on the
-	// disjoint-composition path; Composed counts candidates whose metrics
-	// were recombined from such deltas.
-	UnitHits, UnitMisses, Composed int64
 	// Fallbacks counts evaluations that bypassed the cache and were timed
 	// by a full STA (candidates outside the accurate circuit's gate ID
 	// space).
@@ -301,9 +297,6 @@ func evalCacheStatsFrom(c core.CacheStats) EvalCacheStats {
 	return EvalCacheStats{
 		Lookups:     c.Lookups,
 		Hits:        c.Hits,
-		UnitHits:    c.UnitHits,
-		UnitMisses:  c.UnitMisses,
-		Composed:    c.Composed,
 		Fallbacks:   c.Fallbacks,
 		Generations: c.Generations,
 	}

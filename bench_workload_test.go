@@ -139,8 +139,8 @@ func poPortLAC(c *netlist.Circuit, k int) {
 // benchSharedCandidates builds a population slice with the redundancy a
 // real generation exhibits: `n` candidates cycling through n/4 distinct
 // change sets (whole-candidate reuse) where each distinct candidate
-// carries two PO-port rewires on a disjoint PO pair (per-change delta
-// composition). Every duplicate is a separate Clone — distinct circuits
+// carries two PO-port rewires on a disjoint PO pair. Every duplicate is a
+// separate Clone — distinct circuits
 // with equal content, exactly what elitism and converged populations
 // produce.
 func benchSharedCandidates(b *testing.B, base *netlist.Circuit, n int) []*netlist.Circuit {

@@ -2,8 +2,8 @@
 // a cache-enabled Evaluator must return bit-identical Individuals to a
 // cache-disabled one on the same candidates — every field, serial and
 // parallel, across generations, on randomized and exhaustive vector sets,
-// whatever mix of whole-candidate hits, composed disjoint deltas and
-// plain incremental paths the candidates trigger.
+// whatever mix of whole-candidate hits and incremental evaluations the
+// candidates trigger.
 package als_test
 
 import (
@@ -74,12 +74,11 @@ func requireIdentical(t *testing.T, label string, got, want *core.Individual) {
 	}
 }
 
-// reusePopulation builds one generation's candidate slice with every reuse
-// shape present: multi-LAC random candidates, exact duplicates of them
-// (whole-candidate hits), disjoint PO-port rewire pairs (delta
-// composition), and resized candidates (drive changes, alone or on top of
-// a LAC, which move timing and area but not simulation), shuffled
-// deterministically.
+// reusePopulation builds one generation's candidate slice with every
+// candidate shape present: multi-LAC random candidates, exact duplicates
+// of them (whole-candidate hits), disjoint PO-port rewire pairs, and
+// resized candidates (drive changes, alone or on top of a LAC, which move
+// timing and area but not simulation), shuffled deterministically.
 func reusePopulation(base *netlist.Circuit, rng *rand.Rand, n int) []*netlist.Circuit {
 	var out []*netlist.Circuit
 	for len(out) < n {
@@ -122,16 +121,15 @@ func reusePopulation(base *netlist.Circuit, rng *rand.Rand, n int) []*netlist.Ci
 // 4-worker pool — and requires bit-identical Individuals and evaluation
 // counts throughout. The cached side times eligible candidates
 // incrementally; the uncached side runs a full STA on each. Max has 128
-// POs: its metrics take the wide-output scan, and it never composes.
+// POs: its metrics take the wide-output scan.
 func TestEvalCacheExactness(t *testing.T) {
 	cases := []struct {
-		circuit  string
-		metric   core.Metric
-		composes bool
+		circuit string
+		metric  core.Metric
 	}{
-		{"c880", core.MetricER, true},
-		{"Adder16", core.MetricNMED, true},
-		{"Max", core.MetricNMED, false},
+		{"c880", core.MetricER},
+		{"Adder16", core.MetricNMED},
+		{"Max", core.MetricNMED},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
@@ -172,7 +170,7 @@ func TestEvalCacheExactness(t *testing.T) {
 						cached.Count(), plain.Count())
 				}
 				st := cached.CacheStats()
-				if st.Hits == 0 || (st.Composed > 0) != tc.composes || st.Generations != 3 {
+				if st.Hits == 0 || st.Generations != 3 {
 					t.Fatalf("population did not exercise every reuse shape: %+v", st)
 				}
 			})
@@ -181,7 +179,7 @@ func TestEvalCacheExactness(t *testing.T) {
 }
 
 // TestEvalCacheExactnessExhaustive repeats the comparison on Adder4 under
-// every possible input vector, so composed error metrics are checked
+// every possible input vector, so cached error metrics are checked
 // against ground truth with zero sampling noise.
 func TestEvalCacheExactnessExhaustive(t *testing.T) {
 	base := constBase(t, gen.Adder(4))
@@ -213,18 +211,18 @@ func TestEvalCacheExactnessExhaustive(t *testing.T) {
 	}
 }
 
-// TestEvalCacheComposePath pins the delta-composition machinery
-// specifically: disjoint PO-port rewires must take the composed path
-// (Composed > 0, unit deltas cached and re-hit) and still match the
-// uncached evaluation exactly.
+// TestEvalCacheComposePath evaluates two Adder16 candidates made of
+// disjoint PO-port rewires, sharing one of them: multi-change candidates
+// whose changes touch independent output cones. Neither repeats a whole
+// candidate, so both take the incremental path on a cache miss, and both
+// must match the uncached evaluation exactly.
 func TestEvalCacheComposePath(t *testing.T) {
 	base := constBase(t, als.Benchmark("Adder16"))
 	v := sim.Random(rand.New(rand.NewSource(3)), len(base.PIs), 2048)
 	cached, plain := evalPair(t, base, core.MetricNMED, v)
 	cached.BeginGeneration()
 
-	// Two candidates sharing one PO-port rewire: the second's unit delta
-	// for the shared change must come from the cache.
+	// Two candidates sharing one PO-port rewire.
 	a := base.Clone()
 	poPortLAC(a, 0)
 	poPortLAC(a, 3)
@@ -243,11 +241,8 @@ func TestEvalCacheComposePath(t *testing.T) {
 		requireIdentical(t, fmt.Sprintf("candidate %d", i), got, want)
 	}
 	st := cached.CacheStats()
-	if st.Composed != 2 {
-		t.Fatalf("expected both candidates composed, got %+v", st)
-	}
-	if st.UnitHits == 0 {
-		t.Fatalf("shared PO-port change did not hit the unit cache: %+v", st)
+	if st.Lookups != 2 || st.Hits != 0 || st.Fallbacks != 0 {
+		t.Fatalf("expected two incremental cache misses, got %+v", st)
 	}
 	if r := st.HitRatio(); r < 0 || r > 1 {
 		t.Fatalf("hit ratio %v outside [0,1]", r)

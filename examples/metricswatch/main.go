@@ -61,7 +61,7 @@ func main() {
 
 		hitRate := 0.0
 		if lookups := m["als_evalcache_lookups_total"]; lookups > 0 {
-			hitRate = (m["als_evalcache_hits_total"] + m["als_evalcache_composed_total"]) / lookups
+			hitRate = m["als_evalcache_hits_total"] / lookups
 		}
 
 		fmt.Printf("queue=%-3.0f running=%-2.0f done=%-5.0f failed=%-3.0f sse=%-3.0f evals/s=%-10.0f cache-hit=%5.1f%% store-hits=%.0f/%.0f\n",

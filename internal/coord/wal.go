@@ -114,6 +114,7 @@ func OpenWAL(path string) (*WAL, error) {
 	for _, h := range order {
 		if c, ok := open[h]; ok {
 			w.pending = append(w.pending, *c)
+			delete(open, h) // a re-accepted hash is owed once
 		}
 	}
 	for _, id := range subOrder {

@@ -89,3 +89,28 @@ func TestWALSecondOpenRefused(t *testing.T) {
 	}
 	w3.Close()
 }
+
+// TestWALReacceptPendingOnce: a cell accepted, resolved and accepted
+// again is owed once, so replay enqueues it once.
+func TestWALReacceptPendingOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "coord.wal")
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := WALCell{Hash: "h1", Job: cheapJob(1)}
+	for _, err := range []error{w.Accept(cell), w.Resolve(walOpDone, "h1"), w.Accept(cell)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	w, err = OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := w.Pending(); len(got) != 1 || got[0].Hash != "h1" {
+		t.Fatalf("Pending() = %+v, want h1 once", got)
+	}
+}

@@ -260,19 +260,12 @@ type Evaluator struct {
 
 	serial *arena // arena for serial Evaluate/Simulate calls
 
-	// Generation-scoped evaluation reuse (see evalcache.go). pos and
-	// fanouts mirror the base circuit's memoized topology; cacheEnabled is
-	// read on every evaluation and must only be toggled between runs.
+	// Generation-scoped evaluation reuse (see evalcache.go). pos mirrors
+	// the base circuit's memoized topological order; cacheEnabled is read
+	// on every evaluation and must only be toggled between runs.
 	pos          []int
-	fanouts      [][]int
 	cache        *evalCache
 	cacheEnabled bool
-
-	// reach memoizes per-gate static transitive-fanout bitsets for the
-	// Evaluator's lifetime (they depend only on the base structure).
-	reachMu      sync.Mutex
-	reach        map[int][]uint64
-	reachScratch []int
 
 	// maxWorkers caps the goroutines a pipeline keeps busy, the caller's
 	// included (0 = GOMAXPROCS). Outer schedulers that already parallelize
@@ -332,10 +325,8 @@ func NewEvaluator(accurate *netlist.Circuit, lib *cell.Library, metric Metric,
 		refDelay:     refDelay,
 		refArea:      refArea,
 		pos:          pos,
-		fanouts:      accurate.Fanouts(),
 		cache:        newEvalCache(),
 		cacheEnabled: true,
-		reach:        make(map[int][]uint64),
 	}
 	if e.serial, err = e.newArena(); err != nil {
 		return nil, err
@@ -403,8 +394,8 @@ func (e *Evaluator) Evaluate(c *netlist.Circuit) (*Individual, error) {
 }
 
 // evaluateWith performs one pure candidate evaluation in the given
-// arena, reusing cached work from equal or overlapping candidates of
-// the same generation when possible (see evalcache.go). Cache hits replay
+// arena, replaying an identical candidate's evaluation of the same
+// generation when there is one (see evalcache.go). Cache hits replay
 // stored results of identical pure evaluations and misses store what they
 // computed, so results are bit-identical at any hit pattern — which is
 // what keeps batch evaluation order-independent even with a shared cache.
@@ -420,48 +411,26 @@ func (e *Evaluator) evaluateWith(a *arena, c *netlist.Circuit) (*Individual, err
 		return e.evaluateFresh(s, c)
 	}
 	e.cache.lookups.Add(1)
-	if t := e.cache.getL1(key); t != nil {
+	if t := e.cache.get(key); t != nil {
 		e.cache.hits.Add(1)
 		return t.instantiate(c), nil
 	}
-	var m errest.Metrics
-	composed := false
-	if len(changed) >= 2 && e.est.ComposeOK() {
-		// Provably independent change components: compose the candidate's
-		// error metrics from per-component cone deltas, skipping both the
-		// combined simulation and the touched-PO metric scan.
-		if units := e.partitionChanged(changed); len(units) >= 2 {
-			deltas := make([]*errest.PODelta, len(units))
-			for i, unit := range units {
-				d, err := e.unitDelta(s, c, unit)
-				if err != nil {
-					return nil, err
-				}
-				deltas[i] = d
-			}
-			m = errest.ComposeMetrics(e.est, deltas)
-			e.cache.composed.Add(1)
-			composed = true
-		}
+	// The plain incremental path, reusing the diff the key scan already
+	// computed.
+	res, err := s.IncrementalRun(c, changed)
+	if err != nil {
+		return nil, err
 	}
-	if !composed {
-		// Single (or overlapping) change component: the plain incremental
-		// path, reusing the diff the key scan already computed.
-		res, err := s.IncrementalRun(c, changed)
-		if err != nil {
-			return nil, err
-		}
-		m, err = e.est.MetricsDelta(c, res, s.SignalDiffers)
-		if err != nil {
-			return nil, err
-		}
+	m, err := e.est.MetricsDelta(c, res, s.SignalDiffers)
+	if err != nil {
+		return nil, err
 	}
 	// The candidate shares the base's IDs and order, and differs from it
 	// exactly at the gates the key encodes: re-time only their cones.
 	poArrival := make([]float64, len(c.POs))
 	cpd, depth := a.rt.Time(c, changed, poArrival)
 	ind := e.finish(c, m, cpd, depth, poArrival)
-	e.cache.putL1(key, templateOf(ind))
+	e.cache.put(key, templateOf(ind))
 	return ind, nil
 }
 
@@ -482,32 +451,6 @@ func (e *Evaluator) evaluateFresh(s *sim.Simulator, c *netlist.Circuit) (*Indivi
 		return nil, err
 	}
 	return e.finish(c, m, rep.CPD, rep.MaxDepth, rep.POArrival), nil
-}
-
-// unitDelta returns one change component's PO-level error delta, from the
-// generation cache when an identical component was already evaluated (in
-// any candidate), otherwise by an overlay cone simulation of just that
-// component against the base circuit.
-func (e *Evaluator) unitDelta(s *sim.Simulator, c *netlist.Circuit, unit []int) (*errest.PODelta, error) {
-	key := make([]byte, 0, 32)
-	for _, id := range unit {
-		key = sim.AppendGateSig(key, id, &c.Gates[id])
-	}
-	if d := e.cache.getUnit(key); d != nil {
-		e.cache.unitHits.Add(1)
-		return d, nil
-	}
-	e.cache.unitMisses.Add(1)
-	res, err := s.OverlayRun(c, unit)
-	if err != nil {
-		return nil, err
-	}
-	d, err := e.est.ExtractPODelta(c, res, s.SignalDiffers)
-	if err != nil {
-		return nil, err
-	}
-	e.cache.putUnit(key, d)
-	return d, nil
 }
 
 // finish turns a candidate's error metrics and timing (CPD, logic depth,

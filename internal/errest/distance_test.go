@@ -10,13 +10,11 @@ import (
 	"repro/internal/sim"
 )
 
-// checkDistancePaths compares every path built on the error-distance
-// kernel with the plain transposed scan on one simulated candidate:
-// MetricsDelta under the given touched oracle and, where ComposeOK holds,
-// ExtractPODelta plus ComposeMetrics over the touched POs split into
-// disjoint units (units[j] lists the PO port indices of unit j). An
-// ER-only estimator must match the scan's ER and PerPO and report NMED 0.
-func checkDistancePaths(t *testing.T, what string, e *Estimator, app *netlist.Circuit, res *sim.Result, touched func(int) bool, units [][]int) {
+// checkDistancePaths compares MetricsDelta, the error-distance kernel's
+// caller, under the given touched oracle with the plain transposed scan on
+// one simulated candidate. An ER-only estimator must match the scan's ER
+// and PerPO and report NMED 0.
+func checkDistancePaths(t *testing.T, what string, e *Estimator, app *netlist.Circuit, res *sim.Result, touched func(int) bool) {
 	t.Helper()
 	want, err := e.MetricsFromResult(app, res)
 	if err != nil {
@@ -30,44 +28,16 @@ func checkDistancePaths(t *testing.T, what string, e *Estimator, app *netlist.Ci
 		t.Fatal(err)
 	}
 	metricsEqual(t, what+": MetricsDelta", got, want)
-	if !e.ComposeOK() {
-		return
-	}
-	deltas := make([]*PODelta, len(units))
-	for j, unit := range units {
-		inUnit := map[int]bool{}
-		for _, i := range unit {
-			inUnit[app.POs[i]] = true
-		}
-		if deltas[j], err = e.ExtractPODelta(app, res, func(id int) bool { return inUnit[id] }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	metricsEqual(t, what+": ComposeMetrics", ComposeMetrics(e, deltas), want)
 }
 
-// splitPOs deals the PO port indices that touched reports into k disjoint
-// units at random.
-func splitPOs(app *netlist.Circuit, touched func(int) bool, k int, rng *rand.Rand) [][]int {
-	units := make([][]int, k)
-	for i, po := range app.POs {
-		if touched(po) {
-			u := rng.Intn(k)
-			units[u] = append(units[u], i)
-		}
-	}
-	return units
-}
-
-// TestErrorDistanceMatchesScan runs the kernel's three callers on
-// LAC-mutated candidates of four circuits — Max16 and Adder16 (NMED
-// circuits whose errors reach the top output bits), c880 and the 32-PO
-// multiplier c6288 — at 2048 vectors, at 1000 (a partial last word) and
-// at the paper's 131072. The simulator's exact oracle and an all-touched
-// one drive MetricsDelta; the touched POs are split into one to three
-// disjoint units for composition. ER, NMED and PerPO must equal the plain
-// scan's bit for bit. Max (128 POs) checks that a wide NMED estimator
-// keeps the full scan and does not compose.
+// TestErrorDistanceMatchesScan runs the kernel's caller on LAC-mutated
+// candidates of four circuits — Max16 and Adder16 (NMED circuits whose
+// errors reach the top output bits), c880 and the 32-PO multiplier c6288
+// — at 2048 vectors, at 1000 (a partial last word) and at the paper's
+// 131072. The simulator's exact oracle and an all-touched one drive
+// MetricsDelta. ER, NMED and PerPO must equal the plain scan's bit for
+// bit. Max (128 POs) checks that a wide NMED estimator keeps the full
+// scan.
 func TestErrorDistanceMatchesScan(t *testing.T) {
 	for _, name := range []string{"Max16", "Adder16", "c880", "c6288", "Max"} {
 		for _, n := range []int{2048, 1000, 1 << 17} {
@@ -76,7 +46,7 @@ func TestErrorDistanceMatchesScan(t *testing.T) {
 	}
 }
 
-// TestERModeMatchesScan runs the same callers on ER-only estimators: the
+// TestERModeMatchesScan runs the same caller on ER-only estimators: the
 // four circuits above plus c5315 (57 POs), Max (128) and Adder (129),
 // whose touched POs ER-only MetricsDelta scans although they are wider
 // than 53. ER and every PerPO must equal the plain scan's bit for bit,
@@ -90,8 +60,8 @@ func TestERModeMatchesScan(t *testing.T) {
 }
 
 // checkLACCandidates accumulates random LACs on the named circuit at n
-// vectors until enough candidates differ from it, checking every caller
-// of the kernel on each with an estimator in the given mode.
+// vectors until enough candidates differ from it, checking the kernel's
+// caller on each with an estimator in the given mode.
 func checkLACCandidates(t *testing.T, name string, n int, erOnly bool) {
 	base := gen.MustBuild(name)
 	base.Const0()
@@ -124,12 +94,10 @@ func checkLACCandidates(t *testing.T, name string, n int, erOnly bool) {
 			t.Fatal(err)
 		}
 		what := fmt.Sprintf("after %d LACs", lacs)
-		units := splitPOs(cand, simr.SignalDiffers, 1+rng.Intn(3), rng)
-		checkDistancePaths(t, what, est, cand, res, simr.SignalDiffers, units)
-		all := func(int) bool { return true }
-		checkDistancePaths(t, what+", all touched", est, cand, res, all, splitPOs(cand, all, 1+rng.Intn(3), rng))
-		for _, u := range units {
-			if len(u) > 0 {
+		checkDistancePaths(t, what, est, cand, res, simr.SignalDiffers)
+		checkDistancePaths(t, what+", all touched", est, cand, res, func(int) bool { return true })
+		for _, po := range cand.POs {
+			if simr.SignalDiffers(po) {
 				differing++
 				break
 			}
@@ -137,19 +105,19 @@ func checkLACCandidates(t *testing.T, name string, n int, erOnly bool) {
 	}
 }
 
-// FuzzErrorDistance drives the kernel's callers with random waveforms of
+// FuzzErrorDistance drives the kernel's caller with random waveforms of
 // 1–53 POs at 1–2000 vectors, so nPO/N pairs fall on both sides of
-// ComposeOK (beyond it MetricsDelta keeps its per-vector float sum, and
-// composition is not checked). Each PO's golden waveform has its own
-// density; a random subset of POs is touched, and each touched PO flips
-// bits at a fuzzed density, from none to most. The touched POs are split
-// into 1–3 disjoint units for ExtractPODelta and ComposeMetrics. An odd
-// mode puts the estimator in ER-only mode and allows up to 200 POs. The
-// seed corpus under testdata/fuzz/FuzzErrorDistance covers one PO, one
-// vector, 53 POs, and pairs just inside and just outside ComposeOK, and
-// in ER-only mode one PO, 53, 57 and 200 POs.
+// N·(2^nPO − 1) < 2^53 (beyond it MetricsDelta keeps its per-vector
+// float sum). Each PO's golden waveform has its own density; a random
+// subset of POs is touched, and each touched PO flips bits at a fuzzed
+// density, from none to most. The fifth argument is unused; it keeps the
+// committed corpus loading. An odd mode puts the estimator in ER-only
+// mode and allows up to 200 POs. The seed corpus under
+// testdata/fuzz/FuzzErrorDistance covers one PO, one vector, 53 POs, and
+// pairs just inside and just outside the exact-sum bound, and in ER-only
+// mode one PO, 53, 57 and 200 POs.
 func FuzzErrorDistance(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed int64, pos uint8, vectors uint16, density uint8, units uint8, mode uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, pos uint8, vectors uint16, density uint8, _ uint8, mode uint8) {
 		erOnly := mode&1 == 1
 		nPO := int(pos)%53 + 1
 		if erOnly {
@@ -196,7 +164,7 @@ func FuzzErrorDistance(f *testing.F) {
 			res.Signals[po] = sig
 		}
 		touched := func(id int) bool { return touchedPO[id] }
-		what := fmt.Sprintf("%d POs, %d vectors, ComposeOK %v, ER-only %v", nPO, n, est.ComposeOK(), erOnly)
-		checkDistancePaths(t, what, est, c, res, touched, splitPOs(c, touched, int(units)%3+1, rng))
+		what := fmt.Sprintf("%d POs, %d vectors, ER-only %v", nPO, n, erOnly)
+		checkDistancePaths(t, what, est, c, res, touched)
 	})
 }

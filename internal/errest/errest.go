@@ -10,9 +10,8 @@
 // configurable so tests and benchmarks can trade accuracy for speed.
 //
 // An Estimator in ER-only mode (SetEROnly) serves ER-constrained runs: its
-// touched-PO paths (MetricsDelta, ExtractPODelta, ComposeMetrics) count ER
-// and PerPO alone and leave NMED 0. New, Evaluate and MetricsFromResult
-// ignore the mode.
+// touched-PO path, MetricsDelta, counts ER and PerPO alone and leaves NMED
+// 0. New, Evaluate and MetricsFromResult ignore the mode.
 package errest
 
 import (
@@ -31,7 +30,7 @@ type Metrics struct {
 	// (Eq. 1 of the paper).
 	ER float64
 	// NMED is the mean |Vori-Vapp| normalized by 2^n - 1 (Eq. 2). An
-	// ER-only Estimator's MetricsDelta and ComposeMetrics leave it 0.
+	// ER-only Estimator's MetricsDelta leaves it 0.
 	NMED float64
 	// PerPO is the per-output bit error rate, used by the reproduction
 	// Level function (Eq. 3).
@@ -76,8 +75,7 @@ func New(accurate *netlist.Circuit, v *sim.Vectors) (*Estimator, error) {
 }
 
 // SetEROnly puts the estimator in ER-only mode before its first use:
-// MetricsDelta, ExtractPODelta and ComposeMetrics then compute no error
-// distance and return NMED 0.
+// MetricsDelta then computes no error distance and returns NMED 0.
 func (e *Estimator) SetEROnly() { e.erOnly = true }
 
 // Vectors returns the shared input sample.
@@ -205,9 +203,9 @@ func (e *Estimator) rowValue(rows []uint64, b int) float64 {
 // the touched set contribute exactly nothing to ER, NMED and PerPO — their
 // waveforms equal the golden ones — so for up to 53 POs the scan runs over
 // the touched POs only. The result is bit-identical to MetricsFromResult
-// on the same simulation: where ComposeOK holds, the error distances sum
-// to an exact integer below 2^53, which the bit-sliced kernel computes in
-// int64; otherwise the running float sum may round, so each vector's
+// on the same simulation: where N·(2^nPO − 1) < 2^53, the error distances
+// sum to an exact integer below 2^53, which the bit-sliced kernel computes
+// in int64; otherwise the running float sum may round, so each vector's
 // exact distance is added in MetricsFromResult's vector order. Beyond 53
 // POs an output value rounds, and how it rounds depends on untouched bits
 // too, so MetricsDelta runs MetricsFromResult, as it does without an
@@ -228,7 +226,9 @@ func (e *Estimator) MetricsDelta(app *netlist.Circuit, res *sim.Result, touched 
 	for _, p := range planes {
 		m.PerPO[p.pos] = float64(sim.CountDiff(p.app, p.gold)) / float64(n)
 	}
-	exact := e.ComposeOK()
+	// Every distance and partial sum is an integer below 2^53 (nPO ≤ 53
+	// holds here outside ER-only mode, which never reaches a distance).
+	exact := float64(e.vectors.N)*e.norm < 1<<53
 	erCount := 0
 	var total int64
 	sumED := 0.0
@@ -245,7 +245,7 @@ func (e *Estimator) MetricsDelta(app *netlist.Circuit, res *sim.Result, touched 
 			continue
 		}
 		if exact {
-			total += distance(planes, w, ^uint64(0))
+			total += distance(planes, w)
 			continue
 		}
 		for rest := anyDiff; rest != 0; rest &= rest - 1 {
@@ -285,8 +285,8 @@ func (e *Estimator) touchedPlanes(app *netlist.Circuit, res *sim.Result, touched
 	return planes
 }
 
-// distance is the error-distance kernel: Σ |Vori - Vapp| over the vectors
-// of word w that mask selects, as an exact integer, where planes list in
+// distance is the error-distance kernel: Σ |Vori - Vapp| over the 64
+// vectors of word w, as an exact integer, where planes list in
 // ascending PO order every position at which the two values may differ
 // (up to 53 of them). The word's 64 vectors are bit-sliced (Biham, FSE
 // 1997). A first pass marks the lanes where Vapp > Vori: the approximate
@@ -294,8 +294,8 @@ func (e *Estimator) touchedPlanes(app *netlist.Circuit, res *sim.Result, touched
 // overrides the lower ones. In a lane with Vori ≥ Vapp a differing
 // position adds 2^i where the golden bit is 1 and subtracts it where it is
 // 0; in a marked lane the signs swap. So plane i adds
-// 2^i·(2·|x ∧ (g ⊕ neg)| − |x|) for the masked differing lanes x.
-func distance(planes []plane, w int, mask uint64) int64 {
+// 2^i·(2·|x ∧ (g ⊕ neg)| − |x|) for the differing lanes x.
+func distance(planes []plane, w int) int64 {
 	var neg uint64
 	for _, p := range planes {
 		a := p.app[w]
@@ -305,7 +305,7 @@ func distance(planes []plane, w int, mask uint64) int64 {
 	var sum int64
 	for _, p := range planes {
 		g := p.gold[w]
-		x := (g ^ p.app[w]) & mask
+		x := g ^ p.app[w]
 		sum += int64(2*bits.OnesCount64(x&(g^neg))-bits.OnesCount64(x)) << p.pos
 	}
 	return sum

@@ -12,8 +12,9 @@
 //   - A final line without its newline (the torn tail of a killed append)
 //     gets one before the first new append, so that append starts a line
 //     of its own instead of joining the garbage.
-//   - Append writes one record with one write; a WAL also fsyncs it before
-//     Append returns.
+//   - Append writes one record with one write at the file's end (the
+//     file is opened O_APPEND, so handles sharing a file never overwrite
+//     each other's lines); a WAL also fsyncs it before Append returns.
 //   - Rewrite replaces the contents through a tmp file that is synced
 //     before it is renamed over the log, and then syncs the directory.
 //   - A WAL belongs to one process: Open takes an exclusive, non-blocking
@@ -53,7 +54,7 @@ type Log[R any] struct {
 // record that is not valid for its user, which counts as corrupt. A WAL
 // (wal true) fsyncs every append and is owned by this Log until Close.
 func Open[R any](path string, wal bool, apply func(*R) bool) (*Log[R], error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -165,7 +166,7 @@ func (l *Log[R]) Rewrite(recs []R) error {
 		return fmt.Errorf("journal: %s is closed", l.path)
 	}
 	tmp := l.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: rewrite %s: %w", l.path, err)
 	}

@@ -19,9 +19,9 @@
 //     completions by terminal status, live running jobs, queue depth
 //     (sampled from the queue buffer at scrape time) and the end-to-end
 //     latency of executed jobs.
-//   - Evaluation engine: total circuit evaluations and the PR 6
-//     evaluation-cache counters (lookups/hits/composition/fallbacks),
-//     accumulated from each finished run's FlowResult.Cache — the atomic
+//   - Evaluation engine: total circuit evaluations and the
+//     evaluation-cache counters (lookups/hits/fallbacks), accumulated
+//     from each finished run's FlowResult.Cache — the atomic
 //     counters internal/core already maintains, so the optimizer hot path
 //     gains zero new instructions.
 //   - Store: puts/lookups/hits of the persistent result store, via
@@ -67,9 +67,6 @@ type serverMetrics struct {
 	evaluations        *telemetry.Counter
 	evalCacheLookups   *telemetry.Counter
 	evalCacheHits      *telemetry.Counter
-	evalCacheUnitHits  *telemetry.Counter
-	evalCacheUnitMiss  *telemetry.Counter
-	evalCacheComposed  *telemetry.Counter
 	evalCacheFallbacks *telemetry.Counter
 
 	storePuts *telemetry.Counter
@@ -120,12 +117,6 @@ func newServerMetrics(reg *telemetry.Registry, s *Server) *serverMetrics {
 		"Evaluation-cache lookups (cache-eligible candidate evaluations).")
 	m.evalCacheHits = reg.Counter("als_evalcache_hits_total",
 		"Whole-candidate evaluation-cache hits.")
-	m.evalCacheUnitHits = reg.Counter("als_evalcache_unit_hits_total",
-		"Per-change cone-delta cache hits on the composition path.")
-	m.evalCacheUnitMiss = reg.Counter("als_evalcache_unit_misses_total",
-		"Per-change cone-delta cache misses on the composition path.")
-	m.evalCacheComposed = reg.Counter("als_evalcache_composed_total",
-		"Candidates recombined exactly from disjoint cached cone deltas.")
 	m.evalCacheFallbacks = reg.Counter("als_evalcache_fallbacks_total",
 		"Evaluations that bypassed the cache entirely.")
 
@@ -159,9 +150,6 @@ func (m *serverMetrics) observeFlow(res *als.FlowResult) {
 	m.evaluations.Add(int64(res.Evaluations))
 	m.evalCacheLookups.Add(res.Cache.Lookups)
 	m.evalCacheHits.Add(res.Cache.Hits)
-	m.evalCacheUnitHits.Add(res.Cache.UnitHits)
-	m.evalCacheUnitMiss.Add(res.Cache.UnitMisses)
-	m.evalCacheComposed.Add(res.Cache.Composed)
 	m.evalCacheFallbacks.Add(res.Cache.Fallbacks)
 }
 

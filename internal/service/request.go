@@ -144,13 +144,14 @@ func validate(req Request) (*flowSpec, error) {
 		if len(req.Verilog) > MaxVerilogBytes {
 			return nil, fmt.Errorf("service: verilog source exceeds %d bytes", MaxVerilogBytes)
 		}
-		c, err := verilog.Parse(req.Verilog)
+		// Hash and run the canonical form, not the raw upload, so
+		// formatting/comment variants of one netlist share a cache entry
+		// and the source request() persists validates to the same hash.
+		c, canon, err := verilog.Canonical(req.Verilog)
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
-		// Hash the canonical re-rendered form, not the raw upload, so
-		// formatting/comment variants of one netlist share a cache entry.
-		sum := sha256.Sum256([]byte(verilog.Write(c)))
+		sum := sha256.Sum256([]byte(canon))
 		circuitKey = "verilog:" + hex.EncodeToString(sum[:])
 		sp.parsed = c
 	} else if _, ok := gen.ByName(req.Circuit); !ok {

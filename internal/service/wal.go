@@ -130,6 +130,7 @@ func OpenWAL(path string) (*WAL, error) {
 	for _, h := range order {
 		if p, ok := open[h]; ok {
 			w.pending = append(w.pending, *p)
+			delete(open, h) // a re-accepted hash is owed once
 		}
 	}
 	for _, id := range jobOrder {

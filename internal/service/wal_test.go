@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -332,6 +334,76 @@ func TestWALVerilogReplay(t *testing.T) {
 	got := waitServerDone(t, s, views[0].ID)
 	if got.Status != StatusDone {
 		t.Fatalf("replayed verilog job ended %q (error %q)", got.Status, got.Error)
+	}
+}
+
+// TestVerilogReplayKeepsHash: the source an accepted upload's WAL record
+// carries re-validates to the hash the 202 promised, also for uploads
+// whose first rendering is not yet canonical — a module name that
+// sanitizes to nothing, a gate that reaches no output, and a port whose
+// sanitized name keeps digits that a second sanitization drops. An upload
+// already in canonical form is hashed as its own bytes.
+func TestVerilogReplayKeepsHash(t *testing.T) {
+	_, canonical, err := verilog.Canonical(verilog.Write(als.Benchmark("Adder16")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploads := []struct{ name, src string }{
+		{"empty module name", "module 6 (a, y);\n  input a;\n  output y;\n  assign y = a;\nendmodule\n"},
+		{"dangling gate", "module m (a, b, y);\n  input a;\n  input b;\n  output y;\n  wire d;\n  wire n;\n" +
+			"  NAND2X1 g1 (.A(a), .B(b), .Y(d));\n  AND2X1 g2 (.A(a), .B(b), .Y(n));\n  assign y = n;\nendmodule\n"},
+		{"leading digits", "module m (a, y);\n  input $12a;\n  output y;\n  assign y = $12a;\nendmodule\n"},
+		{"canonical", canonical},
+	}
+	for _, u := range uploads {
+		t.Run(u.name, func(t *testing.T) {
+			sp, err := validate(Request{Verilog: u.src, Metric: "er", Budget: 0.05})
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := validate(sp.request())
+			if err != nil {
+				t.Fatalf("the persisted request no longer validates: %v", err)
+			}
+			if replayed.hash != sp.hash {
+				t.Fatalf("replayed hash %s, accepted hash %s", replayed.hash, sp.hash)
+			}
+			if u.src == canonical {
+				sum := sha256.Sum256([]byte(canonical))
+				if want := "verilog:" + hex.EncodeToString(sum[:]); sp.job.Circuit != want {
+					t.Fatalf("canonical upload keyed %s, want %s", sp.job.Circuit, want)
+				}
+			}
+		})
+	}
+}
+
+// TestWALReacceptPendingOnce: a hash accepted, resolved and accepted again
+// is owed once, so replay submits it once.
+func TestWALReacceptPendingOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "queue.wal")
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := quickReq(41)
+	for _, err := range []error{
+		w.Accept("h1", req),
+		w.Resolve(string(StatusDone), "h1", "f000001"),
+		w.Accept("h1", req),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	w, err = OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := w.Pending(); len(got) != 1 || got[0].Hash != "h1" {
+		t.Fatalf("Pending() = %+v, want h1 once", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -263,4 +264,22 @@ func wordsEqual(a, b []uint64) bool {
 		}
 	}
 	return true
+}
+
+// AppendGateSig appends a canonical, collision-free encoding of one gate's
+// evaluation-relevant content — ID, function, drive strength and fan-in
+// adjacency — to dst and returns the extended slice. Names are excluded
+// (they never affect simulation, timing or area). Two gates append the
+// same bytes iff they are behaviorally interchangeable at the same ID, so
+// concatenated signatures of a candidate's changed gates form an exact
+// memoization key for cross-candidate evaluation reuse: unlike a 64-bit
+// hash, equal keys imply equal content, never merely probable equality.
+func AppendGateSig(dst []byte, id int, g *netlist.Gate) []byte {
+	dst = binary.AppendUvarint(dst, uint64(id))
+	dst = append(dst, byte(g.Func), byte(g.Drive))
+	dst = binary.AppendUvarint(dst, uint64(len(g.Fanin)))
+	for _, fi := range g.Fanin {
+		dst = binary.AppendUvarint(dst, uint64(fi))
+	}
+	return dst
 }

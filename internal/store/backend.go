@@ -109,9 +109,10 @@ func (x *index) Len() int {
 // written since the format was introduced; Open auto-detects it (anything
 // without the embedded backend's magic header).
 //
-// Concurrency: safe within one process. Two processes appending to one
-// JSONL file interleave whole lines only by luck of the write size — use
-// the embedded backend when daemons must share a file.
+// Concurrency: safe within one process. Handles on one JSONL file append
+// whole lines without overwriting each other's, but each handle's index
+// sees only its own writes until a reopen — use the embedded backend when
+// daemons must share a file.
 type jsonlBackend struct {
 	index
 	log *journal.Log[record]

@@ -413,6 +413,45 @@ func TestEmbeddedTwoHandles(t *testing.T) {
 	}
 }
 
+// TestJSONLTwoHandles opens one JSONL file twice and appends through both:
+// each handle writes at the file's end, so a reopen finds every record
+// and no corrupt line, whichever handle wrote last.
+func TestJSONLTwoHandles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.jsonl")
+	a, err := OpenJSONL(path)
+	if err != nil {
+		t.Fatalf("open a: %v", err)
+	}
+	defer a.Close()
+	b, err := OpenJSONL(path)
+	if err != nil {
+		t.Fatalf("open b: %v", err)
+	}
+	defer b.Close()
+	for _, put := range []struct {
+		s    *Store
+		hash string
+	}{{a, "from-a-1"}, {b, "from-b"}, {a, "from-a-2"}} {
+		if err := put.s.Put(put.hash, map[string]string{"by": put.hash}); err != nil {
+			t.Fatalf("put %s: %v", put.hash, err)
+		}
+	}
+	c, err := OpenJSONL(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer c.Close()
+	if c.Len() != 3 || c.Corrupt() != 0 {
+		t.Fatalf("reopen found %d records and %d corrupt lines, want 3 and 0", c.Len(), c.Corrupt())
+	}
+	for _, h := range []string{"from-a-1", "from-b", "from-a-2"} {
+		var out map[string]string
+		if ok, err := c.Decode(h, &out); !ok || err != nil || out["by"] != h {
+			t.Fatalf("record %s after reopen = (%v, %v, %v)", h, out, ok, err)
+		}
+	}
+}
+
 // TestOpenKindRejectsMismatch pins the safety rails: opening a JSONL file
 // as embedded fails loudly (bad magic) rather than treating the JSON text
 // as binary frames, and an unknown kind is an error.

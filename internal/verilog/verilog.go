@@ -24,7 +24,7 @@ func Write(c *netlist.Circuit) string {
 	var b strings.Builder
 	names := netNames(c)
 
-	fmt.Fprintf(&b, "// Generated by the DCGWO-ALS flow.\nmodule %s (", sanitizeIdent(c.Name))
+	fmt.Fprintf(&b, "// Generated by the DCGWO-ALS flow.\nmodule %s (", nonEmpty(sanitizeIdent(c.Name), "top"))
 	var ports []string
 	for _, pi := range c.PIs {
 		ports = append(ports, names[pi])
@@ -130,10 +130,12 @@ func nonEmpty(s, alt string) string {
 	return s
 }
 
+// sanitizeIdent maps a name onto [_a-zA-Z0-9]* without a leading digit.
+// Its output is its own fixed point, so written names survive Write∘Parse.
 func sanitizeIdent(s string) string {
 	var b strings.Builder
-	for i, r := range s {
-		ok := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9' && i > 0)
+	for _, r := range s {
+		ok := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9' && b.Len() > 0)
 		if ok {
 			b.WriteRune(r)
 		} else if r == '[' || r == ']' || r == '.' || r == '-' {
@@ -141,6 +143,22 @@ func sanitizeIdent(s string) string {
 		}
 	}
 	return b.String()
+}
+
+// Canonical parses src and returns the netlist in canonical form with its
+// source: Write of a parsed module, parsed again. The second parse gives
+// the gate IDs and net names a written module has (Write drops gates that
+// reach no output and sanitizes names), so the returned source is a fixed
+// point of Write∘Parse and serves as the netlist's content identity.
+func Canonical(src string) (*netlist.Circuit, string, error) {
+	c, err := Parse(src)
+	if err != nil {
+		return nil, "", err
+	}
+	if c, err = Parse(Write(c)); err != nil {
+		return nil, "", fmt.Errorf("verilog: re-parsing written module: %w", err)
+	}
+	return c, Write(c), nil
 }
 
 // Parse reads one flat structural module back into a Circuit.

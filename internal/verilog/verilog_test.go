@@ -194,6 +194,9 @@ func TestSanitizeIdent(t *testing.T) {
 	if got := sanitizeIdent("3abc"); got != "abc" {
 		t.Errorf("leading digit must be dropped, got %q", got)
 	}
+	if got := sanitizeIdent("$12ab"); got != "ab" {
+		t.Errorf("digits after a dropped character must be dropped, got %q", got)
+	}
 }
 
 func TestWriteUniqueNames(t *testing.T) {

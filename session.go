@@ -281,7 +281,6 @@ func runFlow(ctx context.Context, accurate *netlist.Circuit, lib *cell.Library, 
 			sp.SetAttr("evaluations", st.Evaluations-prev.Evaluations)
 			sp.SetAttr("cache_lookups", st.Cache.Lookups-prev.Cache.Lookups)
 			sp.SetAttr("cache_hits", st.Cache.Hits-prev.Cache.Hits)
-			sp.SetAttr("cache_composed", st.Cache.Composed-prev.Cache.Composed)
 			sp.SetAttr("cache_fallbacks", st.Cache.Fallbacks-prev.Cache.Fallbacks)
 			sp.EndAt(now)
 			genStart, prev = now, st
