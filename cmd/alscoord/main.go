@@ -31,9 +31,10 @@
 // Accepted cells, terminal transitions, subscriptions and acknowledged
 // deliveries are write-ahead logged (-wal): a coordinator killed hard
 // re-enqueues lost work and re-delivers unacknowledged envelopes on
-// restart. Results live in the shared store (-store / -store-remote,
-// same flags as alsd), so a restarted coordinator answers every hash the
-// fleet ever computed.
+// restart. Results live in the cluster's one store (-store and
+// -store-backend, the same flags as alsd), a local file the coordinator
+// checks every accepted cell against and writes every finished cell to,
+// so a restarted coordinator answers every hash the fleet ever computed.
 //
 // GET /metrics exposes the cluster gauges (als_cluster_*, als_webhook_*)
 // next to the lane instruments; GET /debug/traces the scheduling spans.
@@ -81,8 +82,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":9090", "HTTP listen address")
 		storePath    = flag.String("store", "alscoord-results.jsonl", "shared result store file (required: the cluster deduplicates against it)")
-		storeBackend = flag.String("store-backend", "auto", "store backend: auto, jsonl, embedded or remote")
-		storeRemote  = flag.String("store-remote", "", "base URL of an alsd whose /store to use as the shared result store")
+		storeBackend = flag.String("store-backend", "auto", "store backend: auto, jsonl or embedded")
 		walPath      = flag.String("wal", "auto", "coordinator write-ahead log: a path, \"auto\" (derive <store>.coord.wal), or empty to disable durability")
 		hbInterval   = flag.Duration("hb-interval", 2*time.Second, "heartbeat cadence workers are told to follow")
 		expireAfter  = flag.Int("expire-after", 3, "silent heartbeat intervals before a worker is drained")
@@ -100,21 +100,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	target, kind := *storePath, *storeBackend
-	if *storeRemote != "" {
-		if kind != "auto" && kind != "remote" {
-			logger.Error("conflicting flags", "error", "-store-remote requires -store-backend remote (or auto)")
-			os.Exit(2)
-		}
-		target, kind = *storeRemote, "remote"
-	}
-	if target == "" {
+	if *storePath == "" {
 		logger.Error("a shared result store is required", "flag", "-store")
 		os.Exit(2)
 	}
-	st, err := store.OpenKind(kind, target)
+	st, err := store.OpenKind(*storeBackend, *storePath)
 	if err != nil {
-		logger.Error("store open failed", "target", target, "error", err)
+		logger.Error("store open failed", "target", *storePath, "error", err)
 		os.Exit(1)
 	}
 	logger.Info("store opened", "target", st.Path(), "backend", st.Kind(),
@@ -122,10 +114,7 @@ func main() {
 
 	wp := *walPath
 	if wp == "auto" {
-		wp = "alscoord-queue.wal"
-		if st.Kind() != "remote" {
-			wp = st.Path() + ".coord.wal"
-		}
+		wp = st.Path() + ".coord.wal"
 	}
 	var wal *coord.WAL
 	if wp != "" {

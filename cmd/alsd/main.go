@@ -8,21 +8,20 @@
 //
 //	alsd -addr :8080 -store alsd-results.jsonl -workers 2
 //
-// The store is pluggable (-store-backend; docs/STORAGE.md): "jsonl" (the
-// default file format), "embedded" (a single-file binary log safe for
-// several daemons on one host), "remote" (another alsd's /store surface —
-// point a worker fleet's satellites at one hub with
-// -store-backend remote -store-remote http://hub:8080 and every result
-// any worker computes is a cache hit for all of them), or "auto" (detect
-// from the -store target). Every daemon also serves its own store at
-// GET/PUT /store/{hash} for others to share.
+// The store is a local file in one of two formats (-store-backend;
+// docs/STORAGE.md): "jsonl" (the default file format), "embedded" (a
+// single-file binary log safe for several daemons on one host, so they
+// share one cache), or "auto" (detect from the -store file). No route
+// exposes the store; daemons on several hosts share results by
+// registering with one alscoord, which owns the cluster's store.
 //
 // Accepted submissions are write-ahead logged (-wal): a daemon killed
 // hard with jobs queued or running re-enqueues them on restart — already
 // persisted results are answered from the store bit-identically, only
 // genuinely lost work runs again. "-wal auto" derives <store>.wal next to
-// a local store file; an empty -wal disables durability. A WAL belongs to
-// one daemon: a second one given the same file exits at startup.
+// the store file (alsd-queue.wal without a store); an empty -wal disables
+// durability. A WAL belongs to one daemon: a second one given the same
+// file exits at startup.
 //
 // Clients use the /v2 flow API: submit, stream the run's events
 // (per-iteration progress and every improved solution, over SSE), then
@@ -88,8 +87,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "HTTP listen address")
 		storePath    = flag.String("store", "alsd-results.jsonl", "persistent result store file (empty disables persistence)")
-		storeBackend = flag.String("store-backend", "auto", "store backend: auto, jsonl, embedded or remote")
-		storeRemote  = flag.String("store-remote", "", "base URL of another alsd whose /store to use as the result store (implies -store-backend remote)")
+		storeBackend = flag.String("store-backend", "auto", "store backend: auto, jsonl or embedded")
 		walPath      = flag.String("wal", "auto", "submission write-ahead log: a path, \"auto\" (derive <store>.wal), or empty to disable durability")
 		workers      = flag.Int("workers", 2, "concurrent flow jobs")
 		queueDepth   = flag.Int("queue", 64, "maximum queued jobs")
@@ -111,36 +109,26 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Resolve the store target: -store-remote names a hub daemon and wins
-	// over -store; otherwise -store names a local file interpreted per
-	// -store-backend ("auto" detects: URL → remote, magic header →
-	// embedded, anything else → jsonl).
-	target, kind := *storePath, *storeBackend
-	if *storeRemote != "" {
-		if kind != "auto" && kind != "remote" {
-			logger.Error("conflicting flags", "error", "-store-remote requires -store-backend remote (or auto)")
-			os.Exit(2)
-		}
-		target, kind = *storeRemote, "remote"
-	}
+	// -store names a local file interpreted per -store-backend ("auto"
+	// detects: magic header → embedded, anything else → jsonl).
 	var st *store.Store
-	if target != "" {
-		st, err = store.OpenKind(kind, target)
+	if *storePath != "" {
+		st, err = store.OpenKind(*storeBackend, *storePath)
 		if err != nil {
-			logger.Error("store open failed", "target", target, "error", err)
+			logger.Error("store open failed", "target", *storePath, "error", err)
 			os.Exit(1)
 		}
 		logger.Info("store opened", "target", st.Path(), "backend", st.Kind(),
 			"results", st.Len(), "corrupt_records", st.Corrupt())
 	}
 
-	// The WAL lives next to a local store file; with a remote (or no)
-	// store, "auto" still enables durability under a fixed local name —
-	// queued work is this daemon's promise regardless of where results go.
+	// The WAL lives next to the store file; without a store, "auto" still
+	// enables durability under a fixed local name — queued work is this
+	// daemon's promise whether or not results persist.
 	wp := *walPath
 	if wp == "auto" {
 		wp = "alsd-queue.wal"
-		if st != nil && st.Kind() != "remote" {
+		if st != nil {
 			wp = st.Path() + ".wal"
 		}
 	}

@@ -185,7 +185,7 @@ func TestGoldenUpdateAndCheckRoundTrip(t *testing.T) {
 // bootAlsd starts one in-process alsd equivalent and returns its URL.
 func bootAlsd(t *testing.T) string {
 	t.Helper()
-	s := service.New(service.Options{Workers: 2, Logf: t.Logf})
+	s := service.New(service.Options{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

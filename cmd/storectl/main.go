@@ -1,7 +1,6 @@
 // Command storectl inspects and migrates content-addressed result stores
-// (internal/store) across every backend: JSONL files, embedded
-// binary-log files, and the /store surface of a running alsd. It is the
-// operational companion to docs/STORAGE.md.
+// (internal/store) across both backends: JSONL files and embedded
+// binary-log files. It is the operational companion to docs/STORAGE.md.
 //
 // Usage:
 //
@@ -9,12 +8,13 @@
 //	storectl ls   <store>                list stored hashes, one per line
 //	storectl copy <src> <dst>            copy every record from src to dst
 //
-// A <store> argument is a file path or an http(s) base URL; the backend
-// is auto-detected (override with -backend / -dst-backend). Copy is the
-// migration recipe between formats:
+// A <store> argument is a file path; the backend is auto-detected
+// (override with -backend / -dst-backend). Copy is the migration recipe
+// between formats, and the backup of a running daemon's store (a JSONL
+// store takes no lock; an embedded one is safe across processes):
 //
 //	storectl copy results.jsonl results.emb -dst-backend embedded
-//	storectl copy http://hub:8080 backup.jsonl
+//	storectl copy alsd-results.jsonl backup.jsonl
 //	storectl cat results.emb > results.jsonl   # cat emits JSONL for any backend
 //
 // Copy is idempotent (last writer wins per hash) and additive: existing
@@ -38,8 +38,8 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("storectl", flag.ContinueOnError)
-	srcBackend := fs.String("backend", "auto", "source backend: auto, jsonl, embedded or remote")
-	dstBackend := fs.String("dst-backend", "auto", "destination backend for copy: auto, jsonl, embedded or remote")
+	srcBackend := fs.String("backend", "auto", "source backend: auto, jsonl or embedded")
+	dstBackend := fs.String("dst-backend", "auto", "destination backend for copy: auto, jsonl or embedded")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: storectl [flags] cat|ls <store>")
 		fmt.Fprintln(os.Stderr, "       storectl [flags] copy <src> <dst>")

@@ -5,14 +5,12 @@ package coord
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"net/url"
 	"strings"
 	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/exp"
-	"repro/internal/trace"
 )
 
 // worker is one registered alsd. Mutable fields are guarded by the
@@ -238,7 +236,11 @@ func (c *Coordinator) runWorkerLane(w *worker, ctx context.Context) {
 		PollInterval: c.opts.PollInterval,
 		Logger:       c.log.With("worker", w.id),
 		Metrics:      c.met.dispatch,
-		Sched:        &laneSched{c: c, w: w, ctx: ctx, span: laneSpan},
+		Sched:        &laneSched{c: c, w: w, ctx: ctx},
+		Ctx:          ctx,
+		Store:        c.opts.Store,
+		RequestID:    "coord-" + w.id,
+		Span:         laneSpan,
 	}
 	leftovers, cause := l.Run()
 	c.requeue(leftovers)
@@ -275,10 +277,9 @@ func (c *Coordinator) dropDeadWorker(w *worker, cause error) {
 // worker's adaptive window), Offload returns cells for other lanes to
 // steal, completions and failures land in the cell table.
 type laneSched struct {
-	c    *Coordinator
-	w    *worker
-	ctx  context.Context
-	span *trace.Span
+	c   *Coordinator
+	w   *worker
+	ctx context.Context
 }
 
 func (s *laneSched) Next() (*dispatch.Task, bool) {
@@ -304,22 +305,11 @@ func (s *laneSched) Fill(n int) []*dispatch.Task {
 	return out
 }
 
-func (s *laneSched) Context() context.Context { return s.ctx }
-
 // Offload returns queue-full remainders to the shared queue, where any
 // idle lane steals them — the whole point of scheduling by throughput.
 func (s *laneSched) Offload(tasks []*dispatch.Task) bool {
 	s.c.requeue(tasks)
 	return true
-}
-
-func (s *laneSched) Sleep(d time.Duration) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-s.ctx.Done():
-	}
 }
 
 func (s *laneSched) Complete(t *dispatch.Task, r exp.JobResult) error {
@@ -340,20 +330,3 @@ func (s *laneSched) Fatal(err error) {
 	s.c.log.Error("worker lane fatal", "worker", s.w.id, "url", s.w.url, "error", err.Error())
 	s.c.dropDeadWorker(s.w, err)
 }
-
-func (s *laneSched) Lookup(hash string) (exp.JobResult, bool) {
-	var r exp.JobResult
-	if ok, err := s.c.opts.Store.Decode(hash, &r); err != nil || !ok {
-		return exp.JobResult{}, false
-	}
-	return r, true
-}
-
-func (s *laneSched) Stamp(req *http.Request, sp *trace.Span) {
-	req.Header.Set("X-Request-Id", "coord-"+s.w.id)
-	if sc := sp.Context(); sc.Valid() {
-		req.Header.Set("traceparent", sc.Traceparent())
-	}
-}
-
-func (s *laneSched) StartSpan(name string) *trace.Span { return s.span.StartChild(name) }

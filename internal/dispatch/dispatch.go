@@ -161,7 +161,7 @@ func Run(ctx context.Context, jobs []exp.Job, opts Options) (exp.ResultSet, exp.
 		return nil, stats, fmt.Errorf("dispatch: endpoint %s did not answer /healthz: %w", base, err)
 	}
 
-	r := &runSched{ctx: ctx, opts: opts, span: sweep, runID: runID, rs: rs}
+	r := &runSched{ctx: ctx, opts: opts, span: sweep, rs: rs}
 	for i := range pending {
 		r.pending = append(r.pending, &Task{Job: pending[i], Hash: hashes[i]})
 	}
@@ -180,6 +180,10 @@ func Run(ctx context.Context, jobs []exp.Job, opts Options) (exp.ResultSet, exp.
 		Logger:       opts.Logger,
 		Metrics:      opts.Metrics,
 		Sched:        r,
+		Ctx:          ctx,
+		Store:        opts.Store,
+		RequestID:    runID,
+		Span:         sweep,
 	}
 	_, cause := l.Run()
 	stats.Executed = r.executed
@@ -220,16 +224,14 @@ func probeHealth(ctx context.Context, client *http.Client, base, runID string) e
 // runSched is Run's LaneScheduler. The lane calls it only from Run's own
 // goroutine, so it needs no locking: Next and Fill draw from the run's
 // pending queue, completions land in the ResultSet and the store, and the
-// first failure ends the run.
+// first failure ends the run. The lane itself carries the run's context,
+// store, sweep span and run ID — the trace ID when tracing, a random
+// "sweep-…" tag otherwise, sent as X-Request-Id on every request so the
+// endpoint's logs grep by sweep either way.
 type runSched struct {
-	ctx  context.Context
-	opts Options
-	// span is the sweep's root span (nil without a Tracer); runID is the
-	// run's log-correlation token — the trace ID when tracing, a random
-	// "sweep-…" tag otherwise — forwarded as X-Request-Id on every request
-	// so the endpoint's logs grep by sweep either way.
-	span     *trace.Span
-	runID    string
+	ctx      context.Context
+	opts     Options
+	span     *trace.Span // the sweep's root span (nil without a Tracer)
 	pending  []*Task
 	rs       exp.ResultSet
 	executed int
@@ -255,21 +257,9 @@ func (r *runSched) Fill(n int) []*Task {
 	return out
 }
 
-func (r *runSched) Context() context.Context { return r.ctx }
-
 // Offload keeps queue-full remainders lane-local: the run has no other
 // lane to give them to.
 func (r *runSched) Offload([]*Task) bool { return false }
-
-// Sleep waits d, returning early on cancellation.
-func (r *runSched) Sleep(d time.Duration) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-r.ctx.Done():
-	}
-}
 
 // Complete records one finished cell: persist first (a cell the store
 // never saw must not count as done for -resume), then publish.
@@ -302,29 +292,3 @@ func (r *runSched) Fatal(err error) {
 		r.err = err
 	}
 }
-
-// Lookup consults the run's (possibly fleet-shared) store, so a cell the
-// endpoint forgot is completed from persisted state instead of re-running
-// when another party already computed it.
-func (r *runSched) Lookup(hash string) (exp.JobResult, bool) {
-	if r.opts.Store == nil {
-		return exp.JobResult{}, false
-	}
-	var res exp.JobResult
-	if ok, err := r.opts.Store.Decode(hash, &res); err != nil || !ok {
-		return exp.JobResult{}, false
-	}
-	return res, true
-}
-
-// Stamp adds the correlation headers every request carries: the run ID
-// for log grepping (meaningful with tracing on or off) and, when sp is a
-// live span, the traceparent the endpoint's middleware continues.
-func (r *runSched) Stamp(req *http.Request, sp *trace.Span) {
-	req.Header.Set("X-Request-Id", r.runID)
-	if sc := sp.Context(); sc.Valid() {
-		req.Header.Set("traceparent", sc.Traceparent())
-	}
-}
-
-func (r *runSched) StartSpan(name string) *trace.Span { return r.span.StartChild(name) }

@@ -40,9 +40,6 @@ func newWorker(t *testing.T, opts service.Options) *httptest.Server {
 	if opts.Workers == 0 {
 		opts.Workers = 2
 	}
-	if opts.Logf == nil {
-		opts.Logf = t.Logf
-	}
 	s := service.New(opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

@@ -5,7 +5,9 @@
 // LaneScheduler with two implementations: Run's pending queue against one
 // endpoint (dispatch.go), and the coordinator daemon's per-worker lanes
 // over its shared weighted-fair queue (internal/coord), which add
-// throughput-adaptive windows and work stealing.
+// throughput-adaptive windows and work stealing. What the two share —
+// the lane's context, its result store, its request ID and its parent
+// span — are Lane fields.
 package dispatch
 
 import (
@@ -22,6 +24,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/service"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -44,16 +47,11 @@ type LaneScheduler interface {
 	// batch several cells into one submission. An adaptive scheduler caps
 	// this by the worker's observed throughput.
 	Fill(n int) []*Task
-	// Context governs the lane's lifetime: its cancellation stops the
-	// lane between steps and aborts in-flight worker requests.
-	Context() context.Context
 	// Offload hands unsubmitted tasks back when the worker reports a full
 	// queue. Returning false keeps them lane-local (Run's single lane);
 	// returning true lets an idle lane steal them (the coordinator's
 	// shared queue).
 	Offload(tasks []*Task) bool
-	// Sleep pauses between polls and backoffs, waking early on shutdown.
-	Sleep(d time.Duration)
 	// Complete publishes one finished cell; a non-nil error is fatal to
 	// the lane's run (e.g. the result could not be persisted).
 	Complete(t *Task, r exp.JobResult) error
@@ -64,15 +62,6 @@ type LaneScheduler interface {
 	// Fatal reports an error that poisons the whole run (incompatible
 	// worker build, rejected batch, marshalling failure).
 	Fatal(err error)
-	// Lookup consults the shared result store before a 404 resubmission:
-	// a worker that forgot a cell may still be beaten by another lane (or
-	// another sweep) that already persisted it.
-	Lookup(hash string) (exp.JobResult, bool)
-	// Stamp adds correlation headers to an outgoing worker request.
-	Stamp(req *http.Request, sp *trace.Span)
-	// StartSpan opens a child span for one worker round trip (nil is
-	// fine; trace spans are nil-safe).
-	StartSpan(name string) *trace.Span
 }
 
 // errPermanent ends a lane whose scheduler already holds the cause (via
@@ -95,6 +84,21 @@ type Lane struct {
 	Logger       *slog.Logger // nil discards
 	Metrics      *Metrics
 	Sched        LaneScheduler
+	// Ctx governs the lane's lifetime (required): its cancellation stops
+	// the lane between steps, cuts sleeps short and aborts in-flight
+	// worker requests.
+	Ctx context.Context
+	// Store, when non-nil, is consulted before a 404 resubmission: a
+	// worker that forgot a cell may have been beaten by another lane (or
+	// another sweep) that already persisted it.
+	Store *store.Store
+	// RequestID is the X-Request-Id every worker request carries, so the
+	// worker's logs grep by sweep or by lane.
+	RequestID string
+	// Span parents one child span per worker round trip, whose context
+	// rides along as a traceparent header (nil is fine; spans are
+	// nil-safe).
+	Span *trace.Span
 
 	// unsubmitted holds cells the worker has not accepted yet;
 	// outstanding maps accepted cells by hash until a poll resolves them.
@@ -149,8 +153,48 @@ func (l *Lane) Run() ([]*Task, error) {
 	}
 }
 
-// cancelled reports whether the scheduler's context has ended.
-func (l *Lane) cancelled() bool { return l.Sched.Context().Err() != nil }
+// cancelled reports whether the lane's context has ended.
+func (l *Lane) cancelled() bool { return l.Ctx.Err() != nil }
+
+// sleep pauses between polls and backoffs, waking early on cancellation.
+func (l *Lane) sleep(d time.Duration) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+	case <-l.Ctx.Done():
+	}
+}
+
+// newRequest builds one worker request under the lane's context, opens
+// its round-trip span and stamps the correlation headers: the request ID
+// for log grepping and, when the span is live, the traceparent the
+// worker's middleware continues.
+func (l *Lane) newRequest(method, path string, body io.Reader, span string) (*http.Request, *trace.Span, error) {
+	req, err := http.NewRequestWithContext(l.Ctx, method, l.Base+path, body)
+	if err != nil {
+		return nil, nil, err
+	}
+	sp := l.Span.StartChild(span)
+	sp.SetAttr("lane", l.Name)
+	req.Header.Set("X-Request-Id", l.RequestID)
+	if sc := sp.Context(); sc.Valid() {
+		req.Header.Set("traceparent", sc.Traceparent())
+	}
+	return req, sp, nil
+}
+
+// lookup reads a finished cell from the lane's store, if it has one.
+func (l *Lane) lookup(hash string) (exp.JobResult, bool) {
+	if l.Store == nil {
+		return exp.JobResult{}, false
+	}
+	var r exp.JobResult
+	if ok, err := l.Store.Decode(hash, &r); err != nil || !ok {
+		return exp.JobResult{}, false
+	}
+	return r, true
+}
 
 // leftovers collects everything the lane still owns, clearing its state.
 func (l *Lane) leftovers() []*Task {
@@ -176,7 +220,7 @@ func (l *Lane) step() error {
 			return err
 		}
 		if len(l.outstanding) > 0 {
-			l.Sched.Sleep(l.PollInterval)
+			l.sleep(l.PollInterval)
 		}
 	}
 	return nil
@@ -196,7 +240,7 @@ func (l *Lane) transient(op string, err error) error {
 	}
 	l.Logger.Warn("lane request failed; retrying", "lane", l.Name, "op", op,
 		"attempt", l.failures, "attempts", l.RetryBudget+1, "backoff", backoff.String(), "error", err.Error())
-	l.Sched.Sleep(backoff)
+	l.sleep(backoff)
 	return nil
 }
 
@@ -229,16 +273,13 @@ func (l *Lane) submit() error {
 		l.Sched.Fatal(fmt.Errorf("dispatch: marshal batch: %w", err))
 		return errPermanent
 	}
-	req, err := http.NewRequestWithContext(l.Sched.Context(), http.MethodPost, l.Base+"/v1/jobs", bytes.NewReader(body))
+	req, sp, err := l.newRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body), "dispatch.submit")
 	if err != nil {
 		l.Sched.Fatal(err)
 		return errPermanent
 	}
 	req.Header.Set("Content-Type", "application/json")
-	sp := l.Sched.StartSpan("dispatch.submit")
-	sp.SetAttr("lane", l.Name)
 	sp.SetAttr("jobs", n)
-	l.Sched.Stamp(req, sp)
 	resp, err := l.Client.Do(req)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
@@ -287,7 +328,7 @@ func (l *Lane) submit() error {
 				l.unsubmitted = nil
 			}
 			if len(l.outstanding) == 0 {
-				l.Sched.Sleep(l.PollInterval)
+				l.sleep(l.PollInterval)
 			}
 			return nil
 		}
@@ -312,15 +353,12 @@ func (l *Lane) poll() error {
 		if l.cancelled() {
 			return nil
 		}
-		req, err := http.NewRequestWithContext(l.Sched.Context(), http.MethodGet, l.Base+"/v1/jobs/"+hash, nil)
+		req, sp, err := l.newRequest(http.MethodGet, "/v1/jobs/"+hash, nil, "dispatch.poll")
 		if err != nil {
 			l.Sched.Fatal(err)
 			return errPermanent
 		}
-		sp := l.Sched.StartSpan("dispatch.poll")
-		sp.SetAttr("lane", l.Name)
 		sp.SetAttr("hash", hash)
-		l.Sched.Stamp(req, sp)
 		resp, err := l.Client.Do(req)
 		if err != nil {
 			sp.SetAttr("error", err.Error())
@@ -342,7 +380,7 @@ func (l *Lane) poll() error {
 		case http.StatusNotFound:
 			l.failures = 0
 			delete(l.outstanding, hash)
-			if r, ok := l.Sched.Lookup(hash); ok {
+			if r, ok := l.lookup(hash); ok {
 				// The shared store already holds this cell — another lane
 				// (or a previous run) computed it while the worker forgot
 				// it. Complete from the store instead of re-running.

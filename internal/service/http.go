@@ -18,13 +18,6 @@ const maxBodyBytes = MaxVerilogBytes + 1<<20
 //	POST /v1/jobs              batch-submit exp.Job specs → BatchResponse
 //	GET  /v1/jobs/{hash}       status/result by content hash → JobView
 //
-// the shared-store surface (storehttp.go) that lets other workers use
-// this daemon's store as their remote backend:
-//
-//	GET  /store/{key}          raw stored payload by content hash → JSON
-//	PUT  /store/{key}          persist a payload → 204
-//	GET  /store/               full store dump as JSONL (a valid store file)
-//
 // and the operational surface:
 //
 //	GET  /healthz              liveness + Stats counters
@@ -36,15 +29,16 @@ const maxBodyBytes = MaxVerilogBytes + 1<<20
 // structured access log, and every request is counted/timed by route
 // pattern (see instrument in metrics.go).
 //
+// No route writes the result store: results enter it only when a run
+// finishes, here or in a process sharing its file.
+//
 // Errors outside /v2 are JSON objects {"error": "..."}: 400 malformed or
-// invalid requests, 404 unknown hash or key, 503 queue full or draining.
+// invalid requests, 404 unknown hash, 503 queue full or draining.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleBatchSubmit)
 	mux.HandleFunc("GET /v1/jobs/{hash}", s.handleJobByHash)
 	s.registerV2(mux)
-	mux.HandleFunc("GET /store/{key...}", s.handleStoreGet)
-	mux.HandleFunc("PUT /store/{key...}", s.handleStorePut)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.Handle("GET /metrics", s.metrics.registry.Handler())
 	mux.Handle("GET /debug/traces", s.tracer.Handler())

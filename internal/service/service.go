@@ -5,7 +5,9 @@
 // deduplicated by the same canonical content hash the experiment
 // orchestrator uses (internal/exp), with finished results persisted
 // through internal/store — so a restarted daemon answers repeats from
-// cache without recomputation.
+// cache without recomputation. Only finished runs write the store; no
+// route exposes it. Daemons on several hosts share results through a
+// coordinator (internal/coord), not through each other's stores.
 //
 // The package splits into focused files:
 //
@@ -128,12 +130,9 @@ type Options struct {
 	// subsystems (alsd passes its process registry).
 	Metrics *telemetry.Registry
 	// Logger receives structured log records (job transitions with job and
-	// hash IDs, HTTP access records with request IDs). Nil falls back to
-	// Logf; with both nil, logging is disabled.
+	// hash IDs, HTTP access records with request IDs). Nil disables
+	// logging.
 	Logger *slog.Logger
-	// Logf, when non-nil and Logger is nil, receives the same records
-	// rendered to single lines (legacy bridge; tests pass t.Logf).
-	Logf func(format string, args ...any)
 	// Tracer records request and job spans (internal/trace) and serves
 	// them at GET /debug/traces. Nil disables tracing: every span call
 	// site degrades to a no-op, and request IDs fall back to the legacy
@@ -265,12 +264,7 @@ func New(opts Options) *Server {
 		lib = als.NewLibrary()
 	}
 	logger := opts.Logger
-	switch {
-	case logger != nil:
-	case opts.Logf != nil:
-		logger = slog.New(slog.NewTextHandler(logfWriter{opts.Logf},
-			&slog.HandlerOptions{Level: slog.LevelDebug}))
-	default:
+	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	reg := opts.Metrics
@@ -428,21 +422,6 @@ func (s *Server) walAppend(j *jobState, op, hash string) {
 // Metrics returns the registry the server instruments (served by the
 // Handler at GET /metrics).
 func (s *Server) Metrics() *telemetry.Registry { return s.metrics.registry }
-
-// logfWriter adapts a printf-style sink into an io.Writer for the legacy
-// Options.Logf bridge: every rendered slog line becomes one Logf call.
-type logfWriter struct {
-	logf func(format string, args ...any)
-}
-
-func (w logfWriter) Write(b []byte) (int, error) {
-	n := len(b)
-	for n > 0 && b[n-1] == '\n' {
-		n--
-	}
-	w.logf("%s", b[:n])
-	return len(b), nil
-}
 
 // Submit validates a request and either attaches it to an identical live
 // or finished job (dedup), answers it from the persistent store (cache),

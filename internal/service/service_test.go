@@ -24,9 +24,6 @@ func quickReq(seed int64) Request {
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
-	if opts.Logf == nil {
-		opts.Logf = t.Logf
-	}
 	s := New(opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -543,5 +540,64 @@ func TestListOrders(t *testing.T) {
 	}
 	if fmt.Sprint(ids) != fmt.Sprint([]string{"f000001", "f000002", "f000003"}) {
 		t.Errorf("ids = %v, want sequential f%%06d", ids)
+	}
+}
+
+// TestForgedStorePutRefused: no route writes or dumps the result store.
+// A PUT of a made-up result under a real spec's hash is refused and
+// leaves the store empty, so a following /v2 submission of that spec
+// runs the flow instead of answering with the made-up result; the GET
+// routes that once served the store are gone too, with or without one.
+func TestForgedStorePutRefused(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, ts := newTestServer(t, Options{Store: st})
+	_, bare := newTestServer(t, Options{})
+
+	req := quickReq(71)
+	sp, err := validate(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := `{"ratio_cpd":0.001,"err":0,"evaluations":1}`
+	put, err := http.NewRequest(http.MethodPut, ts.URL+"/store/"+sp.hash, strings.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 == 2 {
+		t.Fatalf("PUT /store/<hash> = %d, want it refused", resp.StatusCode)
+	}
+	if n := st.Len(); n != 0 {
+		t.Fatalf("store holds %d record(s) after a refused PUT, want 0", n)
+	}
+
+	v, _, code := postV2(t, ts, req)
+	if code != http.StatusAccepted || v.Cached {
+		t.Fatalf("submission after the PUT = (%d, cached=%v, status %q), want a fresh 202", code, v.Cached, v.Status)
+	}
+	got := waitDone(t, ts, v.ID)
+	if got.Status != StatusDone || got.Result == nil || got.Result.RatioCPD == 0.001 {
+		t.Fatalf("job ended %q with %+v, want a computed result", got.Status, got.Result)
+	}
+
+	for _, base := range []string{ts.URL, bare.URL} {
+		for _, path := range []string{"/store/", "/store/" + sp.hash} {
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
+			}
+		}
 	}
 }

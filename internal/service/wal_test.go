@@ -41,9 +41,6 @@ func walServer(t *testing.T, dir string, opts Options) (*Server, *store.Store, *
 	}
 	opts.Store = st
 	opts.WAL = wal
-	if opts.Logf == nil {
-		opts.Logf = t.Logf
-	}
 	s := New(opts)
 	t.Cleanup(func() {
 		s.Close()
@@ -278,7 +275,7 @@ func TestWALCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal3.Close()
-	s2 := New(Options{Store: st2, WAL: wal3, Logf: t.Logf})
+	s2 := New(Options{Store: st2, WAL: wal3})
 	s2.Close()
 	raw, err := os.ReadFile(wal.Path())
 	if err != nil {
@@ -612,7 +609,7 @@ func TestWALJobTableSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal2.Close()
-	s2 := New(Options{Store: st2, WAL: wal2, Logf: t.Logf})
+	s2 := New(Options{Store: st2, WAL: wal2})
 	defer s2.Close()
 	ts := httptest.NewServer(s2.Handler())
 	defer ts.Close()

@@ -139,7 +139,7 @@ func TestFetchByHashSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := New(Options{Store: st, Logf: t.Logf})
+	s1 := New(Options{Store: st})
 	ts1 := httptest.NewServer(s1.Handler())
 	br, code := postBatch(t, ts1, quickJob(11))
 	if code != http.StatusOK {
@@ -157,7 +157,7 @@ func TestFetchByHashSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := New(Options{Store: st2, Logf: t.Logf})
+	s2 := New(Options{Store: st2})
 	ts2 := httptest.NewServer(s2.Handler())
 	t.Cleanup(func() { ts2.Close(); s2.Close(); st2.Close() })
 
@@ -206,7 +206,7 @@ func TestBatchRejectsInvalidSpecWith400(t *testing.T) {
 // TestBatchDrainingReturns503: once the server drains, batch submissions
 // are rejected with 503 so a coordinator fails over to another worker.
 func TestBatchDrainingReturns503(t *testing.T) {
-	s := New(Options{Logf: t.Logf})
+	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	s.Close()

@@ -16,40 +16,37 @@ import (
 	"repro/internal/journal"
 )
 
-// Backend is a content-addressed byte store. Implementations must be safe
-// for concurrent use by multiple goroutines; the embedded backend is
-// additionally safe for concurrent use by multiple processes.
+// Backend is a content-addressed byte store over one local file.
+// Implementations must be safe for concurrent use by multiple goroutines;
+// the embedded backend is additionally safe for concurrent use by
+// multiple processes.
 //
 // Contract, shared by every implementation and pinned by the conformance
 // suite in backend_test.go:
 //
 //   - Get returns (payload, true, nil) for a stored hash, (nil, false,
-//     nil) for an absent one, and a non-nil error only for infrastructure
-//     failures (I/O, transport) — absence is never an error.
+//     nil) for an absent one, and a non-nil error only for I/O failures
+//     — absence is never an error.
 //   - Put overwrites: the last write for a hash wins, matching the
 //     append-log semantics the JSONL format always had.
 //   - Scan visits every distinct stored hash exactly once, in first-
 //     insertion order, with its latest payload; fn's error aborts the scan.
-//   - Close releases resources. Implementations backed by an in-memory
-//     index keep Get/Scan readable after Close; Put fails.
+//   - Len counts the distinct hashes the index holds; Corrupt counts the
+//     undecodable records skipped (and, for the embedded backend, healed)
+//     since open.
+//   - Close releases resources. Get/Scan stay readable from the
+//     in-memory index after Close; Put fails.
 type Backend interface {
 	Get(hash string) (payload []byte, ok bool, err error)
 	Put(hash string, payload []byte) error
 	Scan(fn func(hash string, payload []byte) error) error
+	Len() int
+	Corrupt() int
 	Close() error
 }
 
-// sizer and corrupter are optional Backend refinements: local backends
-// know their record count and how many undecodable records they skipped
-// at open without a Scan; the Store methods fall back to scanning (Len)
-// or zero (Corrupt) otherwise.
-type (
-	sizer     interface{ Len() int }
-	corrupter interface{ Corrupt() int }
-)
-
-// record is one JSONL line — also the wire shape of the remote backend's
-// full-dump listing, and therefore a frozen contract (docs/STORAGE.md).
+// record is one JSONL line — also the line shape of Export (storectl
+// cat), and therefore a frozen contract (docs/STORAGE.md).
 type record struct {
 	Hash    string          `json:"hash"`
 	Payload json.RawMessage `json:"payload"`

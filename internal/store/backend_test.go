@@ -6,23 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
-	"sync"
 	"testing"
 )
 
-// openerFor returns a constructor for each backend kind so the
-// conformance suite below runs identically against all three. The remote
-// backend is exercised against an in-test HTTP server speaking the
-// /store protocol over a plain map — the same surface alsd serves
-// (internal/service has its own end-to-end test against the real
-// handler; here we pin the client side of the contract).
+// backendsUnderTest returns a constructor for each backend kind so the
+// conformance suite below runs identically against both.
 func backendsUnderTest(t *testing.T) map[string]func(t *testing.T) *Store {
 	t.Helper()
 	return map[string]func(t *testing.T) *Store{
@@ -40,59 +31,6 @@ func backendsUnderTest(t *testing.T) map[string]func(t *testing.T) *Store {
 			}
 			return s
 		},
-		"remote": func(t *testing.T) *Store {
-			srv := newStoreServer()
-			ts := httptest.NewServer(srv)
-			t.Cleanup(ts.Close)
-			s, err := OpenRemote(ts.URL, nil)
-			if err != nil {
-				t.Fatalf("OpenRemote: %v", err)
-			}
-			return s
-		},
-	}
-}
-
-// storeServer is a minimal in-memory implementation of the /store wire
-// protocol (GET/PUT /store/{hash}, GET /store/ JSONL dump).
-type storeServer struct {
-	mu    sync.Mutex
-	mem   map[string][]byte
-	order []string
-}
-
-func newStoreServer() *storeServer { return &storeServer{mem: map[string][]byte{}} }
-
-func (s *storeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	hash := strings.TrimPrefix(r.URL.Path, "/store/")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case r.Method == http.MethodGet && hash == "":
-		enc := json.NewEncoder(w)
-		for _, h := range s.order {
-			enc.Encode(record{Hash: h, Payload: s.mem[h]}) //nolint:errcheck
-		}
-	case r.Method == http.MethodGet:
-		p, ok := s.mem[hash]
-		if !ok {
-			http.Error(w, "no such hash", http.StatusNotFound)
-			return
-		}
-		w.Write(p) //nolint:errcheck
-	case r.Method == http.MethodPut:
-		p, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if _, seen := s.mem[hash]; !seen {
-			s.order = append(s.order, hash)
-		}
-		s.mem[hash] = p
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "bad method", http.StatusMethodNotAllowed)
 	}
 }
 
@@ -454,7 +392,8 @@ func TestJSONLTwoHandles(t *testing.T) {
 
 // TestOpenKindRejectsMismatch pins the safety rails: opening a JSONL file
 // as embedded fails loudly (bad magic) rather than treating the JSON text
-// as binary frames, and an unknown kind is an error.
+// as binary frames, and an unknown kind — the retired "remote" one
+// included — is an error.
 func TestOpenKindRejectsMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.jsonl")
 	s, err := OpenJSONL(path)
@@ -472,32 +411,7 @@ func TestOpenKindRejectsMismatch(t *testing.T) {
 	if _, err := OpenKind("bolt", path); err == nil {
 		t.Fatal("OpenKind accepted an unknown kind")
 	}
-	if _, err := OpenKind("remote", "not-a-url"); err == nil {
-		t.Fatal("OpenKind(remote) accepted a non-URL target")
-	}
-}
-
-// TestRemoteGetIsAdvisory pins the wrapper split: with a dead hub, the
-// legacy Get path reads as a miss while Decode surfaces the transport
-// error, so schedulers fail fast instead of silently recomputing a fleet's
-// worth of cells.
-func TestRemoteGetIsAdvisory(t *testing.T) {
-	ts := httptest.NewServer(http.NotFoundHandler())
-	url := ts.URL
-	ts.Close() // dead hub
-
-	s, err := OpenRemote(url, nil)
-	if err != nil {
-		t.Fatalf("OpenRemote: %v", err)
-	}
-	if _, ok := s.Get("deadbeef"); ok {
-		t.Fatal("Get against a dead hub reported a hit")
-	}
-	var out map[string]any
-	if _, err := s.Decode("deadbeef", &out); err == nil {
-		t.Fatal("Decode against a dead hub returned no error")
-	}
-	if err := s.Put("deadbeef", map[string]int{"n": 1}); err == nil {
-		t.Fatal("Put against a dead hub returned no error")
+	if _, err := OpenKind("remote", "http://127.0.0.1:8080"); err == nil {
+		t.Fatal("OpenKind accepted the retired remote kind")
 	}
 }

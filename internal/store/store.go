@@ -9,7 +9,7 @@
 // every finished cell. Payloads are opaque JSON; keys are the hex SHA-256
 // content hash (Hash) plus derived keys such as "<hash>/front".
 //
-// Three backends implement the same content-addressed contract (the
+// Two file backends implement the same content-addressed contract (the
 // Backend interface in backend.go; docs/STORAGE.md is the operator-facing
 // matrix):
 //
@@ -20,12 +20,11 @@
 //   - Embedded: a single-file, CRC-framed binary log safe for several
 //     daemons on one host via flock(2); torn tails from a SIGKILLed
 //     writer are detected and healed (embedded.go).
-//   - Remote: an HTTP client for the GET/PUT /store/{hash} surface every
-//     alsd serves, so a worker fleet shares one dedup cache (remote.go).
 //
 // Open auto-detects the format (an embedded file carries a magic header;
-// an http(s) target is remote; anything else is JSONL), so existing
-// callers and store files keep working unchanged.
+// anything else is JSONL), so existing callers and store files keep
+// working unchanged. A store is shared across hosts through a
+// coordinator (internal/coord), which owns the one store of a cluster.
 //
 // A Store can be instrumented with telemetry counters (Instrument) so a
 // serving daemon's /metrics endpoint reports cache traffic — lookups,
@@ -40,9 +39,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"strings"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -82,66 +79,57 @@ func canonicalize(raw []byte) ([]byte, error) {
 
 // Store is a hash-keyed result cache over one Backend. All methods are
 // safe for concurrent use. Create one with Open (auto-detect), OpenKind,
-// or a specific constructor (OpenJSONL, OpenEmbedded, OpenRemote).
+// or a specific constructor (OpenJSONL, OpenEmbedded).
 type Store struct {
 	b    Backend
-	kind string // "jsonl", "embedded" or "remote"
-	desc string // path or base URL, for messages
+	kind string // "jsonl" or "embedded"
+	path string
 
 	// Optional telemetry (Instrument); nil counters are simply not bumped.
 	mu                  sync.Mutex
 	cPuts, cGets, cHits *telemetry.Counter
 }
 
-// Open loads (or creates) the store at target, auto-detecting the
-// backend: an http(s) URL is a remote store, a file carrying the embedded
-// magic header is an embedded store, anything else — including a new or
-// empty file — is the default JSONL format.
-func Open(target string) (*Store, error) {
-	return OpenKind("auto", target)
+// Open loads (or creates) the store file at path, auto-detecting the
+// backend: a file carrying the embedded magic header is an embedded
+// store, anything else — including a new or empty file — is the default
+// JSONL format.
+func Open(path string) (*Store, error) {
+	return OpenKind("auto", path)
 }
 
-// OpenKind opens target as an explicit backend kind: "jsonl", "embedded",
-// "remote" (target is the base URL of an alsd serving /store), or
-// "auto"/"" for Open's detection.
-func OpenKind(kind, target string) (*Store, error) {
+// OpenKind opens the file at path as an explicit backend kind: "jsonl",
+// "embedded", or "auto"/"" for Open's detection.
+func OpenKind(kind, path string) (*Store, error) {
 	switch kind {
 	case "", "auto":
-		if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") {
-			return OpenRemote(target, nil)
+		if sniffEmbedded(path) {
+			return OpenEmbedded(path)
 		}
-		embedded, err := sniffEmbedded(target)
-		if err != nil {
-			return nil, err
-		}
-		if embedded {
-			return OpenEmbedded(target)
-		}
-		return OpenJSONL(target)
+		return OpenJSONL(path)
 	case "jsonl":
-		return OpenJSONL(target)
+		return OpenJSONL(path)
 	case "embedded":
-		return OpenEmbedded(target)
-	case "remote":
-		return OpenRemote(target, nil)
+		return OpenEmbedded(path)
 	default:
-		return nil, fmt.Errorf("store: unknown backend kind %q (valid: auto, jsonl, embedded, remote)", kind)
+		return nil, fmt.Errorf("store: unknown backend kind %q (valid: auto, jsonl, embedded)", kind)
 	}
 }
 
 // sniffEmbedded reports whether the file at path starts with the embedded
-// backend's magic header. A missing or short file is not embedded.
-func sniffEmbedded(path string) (bool, error) {
+// backend's magic header. A missing, unreadable or short file is not
+// embedded; the real open reports why it cannot be used.
+func sniffEmbedded(path string) bool {
 	f, err := os.Open(path)
 	if err != nil {
-		return false, nil // missing/unreadable: let the real open report it
+		return false
 	}
 	defer f.Close()
 	hdr := make([]byte, len(embMagic))
 	if _, err := io.ReadFull(f, hdr); err != nil {
-		return false, nil
+		return false
 	}
-	return string(hdr) == embMagic, nil
+	return string(hdr) == embMagic
 }
 
 // OpenJSONL opens target as a JSONL store (the default file format).
@@ -150,7 +138,7 @@ func OpenJSONL(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{b: b, kind: "jsonl", desc: path}, nil
+	return &Store{b: b, kind: "jsonl", path: path}, nil
 }
 
 // OpenEmbedded opens target as an embedded (single-file binary log)
@@ -161,18 +149,7 @@ func OpenEmbedded(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{b: b, kind: "embedded", desc: path}, nil
-}
-
-// OpenRemote opens the store served by the alsd at baseURL (its
-// GET/PUT /store/{hash} surface). A nil client gets a 30-second-timeout
-// default.
-func OpenRemote(baseURL string, client *http.Client) (*Store, error) {
-	b, err := openRemote(baseURL, client)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{b: b, kind: "remote", desc: b.base}, nil
+	return &Store{b: b, kind: "embedded", path: path}, nil
 }
 
 // Instrument attaches telemetry counters: puts counts Put calls, gets
@@ -194,10 +171,10 @@ func (s *Store) bump(c **telemetry.Counter) {
 	s.mu.Unlock()
 }
 
-// Get returns the stored payload for hash, if present. A backend
-// infrastructure error (e.g. an unreachable remote store) reads as a
-// miss here — the cache is advisory on this legacy path; use Decode
-// where a transport failure must be distinguished from absence.
+// Get returns the stored payload for hash, if present. A backend I/O
+// error (e.g. the embedded file could not be locked for a cold read)
+// reads as a miss here — the cache is advisory on this legacy path; use
+// Decode where a failure must be distinguished from absence.
 func (s *Store) Get(hash string) (json.RawMessage, bool) {
 	s.bump(&s.cGets)
 	p, ok, err := s.b.Get(hash)
@@ -211,7 +188,7 @@ func (s *Store) Get(hash string) (json.RawMessage, bool) {
 // Decode unmarshals the stored payload for hash into out, reporting
 // whether the hash was present. A present-but-undecodable payload is an
 // error (the caller's schema disagrees with the record), and so is a
-// backend infrastructure failure — absence alone is (false, nil).
+// backend I/O failure — absence alone is (false, nil).
 func (s *Store) Decode(hash string, out any) (bool, error) {
 	s.bump(&s.cGets)
 	p, ok, err := s.b.Get(hash)
@@ -229,8 +206,8 @@ func (s *Store) Decode(hash string, out any) (bool, error) {
 }
 
 // Put marshals payload and stores it under hash, overwriting any earlier
-// record (last writer wins). Local backends have flushed the record to
-// the file when Put returns.
+// record (last writer wins). The record is written to the file when Put
+// returns.
 func (s *Store) Put(hash string, payload any) error {
 	raw, err := json.Marshal(payload)
 	if err != nil {
@@ -256,9 +233,9 @@ func (s *Store) Scan(fn func(hash string, payload json.RawMessage) error) error 
 }
 
 // Export writes every record as JSONL — exactly the default backend's
-// file format, so the output of Export (and of GET /store/ on a daemon)
-// is itself a valid JSONL store file. This is the migration path between
-// backends; see docs/STORAGE.md.
+// file format, so the output of Export (storectl cat) is itself a valid
+// JSONL store file. This is the migration path between backends; see
+// docs/STORAGE.md.
 func (s *Store) Export(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return s.b.Scan(func(h string, p []byte) error {
@@ -266,19 +243,8 @@ func (s *Store) Export(w io.Writer) error {
 	})
 }
 
-// Len counts distinct stored hashes. Local backends answer from their
-// index; a remote store is scanned (0 on transport failure — Len is a
-// convenience for startup logging, not a correctness primitive).
-func (s *Store) Len() int {
-	if b, ok := s.b.(sizer); ok {
-		return b.Len()
-	}
-	n := 0
-	if err := s.b.Scan(func(string, []byte) error { n++; return nil }); err != nil {
-		return 0
-	}
-	return n
-}
+// Len counts distinct stored hashes, answered from the backend's index.
+func (s *Store) Len() int { return s.b.Len() }
 
 // Hashes returns the distinct stored hashes in first-insertion order.
 func (s *Store) Hashes() []string {
@@ -290,20 +256,14 @@ func (s *Store) Hashes() []string {
 }
 
 // Corrupt reports how many undecodable records the backend skipped (and,
-// for the embedded backend, healed) at open. Remote stores report 0 —
-// corruption is accounted where the file lives.
-func (s *Store) Corrupt() int {
-	if b, ok := s.b.(corrupter); ok {
-		return b.Corrupt()
-	}
-	return 0
-}
+// for the embedded backend, healed) since open.
+func (s *Store) Corrupt() int { return s.b.Corrupt() }
 
-// Kind names the backend: "jsonl", "embedded" or "remote".
+// Kind names the backend: "jsonl" or "embedded".
 func (s *Store) Kind() string { return s.kind }
 
-// Path returns the backing file's path, or the remote store's base URL.
-func (s *Store) Path() string { return s.desc }
+// Path returns the backing file's path.
+func (s *Store) Path() string { return s.path }
 
 // Close releases the backend's resources. For file backends the
 // in-memory index stays readable; further Puts fail.

@@ -30,9 +30,12 @@
 #   5. Backend matrix: the same sweep through -coord at an alsd running
 #      the embedded (binary-log) store backend stays byte-identical to the
 #      single-process reference.
-#   6. Shared store: -coord at a satellite alsd that uses a hub's /store
-#      surface as its result store (-store-remote) renders byte-identical
-#      output, and every result lands in the hub's store.
+#   6. One store per cluster (runs right after leg 1's sweep, while both
+#      registered workers are up): a second run of the suite through
+#      alscoord with no -out renders byte-identical output, and neither
+#      worker's /healthz stats move (no submission reaches a worker, so
+#      nothing is executed): the coordinator answers every cell from the
+#      results it already holds.
 #
 # Requires: go, curl, jq. Ports default to 8491-8495 (W1_PORT..W4_PORT,
 # COORD_PORT).
@@ -117,6 +120,20 @@ say "both workers registered; -coord sweep must match the single-process referen
 cmp "$work/single.json" "$work/coord.json" \
   || { echo "-coord run differs from single-process run" >&2; exit 1; }
 say "cluster-mode output byte-identical"
+
+# ---- one store per cluster: a repeat sweep reaches no worker -------------
+worker_stats() { # submitted and executed counts of both registered workers
+  for w in "$W1" "$W2"; do curl -fsS "$w/healthz" | jq -c '.stats | {submitted, executed}'; done
+}
+say "repeat sweep through alscoord: every cell from the coordinator's results"
+before=$(worker_stats)
+"$work/experiments" "${suite[@]}" -coord "$COORD" >"$work/coord2.json" 2>"$work/coordrun2.log"
+cmp "$work/single.json" "$work/coord2.json" \
+  || { echo "repeat -coord run differs from single-process run" >&2; exit 1; }
+after=$(worker_stats)
+[ "$before" = "$after" ] \
+  || { echo "repeat sweep reached the workers: $before -> $after" >&2; exit 1; }
+say "repeat sweep byte-identical; worker stats unchanged:" $after
 
 say "golden-metrics gate through the coordinator"
 "$work/experiments" -check testdata/golden_quick.json -coord "$COORD" \
@@ -280,26 +297,5 @@ cmp "$work/single.json" "$work/embedded.json" \
 say "embedded backend byte-identical"
 kill -TERM "${pids[-1]}" 2>/dev/null || true
 wait "${pids[-1]}" 2>/dev/null || true
-
-# ---- shared store: hub + satellite through the remote backend ------------
-# The hub serves its store at /store; the satellite has no store file of
-# its own and reads/writes the hub's over HTTP. The sweep runs on the
-# satellite, every result it computes lands in the hub's store, and the
-# output stays byte-identical to the single-process reference.
-say "shared store: hub (jsonl) + satellite (-store-remote hub)"
-start_worker "$W3_PORT" hub.jsonl -wal ""
-start_worker "$W4_PORT" satellite -store-remote "$W3" -wal ""
-wait_ready "$W3"
-wait_ready "$W4"
-"$work/experiments" "${suite[@]}" -coord "$W4" >"$work/remote.json"
-cmp "$work/single.json" "$work/remote.json" \
-  || { echo "remote-store run differs from single-process run" >&2; exit 1; }
-sat_executed=$(curl -fsS "$W4/healthz" | jq -re .stats.executed)
-[ "$sat_executed" -ge 1 ] \
-  || { echo "satellite executed no cells; the remote backend went unexercised" >&2; exit 1; }
-hub_records=$(curl -fsS "$W3/store/" | wc -l)
-[ "$hub_records" -ge 35 ] \
-  || { echo "hub store holds only $hub_records records for a 35-cell sweep" >&2; exit 1; }
-say "remote-store sweep byte-identical; satellite computed $sat_executed cells into the hub's $hub_records-record store"
 
 say "distributed smoke passed"
