@@ -14,14 +14,19 @@
 // (queue depth and evals/sec from their own /metrics counters ride
 // along); -expire-after silent intervals drain a worker and fail its
 // in-flight cells over to the rest of the fleet. GET /cluster/workers
-// snapshots the live fleet.
+// snapshots the live fleet. Each worker's lane holds up to its adaptive
+// window of cells at the worker, tops up as they finish, and asks the
+// worker to hold each result poll (wait=) until the cell ends, so a
+// result reaches the coordinator the moment its cell finishes.
 //
-// Intake is the worker job API (POST /v1/jobs, GET /v1/jobs/{hash}) plus
-// the /v2 batch surface: POST /v2/batches accepts many specs in one 202,
-// deduplicated against the shared store before anything is scheduled,
-// and POST /v2/subscriptions registers a callback URL for a set of
-// content hashes — each result is POSTed exactly once as an HMAC-signed
-// envelope (X-ALS-Signature: sha256=<hex>) with capped-backoff retries.
+// Intake is the worker job API (POST /v1/jobs, GET /v1/jobs/{hash},
+// whose ?wait= holds a poll until its cell ends) plus the /v2 batch
+// surface: POST /v2/batches accepts many specs in one 202, deduplicated
+// against the shared store before anything is scheduled, and POST
+// /v2/subscriptions registers a callback URL for a set of content hashes
+// — each result is POSTed exactly once as an HMAC-signed envelope
+// (X-ALS-Signature: sha256=<hex>) with capped-backoff retries; a
+// subscription whose every hash is delivered retires.
 //
 // Jobs carry a tenant (X-ALS-Tenant header or the /v2 "tenant" field)
 // and a priority; dequeue is weighted-fair across tenants

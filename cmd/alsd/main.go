@@ -42,8 +42,10 @@
 // canonical job spec, GET /v1/jobs/{hash} result fetch by content hash,
 // GET /healthz readiness) that `experiments -coord http://host:8080`
 // drives directly and alscoord's lanes drive for a registered worker
-// (-register). Sweep cells and interactive submissions share one
-// hash-keyed store, so either fills the cache for the other.
+// (-register). A result fetch with ?wait=<duration> is held until the job
+// ends (at most the wait, capped at 20 s), so those lanes see a result
+// the moment its job finishes. Sweep cells and interactive submissions
+// share one hash-keyed store, so either fills the cache for the other.
 //
 // Observability (docs/OPERATIONS.md has the full reference):
 //
@@ -60,9 +62,10 @@
 // that the debug-level access log repeats, and every job log line carries
 // its job_id.
 //
-// On SIGINT/SIGTERM the daemon stops accepting work, lets in-flight jobs
-// finish (up to -drain-timeout, after which they are cancelled at their
-// next iteration boundary), flushes the store, and exits 0.
+// On SIGINT/SIGTERM the daemon stops accepting work, answers every held
+// result fetch at once, lets in-flight jobs finish (up to -drain-timeout,
+// after which they are cancelled at their next iteration boundary),
+// flushes the store, and exits 0.
 package main
 
 import (
@@ -110,7 +113,12 @@ func main() {
 	}
 
 	// -store names a local file interpreted per -store-backend ("auto"
-	// detects: magic header → embedded, anything else → jsonl).
+	// detects: magic header → embedded, anything else → jsonl). A bad
+	// -store-backend is refused with or without a store file.
+	if err := store.CheckKind(*storeBackend); err != nil {
+		logger.Error("bad -store-backend", "error", err)
+		os.Exit(1)
+	}
 	var st *store.Store
 	if *storePath != "" {
 		st, err = store.OpenKind(*storeBackend, *storePath)

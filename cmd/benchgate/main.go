@@ -77,7 +77,7 @@ type HistoryEntry struct {
 }
 
 // baselineRecipe is written into updated baselines.
-const baselineRecipe = "go test -run='^$' -bench='^(BenchmarkFlowSingle|BenchmarkFlowPaper|BenchmarkFlowGreedy|BenchmarkSimRunIncremental|BenchmarkEvaluateBatch|BenchmarkEvaluateBatchShared|BenchmarkEvaluateBatchWide|BenchmarkEvaluateBatchPaper|BenchmarkEvaluateBatchPaperER|BenchmarkLACSearchPaper|BenchmarkPostOptimize|BenchmarkCandidateClone)$' -benchmem -count=5 . | go run ./cmd/benchgate -update testdata/bench_baseline.json"
+const baselineRecipe = "go test -run='^$' -bench='^(BenchmarkFlowSingle|BenchmarkFlowPaper|BenchmarkFlowGreedy|BenchmarkSimRunIncremental|BenchmarkEvaluateBatch|BenchmarkEvaluateBatchShared|BenchmarkEvaluateBatchWide|BenchmarkEvaluateBatchPaper|BenchmarkEvaluateBatchPaperER|BenchmarkLACSearchPaper|BenchmarkPostOptimize|BenchmarkCandidateClone|BenchmarkLaneRoundTrip)$' -benchmem -count=5 . | go run ./cmd/benchgate -update testdata/bench_baseline.json"
 
 // defaultMaxRegress is the gate allowance for benches whose baseline entry
 // does not carry one yet.

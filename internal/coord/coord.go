@@ -165,6 +165,17 @@ type cellState struct {
 	// lastWorker is the worker id that last held the cell; a different
 	// worker picking it up counts as a steal (offload or failover).
 	lastWorker string
+	// done is closed at the cell's terminal transition, waking the result
+	// polls held on it (GET /v1/jobs/{hash}?wait=); a failed cell that is
+	// resubmitted gets a fresh one.
+	done chan struct{}
+}
+
+// settleLocked moves a cell to its terminal status and releases the
+// polls held on it; coordinator mutex held.
+func (cl *cellState) settleLocked(st service.Status) {
+	cl.status = st
+	close(cl.done)
 }
 
 // Coordinator owns the cluster state. Create with New, serve Handler,
@@ -178,6 +189,7 @@ type Coordinator struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
+	holds      service.PollHolds // held result polls (http.go)
 
 	mu        sync.Mutex
 	draining  bool
@@ -352,7 +364,7 @@ func (c *Coordinator) submitOne(j exp.Job, tenant string, priority int, replay b
 	if ok, err := c.opts.Store.Decode(hash, &r); err == nil && ok {
 		c.mu.Lock()
 		cl := c.newCellLocked(hash, j, tenant, priority)
-		cl.status = service.StatusDone
+		cl.settleLocked(service.StatusDone)
 		cl.cached = true
 		cl.result = &r
 		v := c.viewLocked(cl)
@@ -383,7 +395,12 @@ func (c *Coordinator) submitOne(j exp.Job, tenant string, priority int, replay b
 func (c *Coordinator) newCellLocked(hash string, j exp.Job, tenant string, priority int) *cellState {
 	if old, ok := c.cells[hash]; ok {
 		// Only a failed cell reaches here (resubmission gets a fresh run);
-		// reuse its table slot.
+		// reuse its table slot. The failure closed its done channel, so the
+		// new run gets a fresh one (unless a concurrent resubmission of the
+		// same hash got here first and already did).
+		if terminal(old.status) {
+			old.done = make(chan struct{})
+		}
 		old.job, old.tenant, old.priority = j, tenant, priority
 		old.status, old.result, old.errMsg, old.cached = service.StatusQueued, nil, "", false
 		old.lastWorker = ""
@@ -401,7 +418,7 @@ func (c *Coordinator) newCellLocked(hash string, j exp.Job, tenant string, prior
 		}
 		c.cellOrder = kept
 	}
-	cl := &cellState{hash: hash, job: j, tenant: tenant, priority: priority}
+	cl := &cellState{hash: hash, job: j, tenant: tenant, priority: priority, done: make(chan struct{})}
 	c.cells[hash] = cl
 	c.cellOrder = append(c.cellOrder, hash)
 	return cl
@@ -414,6 +431,19 @@ func (c *Coordinator) viewLocked(cl *cellState) service.JobView {
 		v.Result = &r
 	}
 	return v
+}
+
+// cellDone returns the channel closed at the terminal transition of the
+// cell for hash (already closed when it is terminal), or nil when the
+// table has no such cell: a store-served or unknown hash is answered at
+// once.
+func (c *Coordinator) cellDone(hash string) <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cl, ok := c.cells[hash]; ok {
+		return cl.done
+	}
+	return nil
 }
 
 // JobByHash resolves a cell by content hash: live table first, then the
@@ -464,7 +494,7 @@ func (c *Coordinator) completeCell(w *worker, hash string, r exp.JobResult) erro
 	cl := c.cells[hash]
 	var deliveries []*subscription
 	if cl != nil && !terminal(cl.status) {
-		cl.status = service.StatusDone
+		cl.settleLocked(service.StatusDone)
 		cl.result = &r
 		c.pendingByTenant[cl.tenant]--
 		deliveries = c.matchSubsLocked(hash)
@@ -485,7 +515,7 @@ func (c *Coordinator) failCell(hash, errMsg string) {
 	c.mu.Lock()
 	cl := c.cells[hash]
 	if cl != nil && !terminal(cl.status) {
-		cl.status = service.StatusFailed
+		cl.settleLocked(service.StatusFailed)
 		cl.errMsg = errMsg
 		c.pendingByTenant[cl.tenant]--
 	}

@@ -12,7 +12,9 @@
 // `experiments -coord=URL` drives a coordinator and an alsd alike):
 //
 //	POST /v1/jobs             batch submit → accepted-prefix BatchResponse
-//	GET  /v1/jobs/{hash}      status/result by content hash
+//	GET  /v1/jobs/{hash}      status/result by content hash; ?wait=<duration>
+//	                          holds it until the cell ends (the same
+//	                          held poll as alsd's, service.PollWait)
 //
 // /v2 intake (batch + webhook, additive surface):
 //
@@ -184,8 +186,20 @@ func (c *Coordinator) handleBatchSubmit(w http.ResponseWriter, r *http.Request) 
 	}
 }
 
+// handleJobByHash answers a result poll, first holding it while the cell
+// is queued or running when it carries wait: the lane that drives a
+// coordinator sees a cell the moment its worker's result lands here.
 func (c *Coordinator) handleJobByHash(w http.ResponseWriter, r *http.Request) {
-	v, ok := c.JobByHash(r.PathValue("hash"))
+	wait, err := service.PollWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	hash := r.PathValue("hash")
+	if done := c.cellDone(hash); wait > 0 && done != nil {
+		c.holds.Hold(c.baseCtx, r, done, wait)
+	}
+	v, ok := c.JobByHash(hash)
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("coord: unknown job hash"))
 		return

@@ -273,9 +273,9 @@ func (c *Coordinator) dropDeadWorker(w *worker, cause error) {
 }
 
 // laneSched adapts the coordinator's shared queue to the lane engine:
-// Next/Fill pull from the weighted-fair queue (Fill capped by the
-// worker's adaptive window), Offload returns cells for other lanes to
-// steal, completions and failures land in the cell table.
+// Next/Fill pull from the weighted-fair queue (Fill keeps the lane's
+// holding within the worker's adaptive window), Offload returns cells for
+// other lanes to steal, completions and failures land in the cell table.
 type laneSched struct {
 	c   *Coordinator
 	w   *worker
@@ -290,10 +290,8 @@ func (s *laneSched) Next() (*dispatch.Task, bool) {
 	return s.c.assign(s.w, cl), true
 }
 
-func (s *laneSched) Fill(n int) []*dispatch.Task {
-	if limit := s.c.window(s.w) - 1; n > limit {
-		n = limit
-	}
+func (s *laneSched) Fill(held int) []*dispatch.Task {
+	n := s.c.window(s.w) - held
 	var out []*dispatch.Task
 	for len(out) < n {
 		cl, ok := s.c.queue.tryPop()

@@ -2,7 +2,10 @@
 // callback URL to a set of content hashes, and the coordinator POSTs each
 // result exactly once (per process lifetime; at-least-once across a
 // crash, deduplicated by the WAL's delivered records) as an HMAC-signed
-// JSON envelope with capped-backoff retries.
+// JSON envelope with capped-backoff retries. A subscription whose every
+// hash has been delivered retires: its runner returns and it leaves the
+// table every completion scans, and the next start's WAL compaction drops
+// it.
 //
 // Verification recipe for subscribers (docs/OPERATIONS.md repeats it):
 // read the raw request body, compute hex(HMAC-SHA256(secret, body)), and
@@ -134,7 +137,8 @@ func (c *Coordinator) Subscribe(rawURL, secret string, hashes []string) (string,
 // restoreSubscription re-arms one WAL-recovered subscription: delivered
 // hashes stay delivered, done-but-unacknowledged ones re-queue (the
 // at-least-once half of the crash contract), the rest wait for their
-// cells to finish.
+// cells to finish. A subscription with every hash delivered is not
+// re-armed, so the startup compaction drops it.
 func (c *Coordinator) restoreSubscription(ws WALSubscription) {
 	c.mu.Lock()
 	// Keep the id sequence past every recovered id so fresh subscriptions
@@ -156,7 +160,13 @@ func (c *Coordinator) restoreSubscription(ws WALSubscription) {
 		sub.hashes[h] = true
 	}
 	for _, h := range ws.Delivered {
-		sub.delivered[h] = true
+		if sub.hashes[h] {
+			sub.delivered[h] = true
+		}
+	}
+	if sub.fullyDelivered() {
+		c.mu.Unlock()
+		return
 	}
 	c.subs[sub.id] = sub
 	c.mu.Unlock()
@@ -227,7 +237,9 @@ func (c *Coordinator) resultFor(hash string) (exp.JobResult, bool) {
 }
 
 // runSubscription delivers one subscription's envelopes serially until
-// the coordinator closes.
+// every hash is delivered or the coordinator closes. A fully delivered
+// subscription leaves c.subs before its runner returns, so no completion
+// scans it again; an undelivered or abandoned hash keeps it armed.
 func (c *Coordinator) runSubscription(sub *subscription) {
 	defer c.wg.Done()
 	for {
@@ -236,9 +248,22 @@ func (c *Coordinator) runSubscription(sub *subscription) {
 			return
 		case hash := <-sub.ch:
 			c.deliver(sub, hash)
+			c.mu.Lock()
+			retired := sub.fullyDelivered()
+			if retired {
+				delete(c.subs, sub.id)
+			}
+			c.mu.Unlock()
+			if retired {
+				return
+			}
 		}
 	}
 }
+
+// fullyDelivered reports whether every subscribed hash has a 2xx
+// (delivered only ever holds subscribed hashes); coordinator mutex held.
+func (s *subscription) fullyDelivered() bool { return len(s.delivered) == len(s.hashes) }
 
 // deliver POSTs one signed envelope with capped-backoff retries. Success
 // is a 2xx: the delivery is recorded in the WAL so a restart will not

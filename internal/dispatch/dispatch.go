@@ -50,7 +50,11 @@ type Options struct {
 	Store *store.Store
 	// Client issues all endpoint HTTP requests (default: 30s timeout).
 	Client *http.Client
-	// PollInterval spaces result polls (default 50ms).
+	// PollInterval is the longest a finished cell can go unnoticed
+	// (default 50ms): one poll sweep's deadline. Each poll asks the
+	// endpoint to hold it (wait=) for the time left in the sweep, so the
+	// cell being waited on is seen the moment it ends; an endpoint that
+	// answers at once (an older build) is swept once per PollInterval.
 	PollInterval time.Duration
 	// SubmitBatch caps job specs per submission (default 16).
 	SubmitBatch int
@@ -249,9 +253,9 @@ func (r *runSched) Next() (*Task, bool) {
 	return t, true
 }
 
-// Fill batches up to n more pending cells behind the one Next delivered.
-func (r *runSched) Fill(n int) []*Task {
-	n = min(n, len(r.pending))
+// Fill tops the lane up to SubmitBatch held cells from the pending queue.
+func (r *runSched) Fill(held int) []*Task {
+	n := min(max(r.opts.SubmitBatch-held, 0), len(r.pending))
 	out := r.pending[:n:n]
 	r.pending = r.pending[n:]
 	return out

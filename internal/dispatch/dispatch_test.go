@@ -100,9 +100,10 @@ func proxy(t *testing.T, real string, intercept func(w http.ResponseWriter, r *h
 	return ts
 }
 
-// relay forwards r to the real worker and returns the body it relayed.
+// relay forwards r (query included, so held polls stay held) to the real
+// worker and returns the body it relayed.
 func relay(w http.ResponseWriter, r *http.Request, real string) []byte {
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, real+r.URL.Path, r.Body)
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, real+r.URL.RequestURI(), r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return nil

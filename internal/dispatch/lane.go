@@ -1,13 +1,18 @@
 // The lane engine. A Lane drives one base URL through the worker job API
 // — submit batches of specs, poll results by content hash, retry
 // transient transport failures with capped exponential backoff, requeue
-// cells the worker forgot or cancelled. Its scheduling half sits behind a
-// LaneScheduler with two implementations: Run's pending queue against one
-// endpoint (dispatch.go), and the coordinator daemon's per-worker lanes
-// over its shared weighted-fair queue (internal/coord), which add
-// throughput-adaptive windows and work stealing. What the two share —
-// the lane's context, its result store, its request ID and its parent
-// span — are Lane fields.
+// cells the worker forgot or cancelled. Each poll sweep has a deadline
+// one PollInterval after it starts: it polls the outstanding cells
+// oldest-submitted first, asking the server to hold each poll (wait=)
+// until the cell ends or the deadline passes, so a finished cell is seen
+// the moment it ends and the lane refills from its scheduler right away.
+// Its scheduling half sits behind a LaneScheduler with two
+// implementations: Run's pending queue against one endpoint
+// (dispatch.go), and the coordinator daemon's per-worker lanes over its
+// shared weighted-fair queue (internal/coord), which add
+// throughput-adaptive windows and work stealing. What the two share — the
+// lane's context, its result store, its request ID and its parent span —
+// are Lane fields.
 package dispatch
 
 import (
@@ -19,6 +24,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -43,10 +49,13 @@ type LaneScheduler interface {
 	// Next blocks until a task is available for this lane; ok=false shuts
 	// the lane down cleanly (run finished, worker drained, …).
 	Next() (t *Task, ok bool)
-	// Fill returns up to n more tasks without blocking, letting the lane
-	// batch several cells into one submission. An adaptive scheduler caps
-	// this by the worker's observed throughput.
-	Fill(n int) []*Task
+	// Fill returns more tasks without blocking, letting the lane batch
+	// several cells into one submission and top up as cells finish. held
+	// counts the cells the lane already holds (unsubmitted and
+	// outstanding); the scheduler's cap counts them too — Run's is
+	// SubmitBatch, an adaptive scheduler's the worker's observed
+	// throughput.
+	Fill(held int) []*Task
 	// Offload hands unsubmitted tasks back when the worker reports a full
 	// queue. Returning false keeps them lane-local (Run's single lane);
 	// returning true lets an idle lane steal them (the coordinator's
@@ -73,13 +82,18 @@ var errPermanent = errors.New("dispatch: permanent failure")
 // call Run from a single goroutine; all internal state is
 // goroutine-local.
 type Lane struct {
-	Name         string // label for logs and metrics (usually the URL)
-	Base         string // worker base URL, no trailing slash
-	Client       *http.Client
-	SubmitBatch  int
-	RetryBudget  int
-	Backoff      time.Duration
-	MaxBackoff   time.Duration
+	Name        string // label for logs and metrics (usually the URL)
+	Base        string // worker base URL, no trailing slash
+	Client      *http.Client
+	SubmitBatch int
+	RetryBudget int
+	Backoff     time.Duration
+	MaxBackoff  time.Duration
+	// PollInterval is the longest a finished cell can go unnoticed: one
+	// poll sweep's deadline. A server that holds polls answers the cell
+	// being waited on the moment it ends; against one that answers at
+	// once (an older build), sweeps that finish nothing are paced one
+	// PollInterval apart.
 	PollInterval time.Duration
 	Logger       *slog.Logger // nil discards
 	Metrics      *Metrics
@@ -101,9 +115,10 @@ type Lane struct {
 	Span *trace.Span
 
 	// unsubmitted holds cells the worker has not accepted yet;
-	// outstanding maps accepted cells by hash until a poll resolves them.
+	// outstanding holds accepted cells, oldest submission first, until a
+	// poll resolves them.
 	unsubmitted []*Task
-	outstanding map[string]*Task
+	outstanding []*Task
 	// failures counts consecutive transport-level failures; any success
 	// resets it, exceeding the retry budget kills the lane.
 	failures int
@@ -124,7 +139,6 @@ func (l *Lane) Run() ([]*Task, error) {
 	if l.Logger == nil {
 		l.Logger = slog.New(slog.DiscardHandler)
 	}
-	l.outstanding = map[string]*Task{}
 	defer func() {
 		if l.resubmits > 1 {
 			l.Logger.Info("lane resubmitted cells", "lane", l.Name, "cells", l.resubmits)
@@ -137,9 +151,7 @@ func (l *Lane) Run() ([]*Task, error) {
 				return l.leftovers(), nil
 			}
 			l.unsubmitted = append(l.unsubmitted, t)
-			if n := l.SubmitBatch - len(l.unsubmitted); n > 0 {
-				l.unsubmitted = append(l.unsubmitted, l.Sched.Fill(n)...)
-			}
+			l.refill()
 		}
 		if err := l.step(); err != nil {
 			if errors.Is(err, errPermanent) {
@@ -156,8 +168,17 @@ func (l *Lane) Run() ([]*Task, error) {
 // cancelled reports whether the lane's context has ended.
 func (l *Lane) cancelled() bool { return l.Ctx.Err() != nil }
 
+// refill tops the lane up from its scheduler, which caps what the lane
+// holds.
+func (l *Lane) refill() {
+	l.unsubmitted = append(l.unsubmitted, l.Sched.Fill(len(l.unsubmitted)+len(l.outstanding))...)
+}
+
 // sleep pauses between polls and backoffs, waking early on cancellation.
 func (l *Lane) sleep(d time.Duration) {
+	if d <= 0 {
+		return
+	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -198,17 +219,13 @@ func (l *Lane) lookup(hash string) (exp.JobResult, bool) {
 
 // leftovers collects everything the lane still owns, clearing its state.
 func (l *Lane) leftovers() []*Task {
-	out := append([]*Task(nil), l.unsubmitted...)
-	for _, t := range l.outstanding {
-		out = append(out, t)
-	}
-	l.unsubmitted = nil
-	l.outstanding = map[string]*Task{}
+	out := append(append([]*Task(nil), l.unsubmitted...), l.outstanding...)
+	l.unsubmitted, l.outstanding = nil, nil
 	return out
 }
 
 // step advances the lane one round: submit what the worker will take,
-// sweep outstanding results, pace the next poll.
+// then sweep outstanding results.
 func (l *Lane) step() error {
 	if len(l.unsubmitted) > 0 {
 		if err := l.submit(); err != nil {
@@ -216,12 +233,7 @@ func (l *Lane) step() error {
 		}
 	}
 	if len(l.outstanding) > 0 {
-		if err := l.poll(); err != nil {
-			return err
-		}
-		if len(l.outstanding) > 0 {
-			l.sleep(l.PollInterval)
-		}
+		return l.poll()
 	}
 	return nil
 }
@@ -312,7 +324,7 @@ func (l *Lane) submit() error {
 					l.Name, batch[i].Job, v.Hash, batch[i].Hash))
 				return errPermanent
 			}
-			l.outstanding[v.Hash] = batch[i]
+			l.outstanding = append(l.outstanding, batch[i])
 		}
 		l.unsubmitted = l.unsubmitted[len(br.Jobs):]
 		if resp.StatusCode == http.StatusServiceUnavailable {
@@ -342,18 +354,35 @@ func (l *Lane) submit() error {
 	}
 }
 
-// poll sweeps the outstanding set once. Finished cells complete, failed
-// cells go through JobFailed (deterministic — the scheduler decides
-// whether that aborts everything), a 404 — a worker restarted or evicted
-// between submit and poll — first consults the shared store (another
-// lane may have persisted the cell already) and only then requeues it
-// for resubmission.
+// poll sweeps the outstanding cells once, oldest submission first. The
+// sweep's deadline is one PollInterval after it starts, and each poll
+// asks the server to hold it (wait=) for the time left, so the cell being
+// waited on is seen the moment it ends. A sweep that finished a cell
+// (done or failed) tops the lane up from its scheduler; one that finished
+// nothing pulls nothing — a lane waiting on a long cell leaves queued
+// cells to lanes that can start them — and sleeps out any time left
+// before its deadline, so a server that answers at once (an older build)
+// sees at most one sweep per PollInterval.
+//
+// Finished cells complete, failed cells go through JobFailed
+// (deterministic — the scheduler decides whether that aborts everything),
+// a 404 — a worker restarted or evicted between submit and poll — first
+// consults the shared store (another lane may have persisted the cell
+// already) and only then requeues it for resubmission.
 func (l *Lane) poll() error {
-	for hash, t := range l.outstanding {
+	deadline := time.Now().Add(l.PollInterval)
+	finished := 0
+	for i := 0; i < len(l.outstanding); {
 		if l.cancelled() {
 			return nil
 		}
-		req, sp, err := l.newRequest(http.MethodGet, "/v1/jobs/"+hash, nil, "dispatch.poll")
+		t := l.outstanding[i]
+		hash := t.Hash
+		path := "/v1/jobs/" + hash
+		if wait := time.Until(deadline); wait > 0 {
+			path += "?wait=" + wait.String()
+		}
+		req, sp, err := l.newRequest(http.MethodGet, path, nil, "dispatch.poll")
 		if err != nil {
 			l.Sched.Fatal(err)
 			return errPermanent
@@ -379,7 +408,7 @@ func (l *Lane) poll() error {
 		case http.StatusOK:
 		case http.StatusNotFound:
 			l.failures = 0
-			delete(l.outstanding, hash)
+			l.outstanding = slices.Delete(l.outstanding, i, i+1)
 			if r, ok := l.lookup(hash); ok {
 				// The shared store already holds this cell — another lane
 				// (or a previous run) computed it while the worker forgot
@@ -388,6 +417,7 @@ func (l *Lane) poll() error {
 				if err := l.complete(t, r); err != nil {
 					return err
 				}
+				finished++
 				continue
 			}
 			l.unsubmitted = append(l.unsubmitted, t)
@@ -406,22 +436,32 @@ func (l *Lane) poll() error {
 			if v.Result == nil {
 				return l.transient("poll", fmt.Errorf("done view for %.12s… carries no result", hash))
 			}
-			delete(l.outstanding, hash)
+			l.outstanding = slices.Delete(l.outstanding, i, i+1)
 			if err := l.complete(t, *v.Result); err != nil {
 				return err
 			}
+			finished++
 		case service.StatusFailed:
-			delete(l.outstanding, hash)
+			l.outstanding = slices.Delete(l.outstanding, i, i+1)
 			if err := l.Sched.JobFailed(t, v.Error); err != nil {
 				return errPermanent
 			}
+			finished++
 		case service.StatusCancelled:
 			// The worker cancelled it (drain timeout, operator action); the
 			// cell itself is fine — run it elsewhere.
-			delete(l.outstanding, hash)
+			l.outstanding = slices.Delete(l.outstanding, i, i+1)
 			l.unsubmitted = append(l.unsubmitted, t)
 			l.noteResubmit("worker cancelled a cell; resubmitting", hash)
+		default:
+			i++ // still queued or running
 		}
+	}
+	switch {
+	case finished > 0 && !l.cancelled():
+		l.refill()
+	case finished == 0 && len(l.outstanding) > 0:
+		l.sleep(time.Until(deadline))
 	}
 	return nil
 }

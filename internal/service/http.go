@@ -16,7 +16,9 @@ const maxBodyBytes = MaxVerilogBytes + 1<<20
 // API (worker.go) that sweep clients and the cluster coordinator drive:
 //
 //	POST /v1/jobs              batch-submit exp.Job specs → BatchResponse
-//	GET  /v1/jobs/{hash}       status/result by content hash → JobView
+//	GET  /v1/jobs/{hash}       status/result by content hash → JobView;
+//	                           ?wait=<duration> holds it until the job
+//	                           ends (worker.go)
 //
 // and the operational surface:
 //
@@ -100,8 +102,19 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleJobByHash answers a result poll, first holding it while the job
+// runs when it carries wait (worker.go).
 func (s *Server) handleJobByHash(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.JobByHash(r.PathValue("hash"))
+	wait, err := PollWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	hash := r.PathValue("hash")
+	if done := s.jobDone(hash); wait > 0 && done != nil {
+		s.holds.Hold(s.baseCtx, r, done, wait)
+	}
+	v, ok := s.JobByHash(hash)
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("service: unknown job hash"))
 		return

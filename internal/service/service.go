@@ -178,6 +178,9 @@ type jobState struct {
 	// subs holds the live /v2 event subscribers; entries are closed (and
 	// the map nilled) when the job reaches a terminal state.
 	subs map[chan JobEvent]struct{}
+	// done is closed at the job's one terminal transition, waking the
+	// result polls held on it (GET /v1/jobs/{hash}?wait=).
+	done chan struct{}
 	// parent is the submitting request's span: job spans (queue.wait,
 	// job.run, store.put) parent onto its immutable identity, which stays
 	// valid after the HTTP request span ends. queueSpan covers
@@ -203,6 +206,7 @@ type Server struct {
 	tracer      *trace.Tracer
 	wal         *WAL
 	reqSeq      atomic.Int64 // request-ID sequence for the access log
+	holds       PollHolds    // held result polls (worker.go)
 
 	baseCtx    context.Context // parent of every job run; Close cancels it
 	baseCancel context.CancelFunc
@@ -480,6 +484,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (JobView, error) {
 				j.front = front
 			}
 			j.started, j.finished = now, now
+			close(j.done)
 			s.stats.Submitted++
 			s.stats.CacheHits++
 			s.metrics.jobsSubmitted.Inc()
@@ -526,6 +531,7 @@ func (s *Server) newJobLocked(sp *flowSpec) *jobState {
 		id:      fmt.Sprintf("f%06d", s.seq),
 		spec:    sp,
 		status:  StatusQueued,
+		done:    make(chan struct{}),
 		created: time.Now(),
 	}
 	s.jobs[j.id] = j

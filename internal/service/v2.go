@@ -129,14 +129,16 @@ func (s *Server) broadcastLocked(j *jobState, ev JobEvent) {
 }
 
 // closeSubsLocked ends every subscription of a job that just reached a
-// terminal state, delivering the terminal event (with the final job
-// view) into each channel before closing it. The snapshot is taken here,
-// not in the SSE handler after the close, because the job may be evicted
-// from the table the instant the lock drops — a subscriber must still
-// get its terminal event. Every channel send in the package happens
+// terminal state: it closes the job's done channel, releasing the result
+// polls held on it, and delivers the terminal event (with the final job
+// view) into each event channel before closing it. The snapshot is taken
+// here, not in the SSE handler after the close, because the job may be
+// evicted from the table the instant the lock drops — a subscriber must
+// still get its terminal event. Every channel send in the package happens
 // under s.mu, so after dropping one buffered event there is always room
 // for the terminal one. s.mu held.
 func (s *Server) closeSubsLocked(j *jobState) {
+	close(j.done)
 	if len(j.subs) > 0 {
 		v := s.viewV2Locked(j)
 		ev := JobEvent{Type: string(j.status), Job: &v}

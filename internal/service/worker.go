@@ -9,16 +9,35 @@
 //	POST /v1/jobs        batch-submit job specs → BatchResponse
 //	GET  /v1/jobs/{hash} status/result by content hash → JobView
 //	GET  /healthz        readiness (shared with the flow API)
+//
+// A result poll may carry ?wait=<Go duration>: for a queued or running
+// job the handler holds the request until the job ends, the wait (capped
+// at MaxPollWait) elapses, the client goes away or the daemon begins
+// shutting down, and then answers exactly what the poll without wait
+// answers. The lane of internal/dispatch sets it to the time left in its
+// poll sweep, so a finished cell is seen the moment it ends; a client
+// that never sends it is answered at once, as before.
 
 package service
 
 import (
+	"context"
+	"fmt"
+	"net/http"
+	"sync"
+	"time"
+
 	"repro/internal/exp"
 )
 
 // MaxBatchJobs bounds one batch submission; a coordinator with more cells
 // submits several batches (and must anyway, to respect the queue depth).
 const MaxBatchJobs = 256
+
+// MaxPollWait caps the wait a result poll may ask for: a longer one is
+// held for MaxPollWait, well inside the 30 s default client timeout of
+// dispatch and alscoord.
+const MaxPollWait = 20 * time.Second
 
 // BatchRequest is the body of POST /v1/jobs.
 type BatchRequest struct {
@@ -95,6 +114,19 @@ func CanonicalJobSpec(j exp.Job) (exp.Job, string, error) {
 	return sp.job, sp.hash, nil
 }
 
+// jobDone returns the channel closed at the terminal transition of the
+// live job for hash (already closed when it is terminal), or nil when no
+// job in the table has that hash: a store-served or unknown hash is
+// answered at once.
+func (s *Server) jobDone(hash string) <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if id, ok := s.byHash[hash]; ok {
+		return s.jobs[id].done
+	}
+	return nil
+}
+
 // JobByHash resolves a job by content hash: first against the live job
 // table (latest submission wins, any status), then against the persistent
 // store — so a worker restarted between submit and fetch, or one whose
@@ -121,4 +153,69 @@ func (s *Server) JobByHash(hash string) (JobView, bool) {
 		}
 	}
 	return JobView{}, false
+}
+
+// PollWait parses the optional wait query parameter of a result poll: a
+// Go duration, absent meaning zero (answer at once). A malformed or
+// negative value is an error, which the route answers with 400.
+func PollWait(r *http.Request) (time.Duration, error) {
+	raw := r.URL.Query().Get("wait")
+	if raw == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(raw)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("service: wait=%q is not a non-negative Go duration", raw)
+	}
+	return min(d, MaxPollWait), nil
+}
+
+// PollHolds parks held result polls. Beside the job's own end, the wait
+// and the client's disconnect, it releases every hold when the
+// http.Server serving it begins shutting down (Shutdown waits for active
+// requests, so an unreleased hold would stall it) or when the daemon's
+// own context ends. The zero value is ready to use; alsd's Server and
+// alscoord's Coordinator each own one.
+type PollHolds struct {
+	mu sync.Mutex
+	// shutdown holds one channel per http.Server that served a hold,
+	// closed by that server's shutdown hook.
+	shutdown map[*http.Server]chan struct{}
+}
+
+// Hold blocks until done is closed, wait elapses, the client goes away,
+// the daemon's ctx ends or the http.Server serving r begins shutting
+// down.
+func (h *PollHolds) Hold(ctx context.Context, r *http.Request, done <-chan struct{}, wait time.Duration) {
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-done:
+	case <-timer.C:
+	case <-r.Context().Done():
+	case <-ctx.Done():
+	case <-h.shuttingDown(r):
+	}
+}
+
+// shuttingDown returns the channel closed when the http.Server serving r
+// begins shutting down (nil, never ready, outside one). The first hold on
+// a server registers its shutdown hook.
+func (h *PollHolds) shuttingDown(r *http.Request) <-chan struct{} {
+	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
+	if srv == nil {
+		return nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	ch, ok := h.shutdown[srv]
+	if !ok {
+		if h.shutdown == nil {
+			h.shutdown = map[*http.Server]chan struct{}{}
+		}
+		ch = make(chan struct{})
+		h.shutdown[srv] = ch
+		srv.RegisterOnShutdown(func() { close(ch) })
+	}
+	return ch
 }

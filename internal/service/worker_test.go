@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -220,5 +221,194 @@ func TestBatchDrainingReturns503(t *testing.T) {
 	}
 	if !strings.Contains(br.Error, "draining") {
 		t.Fatalf("503 body must name the cause: %+v", br)
+	}
+}
+
+// getWait polls one hash with ?wait= and reports the view, the status
+// code and when the answer arrived.
+func getWait(t *testing.T, base, hash, wait string) (JobView, int, time.Time) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + hash + "?wait=" + wait)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v JobView
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil && resp.StatusCode < 400 {
+		t.Fatal(err)
+	}
+	return v, resp.StatusCode, time.Now()
+}
+
+// waitHeld blocks until a poll is held on h (the first hold on a server
+// registers its shutdown hook).
+func waitHeld(t *testing.T, h *PollHolds) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		h.mu.Lock()
+		n := len(h.shutdown)
+		h.mu.Unlock()
+		if n > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no poll was ever held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// longJob runs for minutes unless cancelled.
+func longJob(seed int64) exp.Job {
+	j := quickJob(seed)
+	j.Iterations = 5000
+	return j
+}
+
+// TestHeldPollAnswersWhenJobEnds: a poll with wait is answered with the
+// finished job within a few ms of the job's end, not at the wait.
+func TestHeldPollAnswersWhenJobEnds(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	j := quickJob(61)
+	j.Iterations = 150
+	br, code := postBatch(t, ts, j)
+	if code != http.StatusOK {
+		t.Fatalf("batch status = %d", code)
+	}
+	start := time.Now()
+	v, code, at := getWait(t, ts.URL, br.Jobs[0].Hash, "10s")
+	if code != http.StatusOK || v.Status != StatusDone || v.Result == nil {
+		t.Fatalf("held poll = %d %q, want 200 done with a result", code, v.Status)
+	}
+	if lag := at.Sub(v.Finished); lag > 250*time.Millisecond {
+		t.Fatalf("held poll answered %v after the job ended", lag)
+	}
+	if held := at.Sub(start); held > 5*time.Second {
+		t.Fatalf("held poll took %v", held)
+	}
+
+	// A cancelled job ends its held polls too.
+	br, _ = postBatch(t, ts, longJob(62))
+	answered := make(chan JobView, 1)
+	go func() {
+		var v JobView
+		if resp, err := http.Get(ts.URL + "/v1/jobs/" + br.Jobs[0].Hash + "?wait=10s"); err == nil {
+			json.NewDecoder(resp.Body).Decode(&v) //nolint:errcheck // a failed decode shows as the wrong status
+			resp.Body.Close()
+		}
+		answered <- v
+	}()
+	waitHeld(t, &s.holds)
+	cancelled := time.Now()
+	resp, err := http.Post(ts.URL+"/v2/jobs/"+br.Jobs[0].ID+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	select {
+	case v := <-answered:
+		if v.Status != StatusCancelled {
+			t.Fatalf("held poll on a cancelled job = %q", v.Status)
+		}
+		if lag := time.Since(cancelled); lag > 2*time.Second {
+			t.Fatalf("held poll answered %v after the cancel", lag)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("held poll outlived its cancelled job")
+	}
+}
+
+// TestHeldPollAnswersAtOnce: a terminal job, an unknown hash and a
+// request without wait are answered at once, exactly as without wait; a
+// malformed wait is a 400.
+func TestHeldPollAnswersAtOnce(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	br, _ := postBatch(t, ts, quickJob(63))
+	done := waitDoneByHash(t, ts, br.Jobs[0].Hash)
+
+	start := time.Now()
+	v, code, _ := getWait(t, ts.URL, done.Hash, "10s")
+	if code != http.StatusOK || v.Status != StatusDone || v.Result == nil || v.Result.RatioCPD != done.Result.RatioCPD {
+		t.Fatalf("held poll on a done job = %d %+v", code, v)
+	}
+	_, code, _ = getWait(t, ts.URL, strings.Repeat("0", 64), "10s")
+	if code != http.StatusNotFound {
+		t.Fatalf("held poll on an unknown hash = %d, want 404", code)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("terminal and unknown hashes took %v to answer", took)
+	}
+	for _, bad := range []string{"soon", "10", "-1s", "1h%20"} {
+		if _, code, _ := getWait(t, ts.URL, done.Hash, bad); code != http.StatusBadRequest {
+			t.Errorf("wait=%s answered %d, want 400", bad, code)
+		}
+	}
+}
+
+// TestHeldPollReleasedByDisconnect: a client that goes away releases the
+// handler holding its poll.
+func TestHeldPollReleasedByDisconnect(t *testing.T) {
+	s := New(Options{})
+	h := s.Handler()
+	returned := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Query().Has("wait") {
+			returned <- struct{}{}
+		}
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	br, _ := postBatch(t, ts, longJob(64))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+br.Jobs[0].Hash+"?wait=20s", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitHeld(t, &s.holds)
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler still holding the poll of a client that went away")
+	}
+}
+
+// TestShutdownReleasesHeldPoll: http.Server.Shutdown with a poll held
+// returns promptly, the poll answered with the job's current state.
+func TestShutdownReleasesHeldPoll(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	br, _ := postBatch(t, ts, longJob(65))
+	answered := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + br.Jobs[0].Hash + "?wait=20s")
+		if err != nil {
+			answered <- 0
+			return
+		}
+		resp.Body.Close()
+		answered <- resp.StatusCode
+	}()
+	waitHeld(t, &s.holds)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := ts.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("shutdown took %v with a held poll", took)
+	}
+	if code := <-answered; code != http.StatusOK {
+		t.Fatalf("released poll answered %d, want 200", code)
 	}
 }

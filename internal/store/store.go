@@ -112,8 +112,18 @@ func OpenKind(kind, path string) (*Store, error) {
 	case "embedded":
 		return OpenEmbedded(path)
 	default:
-		return nil, fmt.Errorf("store: unknown backend kind %q (valid: auto, jsonl, embedded)", kind)
+		return nil, CheckKind(kind)
 	}
+}
+
+// CheckKind reports whether OpenKind accepts kind, so a daemon refuses a
+// bad backend flag even when it opens no store.
+func CheckKind(kind string) error {
+	switch kind {
+	case "", "auto", "jsonl", "embedded":
+		return nil
+	}
+	return fmt.Errorf("store: unknown backend kind %q (valid: auto, jsonl, embedded)", kind)
 }
 
 // sniffEmbedded reports whether the file at path starts with the embedded

@@ -32,18 +32,46 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// validTraceparents parse to trace ID 4bf92f…4736 and span ID
+// 00f067aa0ba902b7 with the given sampled flag.
+var validTraceparents = []struct {
+	in      string
+	sampled bool
+}{
+	{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", true},
+	{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00", false},
+	// Unknown flag bits: only bit 0 is interpreted.
+	{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-03", true},
+	// A future version with trailing data parses as version 00.
+	{"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", true},
+}
+
+// malformedTraceparents must all be refused.
+var malformedTraceparents = []string{
+	"",
+	"00",
+	"garbage",
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",     // missing flags
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-",    // empty flags
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0",   // short flags
+	"0-4bf92f3577b34da6a3ce929d0e0e47366-00f067aa0ba902b7-01",  // short version
+	"00-4bf92f3577b34da6a3ce929d0e0e473-00f067aa0ba902b70-01",  // 31-digit trace id
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase hex
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01",  // uppercase span
+	"00-zzf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // non-hex trace
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-zzf067aa0ba902b7-01",  // non-hex span
+	"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // zero trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // zero span id
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // forbidden version
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // v00 trailing junk
+	"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // unseparated trailer
+	"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // wrong separator
+	"00-4bf92f3577b34da6a3ce929d0e0e4736_00f067aa0ba902b7-01",
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7_01",
+}
+
 func TestTraceparentParseValid(t *testing.T) {
-	for _, tc := range []struct {
-		in      string
-		sampled bool
-	}{
-		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", true},
-		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00", false},
-		// Unknown flag bits: only bit 0 is interpreted.
-		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-03", true},
-		// A future version with trailing data parses as version 00.
-		{"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", true},
-	} {
+	for _, tc := range validTraceparents {
 		sc, err := ParseTraceparent(tc.in)
 		if err != nil {
 			t.Errorf("ParseTraceparent(%q): unexpected error %v", tc.in, err)
@@ -62,50 +90,57 @@ func TestTraceparentParseValid(t *testing.T) {
 }
 
 func TestTraceparentParseMalformed(t *testing.T) {
-	for _, corpus := range []string{
-		"",
-		"00",
-		"garbage",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",     // missing flags
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-",    // empty flags
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0",   // short flags
-		"0-4bf92f3577b34da6a3ce929d0e0e47366-00f067aa0ba902b7-01",  // short version
-		"00-4bf92f3577b34da6a3ce929d0e0e473-00f067aa0ba902b70-01",  // 31-digit trace id
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase hex
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01",  // uppercase span
-		"00-zzf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // non-hex trace
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-zzf067aa0ba902b7-01",  // non-hex span
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // zero span id
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // forbidden version
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // v00 trailing junk
-		"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // unseparated trailer
-		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // wrong separator
-		"00-4bf92f3577b34da6a3ce929d0e0e4736_00f067aa0ba902b7-01",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7_01",
-	} {
+	for _, corpus := range malformedTraceparents {
 		if sc, err := ParseTraceparent(corpus); err == nil {
 			t.Errorf("ParseTraceparent(%q) accepted malformed input: %+v", corpus, sc)
 		}
 	}
 }
 
-// Fuzz-ish: Parse must never panic, and every accepted value must
-// re-render to a header Parse accepts again.
-func TestTraceparentNeverPanics(t *testing.T) {
-	base := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+// FuzzParseTraceparent: ParseTraceparent never panics and never accepts
+// uppercase hex or an all-zero ID, and an accepted header renders
+// (Traceparent) to one that parses back to the same SpanContext and
+// renders to itself. Seeds: the valid and malformed tables, plus every
+// single-byte mutation of a valid header to a NUL, a separator, a
+// non-hex letter, an uppercase letter or 0xff.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, tc := range validTraceparents {
+		f.Add(tc.in)
+	}
+	for _, s := range malformedTraceparents {
+		f.Add(s)
+	}
+	base := validTraceparents[0].in
 	for i := 0; i <= len(base); i++ {
 		for _, c := range []byte{0, '-', 'g', 'Z', 0xff} {
-			mutated := base[:i] + string(c) + base[min(i+1, len(base)):]
-			sc, err := ParseTraceparent(mutated)
-			if err != nil {
-				continue
-			}
-			if _, err := ParseTraceparent(sc.Traceparent()); err != nil {
-				t.Fatalf("accepted %q but re-parse of %q failed: %v", mutated, sc.Traceparent(), err)
-			}
+			f.Add(base[:i] + string(c) + base[min(i+1, len(base)):])
 		}
 	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		// Every accepted header has the fixed 55-byte prefix, whose four
+		// hex fields must be lowercase.
+		if strings.ContainsAny(s[:55], "ABCDEF") {
+			t.Fatalf("accepted uppercase hex in %q", s)
+		}
+		if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
+			t.Fatalf("accepted an all-zero ID in %q: %+v", s, sc)
+		}
+		h := sc.Traceparent()
+		back, err := ParseTraceparent(h)
+		if err != nil {
+			t.Fatalf("accepted %q but its rendering %q does not parse: %v", s, h, err)
+		}
+		if back != sc {
+			t.Fatalf("%q re-parsed from %q as %+v, want %+v", h, s, back, sc)
+		}
+		if back.Traceparent() != h {
+			t.Fatalf("rendering of %q is not a fixed point: %q then %q", s, h, back.Traceparent())
+		}
+	})
 }
 
 func TestSpanTreeAndSnapshot(t *testing.T) {
