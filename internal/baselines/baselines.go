@@ -394,16 +394,11 @@ func (r *runner) genetic() (*Result, error) {
 }
 
 // mutateClone clones the individual and applies one similarity-guided LAC
-// (consuming rng); evaluation is left to the caller so independent mutants
-// can be batched.
+// on a random target (consuming rng); evaluation is left to the caller so
+// independent mutants can be batched.
 func (r *runner) mutateClone(ind *core.Individual) (*netlist.Circuit, error) {
 	clone := ind.Circuit.Clone()
-	res, err := r.eval.Simulate(clone)
-	if err != nil {
-		return nil, err
-	}
-	lac.RandomChange(clone, res, r.rng)
-	return clone, nil
+	return clone, r.eval.Search(clone, nil, lac.RandomTargets(clone, r.rng))
 }
 
 // singleChaseGWO implements the traditional GWO baseline: every non-alpha
@@ -445,17 +440,18 @@ func (r *runner) singleChaseGWO() (*Result, error) {
 				childC = core.Reproduce(ci, alpha, wt, 0.1)
 			}
 			if childC == nil {
+				// One searching action, or a random LAC when Tc is empty.
 				clone := ci.Circuit.Clone()
-				res, err := r.eval.Simulate(clone)
-				if err != nil {
-					return nil, err
-				}
 				rep, err := sta.Analyze(clone, r.lib)
 				if err != nil {
 					return nil, err
 				}
-				if _, ok := lac.Search(clone, res, rep, r.rng, r.cfg.CritMargin); !ok {
-					lac.RandomChange(clone, res, r.rng)
+				targets := lac.DrawTargets(clone, rep, r.rng, r.cfg.CritMargin, 1)
+				if len(targets) == 0 {
+					rep, targets = nil, lac.RandomTargets(clone, r.rng)
+				}
+				if err := r.eval.Search(clone, rep, targets); err != nil {
+					return nil, err
 				}
 				childC = clone
 			}

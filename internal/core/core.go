@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/errest"
+	"repro/internal/lac"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 	"repro/internal/sta"
@@ -246,7 +247,9 @@ type Result struct {
 // rounds (EvaluateRound, which evaluates against the round's parent) run
 // on one pipeline, one arena (simulator and re-timer) per worker;
 // evaluation is pure (no RNG, no shared mutable state), so results are
-// deterministic and identical to serial evaluation.
+// deterministic and identical to serial evaluation. The Evaluator also
+// completes the population optimizers' searching actions (Search), through
+// the run's switch-selection memo.
 type Evaluator struct {
 	lib      *cell.Library
 	est      *errest.Estimator
@@ -258,7 +261,11 @@ type Evaluator struct {
 	refArea  float64
 	count    int
 
-	serial *arena // arena for serial Evaluate/Simulate calls
+	serial *arena // arena for serial Evaluate/Simulate/Search calls
+
+	// memo holds the run's golden diff counts and popcounts for switch
+	// selection; every worker's searches read and fill it concurrently.
+	memo *lac.Memo
 
 	// Generation-scoped evaluation reuse (see evalcache.go). pos mirrors
 	// the base circuit's memoized topological order; cacheEnabled is read
@@ -327,6 +334,7 @@ func NewEvaluator(accurate *netlist.Circuit, lib *cell.Library, metric Metric,
 		pos:          pos,
 		cache:        newEvalCache(),
 		cacheEnabled: true,
+		memo:         lac.NewMemo(est.GoldenResult()),
 	}
 	if e.serial, err = e.newArena(); err != nil {
 		return nil, err
@@ -382,6 +390,33 @@ func (e *Evaluator) Simulate(c *netlist.Circuit) (*sim.Result, error) {
 	return e.serial.sim.Simulate(c)
 }
 
+// Search completes a searching action on c, a candidate in the accurate
+// circuit's gate ID space, for the targets drawn for it (lac.DrawTargets,
+// or lac.RandomTargets with a nil rep): it simulates the targets'
+// transitive fan-in alone, the only gates selection reads, selects the
+// most similar switch through the run's memo (lac.Memo.Select; rep breaks
+// similarity ties) and applies it. Without targets it does nothing. The
+// change is the one memo-less selection on a full simulation picks.
+// Search uses the serial arena, like Simulate.
+func (e *Evaluator) Search(c *netlist.Circuit, rep *sta.Report, targets []int) error {
+	return e.search(e.serial, c, rep, targets)
+}
+
+// search is Search in arena a.
+func (e *Evaluator) search(a *arena, c *netlist.Circuit, rep *sta.Report, targets []int) error {
+	if len(targets) == 0 {
+		return nil
+	}
+	res, err := a.sim.SimulateWithin(c, c.TFI(targets...))
+	if err != nil {
+		return err
+	}
+	if ch, ok := e.memo.Select(c, res, a.sim.SignalDiffers, rep, targets); ok {
+		lac.Apply(c, ch)
+	}
+	return nil
+}
+
 // Evaluate runs STA and error estimation on one circuit and fills an
 // Individual.
 func (e *Evaluator) Evaluate(c *netlist.Circuit) (*Individual, error) {
@@ -395,10 +430,11 @@ func (e *Evaluator) Evaluate(c *netlist.Circuit) (*Individual, error) {
 
 // evaluateWith performs one pure candidate evaluation in the given
 // arena, replaying an identical candidate's evaluation of the same
-// generation when there is one (see evalcache.go). Cache hits replay
-// stored results of identical pure evaluations and misses store what they
-// computed, so results are bit-identical at any hit pattern — which is
-// what keeps batch evaluation order-independent even with a shared cache.
+// generation when there is one, or waiting for it while it is in flight
+// (see evalcache.go). Cache hits replay stored results of identical pure
+// evaluations and misses store what they computed, so results are
+// bit-identical at any hit pattern — which is what keeps batch evaluation
+// order-independent even with a shared cache.
 func (e *Evaluator) evaluateWith(a *arena, c *netlist.Circuit) (*Individual, error) {
 	s := a.sim
 	if !e.cacheEnabled {
@@ -411,12 +447,26 @@ func (e *Evaluator) evaluateWith(a *arena, c *netlist.Circuit) (*Individual, err
 		return e.evaluateFresh(s, c)
 	}
 	e.cache.lookups.Add(1)
-	if t := e.cache.get(key); t != nil {
+	t, f := e.cache.get(key)
+	if t != nil {
 		e.cache.hits.Add(1)
 		return t.instantiate(c), nil
 	}
-	// The plain incremental path, reusing the diff the key scan already
-	// computed.
+	ind, err := e.evaluateDiff(a, c, changed)
+	if f != nil {
+		var t *evalTemplate
+		if err == nil {
+			t = templateOf(ind)
+		}
+		e.cache.put(key, f, t)
+	}
+	return ind, err
+}
+
+// evaluateDiff is the plain incremental path for a candidate that shares
+// the base's IDs and order and differs from it exactly at changed.
+func (e *Evaluator) evaluateDiff(a *arena, c *netlist.Circuit, changed []int) (*Individual, error) {
+	s := a.sim
 	res, err := s.IncrementalRun(c, changed)
 	if err != nil {
 		return nil, err
@@ -425,13 +475,10 @@ func (e *Evaluator) evaluateWith(a *arena, c *netlist.Circuit) (*Individual, err
 	if err != nil {
 		return nil, err
 	}
-	// The candidate shares the base's IDs and order, and differs from it
-	// exactly at the gates the key encodes: re-time only their cones.
+	// Re-time only the changed gates' cones.
 	poArrival := make([]float64, len(c.POs))
 	cpd, depth := a.rt.Time(c, changed, poArrival)
-	ind := e.finish(c, m, cpd, depth, poArrival)
-	e.cache.put(key, templateOf(ind))
-	return ind, nil
+	return e.finish(c, m, cpd, depth, poArrival), nil
 }
 
 // evaluateFresh is the cache-ineligible evaluation: exactly the pre-reuse

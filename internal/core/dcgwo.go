@@ -22,9 +22,6 @@ type Optimizer struct {
 	eval *Evaluator
 	rng  *rand.Rand
 	wt   float64 // Level weight wt = 0.9·CPDori
-	// memo holds the run's golden diff counts for switch selection. It is
-	// safe for concurrent use: every pipeline worker selects through it.
-	memo *lac.Memo
 }
 
 // New prepares a DCGWO run: it clones the accurate circuit, materializes
@@ -54,7 +51,6 @@ func New(accurate *netlist.Circuit, lib *cell.Library, cfg Config) (*Optimizer, 
 		rng:  rng,
 		wt:   0.9 * eval.RefDelay(),
 		eval: eval,
-		memo: lac.NewMemo(eval.est.GoldenResult()),
 	}, nil
 }
 
@@ -72,60 +68,37 @@ func (o *Optimizer) RefDelay() float64 { return o.eval.RefDelay() }
 // RefArea returns Areaori of the accurate circuit.
 func (o *Optimizer) RefArea() float64 { return o.eval.RefArea() }
 
-// searchPlan is a searching action's draws and the timing report that
-// breaks similarity ties (nil for the fallback, as in lac.RandomChange).
-type searchPlan struct {
-	memo    *lac.Memo
-	rep     *sta.Report
-	targets []int
-}
-
-// complete finishes the search on c, the clone it was drawn for: simulate
-// it in s, select the most similar switch through the memo, apply it.
-func (p *searchPlan) complete(s *sim.Simulator, c *netlist.Circuit) error {
-	res, err := s.Simulate(c)
-	if err != nil {
-		return err
-	}
-	if ch, ok := p.memo.Select(c, res, s.SignalDiffers, p.rep, p.targets); ok {
-		lac.Apply(c, ch)
-	}
-	return nil
-}
-
-// searchClone plans one circuit-searching action on a fresh clone of the
+// searchClone draws one circuit-searching action on a fresh clone of the
 // individual: time the clone, build Tc and draw the targets, or a random
 // LAC's target when the netlist offers no searching move (e.g. the
 // critical path is a bare wire). No draw depends on a similarity count
-// (see lac.DrawTargets), so the plan may complete on any goroutine.
-func (o *Optimizer) searchClone(ind *Individual) (*netlist.Circuit, *searchPlan, error) {
+// (see lac.DrawTargets), so the Evaluator may complete the search on any
+// goroutine.
+func (o *Optimizer) searchClone(ind *Individual) (task, error) {
 	clone := ind.Circuit.Clone()
 	rep, err := sta.Analyze(clone, o.lib)
 	if err != nil {
-		return nil, nil, err
+		return task{}, err
 	}
 	targets := lac.DrawTargets(clone, rep, o.rng, o.cfg.CritMargin, max(o.cfg.SearchTries, 1))
 	if len(targets) == 0 {
-		rep = nil
-		if t := lac.RandomTarget(clone, o.rng); t >= 0 {
-			targets = []int{t}
-		}
+		rep, targets = nil, lac.RandomTargets(clone, o.rng)
 	}
-	return clone, &searchPlan{memo: o.memo, rep: rep, targets: targets}, nil
+	return task{c: clone, rep: rep, targets: targets}, nil
 }
 
 // reproduceWith merges ind with the partner by circuit reproduction. A nil
 // child breaks DCGWO's invariants (one shared gate ID space and acyclic
 // parents, see reproduce), so it is an error.
-func (o *Optimizer) reproduceWith(ind, partner *Individual) (*netlist.Circuit, *searchPlan, error) {
+func (o *Optimizer) reproduceWith(ind, partner *Individual) (task, error) {
 	if o.cfg.DisableReproduction {
 		return o.searchClone(ind)
 	}
 	child := reproduce(ind, partner, o.wt, o.cfg.WeightErr)
 	if child == nil {
-		return nil, nil, fmt.Errorf("core: circuit reproduction made no child: a parent left the base's gate ID space or the merge made a loop")
+		return task{}, fmt.Errorf("core: circuit reproduction made no child: a parent left the base's gate ID space or the merge made a loop")
 	}
-	return child, nil, nil
+	return task{c: child}, nil
 }
 
 // Run executes the full DCGWO loop and returns the best approximate
@@ -158,11 +131,9 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 	for len(clones) < cfg.PopulationSize-1 {
 		clone := o.base.Clone()
 		for k := 0; k < cfg.InitLACs; k++ {
-			res, err := o.eval.Simulate(clone)
-			if err != nil {
+			if err := o.eval.Search(clone, nil, lac.RandomTargets(clone, o.rng)); err != nil {
 				return nil, err
 			}
-			o.memo.RandomChange(clone, res, o.eval.serial.sim.SignalDiffers, o.rng)
 		}
 		clones = append(clones, clone)
 	}
@@ -295,9 +266,9 @@ func (o *Optimizer) chase(pop []*Individual, a float64) ([]*Individual, error) {
 	}
 	defer p.finish()
 	var children []*Individual // nil: the next queued child
-	queue := func(c *netlist.Circuit, plan *searchPlan, err error) error {
+	queue := func(t task, err error) error {
 		if err == nil {
-			p.submit(task{c: c, plan: plan})
+			p.submit(t)
 			children = append(children, nil)
 		}
 		return err
@@ -363,14 +334,14 @@ func (o *Optimizer) chase(pop []*Individual, a float64) ([]*Individual, error) {
 
 // searchInline searches a clone of ind and evaluates it at once.
 func (o *Optimizer) searchInline(ind *Individual) (*Individual, error) {
-	c, plan, err := o.searchClone(ind)
+	t, err := o.searchClone(ind)
 	if err != nil {
 		return nil, err
 	}
-	if err := plan.complete(o.eval.serial.sim, c); err != nil {
+	if err := o.eval.Search(t.c, t.rep, t.targets); err != nil {
 		return nil, err
 	}
-	return o.eval.Evaluate(c)
+	return o.eval.Evaluate(t.c)
 }
 
 // superior returns a random population member with strictly better fitness

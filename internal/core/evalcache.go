@@ -13,8 +13,11 @@
 // The cache is generation-scoped: BeginGeneration drops all entries (the
 // optimizer loops call it once per generation/round), bounding memory to
 // one generation's working set; a byte cap additionally stops inserts in
-// degenerate cases. Counters are cumulative across generations and are
-// surfaced through CacheStats, core.Result and the session EventDone
+// degenerate cases. A miss claims its key until its evaluation ends, so
+// identical candidates evaluated at once are evaluated once: the others
+// wait and hit. A generation's misses are then its distinct change sets,
+// whatever the scheduling. Counters are cumulative across generations and
+// are surfaced through CacheStats, core.Result and the session EventDone
 // stats.
 package core
 
@@ -99,49 +102,84 @@ func (t *evalTemplate) memBytes(keyLen int) int {
 const evalCacheMaxBytes = 64 << 20
 
 // evalCache is the concurrent, generation-scoped store shared by every
-// EvaluateBatch worker of one Evaluator. Entries are immutable after
-// insertion; the map is guarded by one RWMutex (lookups vastly outnumber
-// inserts), the counters are atomics so workers never contend on them.
+// pipeline worker of one Evaluator. Entries are immutable after
+// insertion; the map is guarded by one mutex, the counters are atomics so
+// workers never contend on them.
 type evalCache struct {
-	mu    sync.RWMutex
-	memo  map[string]*evalTemplate
+	mu    sync.Mutex
+	memo  map[string]*flight
 	bytes int
 
 	lookups, hits, fallbacks, generations atomic.Int64
 }
 
+// flight is one key's evaluation: t is set, before done is released,
+// when the evaluation succeeded and was inserted.
+type flight struct {
+	t    *evalTemplate
+	done sync.WaitGroup
+}
+
 func newEvalCache() *evalCache {
-	return &evalCache{memo: make(map[string]*evalTemplate)}
+	return &evalCache{memo: make(map[string]*flight)}
 }
 
 // reset starts a new generation: all entries are dropped, counters keep
 // accumulating.
 func (c *evalCache) reset() {
 	c.mu.Lock()
-	c.memo = make(map[string]*evalTemplate)
+	c.memo = make(map[string]*flight)
 	c.bytes = 0
 	c.mu.Unlock()
 	c.generations.Add(1)
 }
 
-// get looks up a whole-candidate template. The []byte key avoids a
-// string allocation on the (common) lookup path.
-func (c *evalCache) get(key []byte) *evalTemplate {
-	c.mu.RLock()
-	t := c.memo[string(key)]
-	c.mu.RUnlock()
-	return t
+// get returns the key's template, waiting while another evaluation of
+// the key is in flight. On a miss it returns the flight it claimed for
+// the key, which the caller must end with put, or nil when the byte cap
+// stops inserts and the caller evaluates unclaimed. The []byte key avoids
+// a string allocation on the hit path.
+func (c *evalCache) get(key []byte) (*evalTemplate, *flight) {
+	c.mu.Lock()
+	for {
+		f := c.memo[string(key)]
+		switch {
+		case f == nil && c.bytes >= evalCacheMaxBytes:
+			c.mu.Unlock()
+			return nil, nil
+		case f == nil:
+			f = &flight{}
+			f.done.Add(1)
+			c.memo[string(key)] = f
+			c.mu.Unlock()
+			return nil, f
+		case f.t != nil:
+			c.mu.Unlock()
+			return f.t, nil
+		}
+		// In flight: wait for its owner. One that inserted nothing (it
+		// failed, or hit the cap) has dropped the entry, so look again.
+		c.mu.Unlock()
+		f.done.Wait()
+		c.mu.Lock()
+	}
 }
 
-func (c *evalCache) put(key []byte, t *evalTemplate) {
+// put ends the flight claimed for key: it inserts t, or, for a failed
+// evaluation (nil t) or at the byte cap, drops the claim, and releases
+// the waiters.
+func (c *evalCache) put(key []byte, f *flight, t *evalTemplate) {
 	c.mu.Lock()
-	if c.bytes < evalCacheMaxBytes {
-		if _, dup := c.memo[string(key)]; !dup {
-			c.memo[string(key)] = t
+	if c.memo[string(key)] == f {
+		if t != nil && c.bytes < evalCacheMaxBytes {
+			f.t = t
 			c.bytes += t.memBytes(len(key))
+		} else {
+			delete(c.memo, string(key))
 		}
 	}
 	c.mu.Unlock()
+	f.done.Done()
 }
 
 // stats snapshots the cumulative counters.

@@ -6,11 +6,12 @@ import (
 	"sync/atomic"
 
 	"repro/internal/netlist"
+	"repro/internal/sta"
 )
 
 // A pipeline is the Evaluator's one evaluation pool. Its caller queues
 // each candidate as soon as it exists — a complete circuit, a searching
-// action's clone with its plan, or a greedy round's target — and worker
+// action's clone with its draws, or a greedy round's target — and worker
 // goroutines complete and evaluate it while the caller goes on. Of its
 // EvalWorkers arenas, all but the last go to worker goroutines; the
 // caller is the last worker: it runs each task at once when there is no
@@ -28,13 +29,15 @@ type pipeline struct {
 	err    error // the first failure, written by its CAS winner
 }
 
-// task is one queued candidate: c, which a non-nil plan completes first,
-// or, with a non-nil round, the round's edit i (see EvaluateRound).
+// task is one queued candidate: c, which a search for targets (tie-broken
+// by rep) completes first when there are any, or, with a non-nil round,
+// the round's edit i (see EvaluateRound).
 type task struct {
-	i     int
-	c     *netlist.Circuit
-	plan  *searchPlan
-	round *round
+	i       int
+	c       *netlist.Circuit
+	rep     *sta.Report
+	targets []int
+	round   *round
 }
 
 // startPipeline starts a pipeline for at most capacity tasks, which the
@@ -90,12 +93,9 @@ func (p *pipeline) run(a *arena, t task) {
 		return
 	}
 	var err error
-	if t.plan != nil {
-		err = t.plan.complete(a.sim, t.c)
-	}
 	if t.round != nil {
 		p.out[t.i], err = p.e.evaluateEdit(a, t.round, t.i)
-	} else if err == nil {
+	} else if err = p.e.search(a, t.c, t.rep, t.targets); err == nil {
 		p.out[t.i], err = p.e.evaluateWith(a, t.c)
 	}
 	if err != nil && p.failed.CompareAndSwap(false, true) {

@@ -64,12 +64,14 @@ func tieCircuit() *netlist.Circuit {
 	return c
 }
 
-// TestSearchPlanMatchesSearch plans and completes chains of searching
-// actions on c880, Max16 and Adder16, and single ones on tieCircuit, and
-// compares each with the one-call search on a twin clone and a twin RNG:
-// memo-less lac.SearchN, and lac.RandomChange when it finds no target. A
-// margin of -1 empties Tc, so every search takes the fallback, which
-// breaks no similarity ties. Circuits and the next draw must match.
+// TestSearchPlanMatchesSearch draws chains of searching actions on c880,
+// Max16 and Adder16, and single ones on tieCircuit, completes each
+// through the Evaluator (targets-only simulation, memoized selection),
+// alternately in its serial arena and in a pooled one, and compares each
+// with the one-call search on a fully simulated twin clone and a twin
+// RNG: memo-less lac.SearchN, and lac.RandomChange when it finds no
+// target. A margin of -1 empties Tc, so every search takes the fallback,
+// which breaks no similarity ties. Circuits and the next draw must match.
 func TestSearchPlanMatchesSearch(t *testing.T) {
 	for _, tc := range []struct {
 		circuit  *netlist.Circuit
@@ -97,11 +99,22 @@ func TestSearchPlanMatchesSearch(t *testing.T) {
 			ind := &Individual{Circuit: c}
 			opt.rng = rand.New(rand.NewSource(int64(k)))
 			twinRNG := rand.New(rand.NewSource(int64(k)))
-			got, plan, err := opt.searchClone(ind)
+			task, err := opt.searchClone(ind)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := plan.complete(opt.eval.serial.sim, got); err != nil {
+			got := task.c
+			if k%2 == 0 {
+				err = opt.eval.Search(got, task.rep, task.targets)
+			} else {
+				p, perr := opt.eval.startPipeline(1)
+				if perr != nil {
+					t.Fatal(perr)
+				}
+				err = opt.eval.search(p.arenas[0], got, task.rep, task.targets)
+				p.finish()
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			want := c.Clone()

@@ -144,18 +144,30 @@ type Memo struct {
 	// rows[target][switch] is the pair's diff count plus one (0 = not
 	// counted yet); a row is nil until its target is first scored.
 	rows []atomic.Pointer[[]atomic.Int32]
+	// ones[id] is gate id's count of ones in the golden simulation.
+	ones []int
 }
 
 // NewMemo returns an empty memo for the run whose accurate circuit
 // simulated to golden.
 func NewMemo(golden *sim.Result) *Memo {
-	return &Memo{n: golden.N, rows: make([]atomic.Pointer[[]atomic.Int32], len(golden.Signals))}
+	ones := make([]int, len(golden.Signals))
+	for id, sig := range golden.Signals {
+		ones[id] = sim.CountOnes(sig)
+	}
+	return &Memo{n: golden.N, rows: make([]atomic.Pointer[[]atomic.Int32], len(golden.Signals)), ones: ones}
+}
+
+// serves reports whether the memo applies to a simulation: there is a
+// memo, and res has the golden simulation's vector count.
+func (m *Memo) serves(res *sim.Result) bool {
+	return m != nil && res.N == m.n && m.n < math.MaxInt32
 }
 
 // row returns the target's memo row, or nil when the memo does not apply:
 // no memo, or the target's signal in res is not the golden one.
 func (m *Memo) row(res *sim.Result, differs func(int) bool, target int) []atomic.Int32 {
-	if m == nil || res.N != m.n || m.n >= math.MaxInt32 || target >= len(m.rows) || differs(target) {
+	if !m.serves(res) || target >= len(m.rows) || differs(target) {
 		return nil
 	}
 	p := &m.rows[target]
@@ -177,13 +189,16 @@ const countChunk = 32
 // differ. It gives up early, returning the partial count, once
 // 1 - count/n falls strictly below floor: the full similarity could only
 // be lower. So a pair whose full similarity reaches floor is counted in
-// full, and a partial count's similarity is below floor.
+// full, and a partial count's similarity is below floor. Each chunk is
+// resliced first, so its word loop carries no bounds checks.
 func diffCount(a, b []uint64, n, floor float64) int {
 	b = b[:len(a)]
 	d := 0
 	for lo := 0; lo < len(a); lo += countChunk {
-		for w := lo; w < min(lo+countChunk, len(a)); w++ {
-			d += bits.OnesCount64(a[w] ^ b[w])
+		ca := a[lo:min(lo+countChunk, len(a))]
+		cb := b[lo : lo+len(ca)]
+		for w, x := range ca {
+			d += bits.OnesCount64(x ^ cb[w])
 		}
 		if 1-float64(d)/n < floor {
 			break
@@ -200,8 +215,13 @@ func diffCount(a, b []uint64, n, floor float64) int {
 // similarity could only fall strictly below the best wire so far, which
 // better rejects whatever the tie-break, below a constant's, which then
 // wins over any wire as similar, or below floor, the caller's bound (-1
-// for none; see Select). Inverted wires score 1 - s as well, so they
-// count in full. ones is the target's count of ones in res, or -1 for
+// for none; see Select). Two signals differ on at least as many vectors
+// as their counts of ones do, so with a memo a pair whose switch signal
+// is golden, and whose count of ones the memo therefore holds, is not
+// counted at all, nor stored, when 1 - |ones(target) - ones(switch)|/N
+// is already strictly below that threshold (the popcount bound of exact
+// fingerprint search). Inverted wires score 1 - s as well, so they count
+// in full. ones is the target's count of ones in res, or -1 for
 // bestSwitch to count it; the constants' similarities derive from it as
 // errest.ConstSimilarity computes them.
 func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, target int, allowInv bool, floor float64, ones int) (Change, bool) {
@@ -225,6 +245,7 @@ func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int)
 	}
 	s0, s1 := 1-float64(ones)/n, float64(ones)/n
 	row := m.row(res, differs, target)
+	bound := !allowInv && m.serves(res)
 	sig := res.Signals[target]
 	for id := range c.Gates {
 		if !tfi[id] || id == target {
@@ -232,6 +253,10 @@ func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int)
 		}
 		f := c.Gates[id].Func
 		if f == cell.OutPort || f.IsConst() {
+			continue
+		}
+		if bound && id < len(m.ones) && !differs(id) &&
+			1-math.Abs(float64(ones-m.ones[id]))/n < max(best.Similarity, s0, s1, floor) {
 			continue
 		}
 		var d int
@@ -285,12 +310,12 @@ func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int)
 // report, then tries targets sampled from it. It returns nil when Tc is
 // empty.
 //
-// A searching action splits into its draws (DrawTargets, or RandomTarget
+// A searching action splits into its draws (DrawTargets, or RandomTargets
 // for the fallback) and its pure selection (Select), so a caller can draw
 // on one goroutine, in order, and select later on another. This is exact
 // because no draw depends on a similarity count. Targets draws one
 // Float64 per on-path gate, PickTarget one Intn(len(Tc)) per try and
-// RandomTarget one Intn over the live physical gates, each from the
+// RandomTargets one Intn over the live physical gates, each from the
 // circuit's structure and timing alone. And bestSwitch on a physical
 // target always succeeds, because both constants score >= 0, so a search
 // applies a change iff it drew a target, and falls back to RandomChange
@@ -307,9 +332,9 @@ func DrawTargets(c *netlist.Circuit, r *sta.Report, rng *rand.Rand, margin float
 	return targets
 }
 
-// RandomTarget draws a uniformly random live physical gate, the random
-// LAC's target; it returns -1, drawing nothing, when there is none.
-func RandomTarget(c *netlist.Circuit, rng *rand.Rand) int {
+// RandomTargets draws the random LAC's target list: one uniformly random
+// live physical gate. It returns nil, drawing nothing, when there is none.
+func RandomTargets(c *netlist.Circuit, rng *rand.Rand) []int {
 	live := c.Live()
 	var phys []int
 	for id, g := range c.Gates {
@@ -318,9 +343,9 @@ func RandomTarget(c *netlist.Circuit, rng *rand.Rand) int {
 		}
 	}
 	if len(phys) == 0 {
-		return -1
+		return nil
 	}
-	return phys[rng.Intn(len(phys))]
+	return []int{phys[rng.Intn(len(phys))]}
 }
 
 // Select returns the change a searching action applies for the drawn
@@ -370,30 +395,16 @@ func (m *Memo) Select(c *netlist.Circuit, res *sim.Result, differs func(int) boo
 	return best, true
 }
 
-// Search performs one full circuit-searching action: build Tc from the
-// timing report, pick a random target, select the best switch and apply
-// it. It reports whether a change was applied.
-func Search(c *netlist.Circuit, res *sim.Result, r *sta.Report, rng *rand.Rand, margin float64) (Change, bool) {
-	return SearchN(c, res, r, rng, margin, 1)
-}
-
-// SearchN is Search with up to tries random targets sampled from Tc; the
-// change with the highest similarity (lowest expected error) is applied.
-// One LAC is still applied per action — extra tries only de-noise the
-// similarity-guided pick on error-sensitive circuits.
+// SearchN performs one full circuit-searching action: build Tc from the
+// timing report, sample up to tries random targets from it, select each
+// one's best switch and apply the change with the highest similarity
+// (lowest expected error). One LAC is still applied per action — extra
+// tries only de-noise the similarity-guided pick on error-sensitive
+// circuits. It reports whether a change was applied. It selects without a
+// memo; flows search through core.Evaluator, whose memo picks the same
+// change.
 func SearchN(c *netlist.Circuit, res *sim.Result, r *sta.Report, rng *rand.Rand, margin float64, tries int) (Change, bool) {
-	return (*Memo)(nil).SearchN(c, res, nil, r, rng, margin, tries)
-}
-
-// SearchN is lac.SearchN with the run's memo: differs must be the
-// SignalDiffers of the simulation that produced res. The change is the
-// one lac.SearchN picks.
-func (m *Memo) SearchN(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, rng *rand.Rand, margin float64, tries int) (Change, bool) {
-	ch, ok := m.Select(c, res, differs, r, DrawTargets(c, r, rng, margin, tries))
-	if ok {
-		Apply(c, ch)
-	}
-	return ch, ok
+	return selectApply(c, res, r, DrawTargets(c, r, rng, margin, tries))
 }
 
 // RandomChange applies a LAC to a uniformly random live physical gate —
@@ -401,17 +412,12 @@ func (m *Memo) SearchN(c *netlist.Circuit, res *sim.Result, differs func(int) bo
 // selected target gates of the accurate circuit"). It reports whether a
 // change was applied.
 func RandomChange(c *netlist.Circuit, res *sim.Result, rng *rand.Rand) (Change, bool) {
-	return (*Memo)(nil).RandomChange(c, res, nil, rng)
+	return selectApply(c, res, nil, RandomTargets(c, rng))
 }
 
-// RandomChange is lac.RandomChange with the run's memo: differs must be
-// the SignalDiffers of the simulation that produced res.
-func (m *Memo) RandomChange(c *netlist.Circuit, res *sim.Result, differs func(int) bool, rng *rand.Rand) (Change, bool) {
-	var targets []int
-	if t := RandomTarget(c, rng); t >= 0 {
-		targets = []int{t}
-	}
-	ch, ok := m.Select(c, res, differs, nil, targets)
+// selectApply applies the memo-less Select's change, if any.
+func selectApply(c *netlist.Circuit, res *sim.Result, r *sta.Report, targets []int) (Change, bool) {
+	ch, ok := (*Memo)(nil).Select(c, res, nil, r, targets)
 	if ok {
 		Apply(c, ch)
 	}

@@ -151,7 +151,7 @@ func TestApplyNeverCreatesLoop(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		c, _ := fig3(t)
 		res, r := simAndTime(t, c)
-		if _, ok := Search(c, res, r, rng, 0.3); !ok {
+		if _, ok := SearchN(c, res, r, rng, 0.3, 1); !ok {
 			continue
 		}
 		if _, err := c.TopoOrder(); err != nil {
@@ -171,7 +171,7 @@ func TestSearchShortensOrHoldsCriticalPathArea(t *testing.T) {
 	c, _ := fig3(t)
 	areaBefore := c.Area(lib)
 	res, r := simAndTime(t, c)
-	if _, ok := Search(c, res, r, rng, 0.2); !ok {
+	if _, ok := SearchN(c, res, r, rng, 0.2, 1); !ok {
 		t.Skip("no change applied")
 	}
 	if c.Area(lib) > areaBefore+1e-9 {

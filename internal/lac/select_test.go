@@ -118,7 +118,7 @@ func TestSwitchSelectionMatchesReference(t *testing.T) {
 							}
 						}
 					}
-					if _, ok := memo.RandomChange(cand, res, simr.SignalDiffers, rng); !ok {
+					if _, ok := RandomChange(cand, res, rng); !ok {
 						t.Fatalf("candidate %d: no change applied", k)
 					}
 				}

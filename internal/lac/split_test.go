@@ -62,7 +62,7 @@ func sameCircuit(a, b *netlist.Circuit) bool {
 
 // TestSplitSearchMatchesReference checks the split searching action on
 // LAC-mutated c880, Cavlc and Max16 candidates at 2048 and 131072
-// vectors. Draws (DrawTargets, or RandomTarget when Tc is empty), then
+// vectors. Draws (DrawTargets, or RandomTargets when Tc is empty), then
 // Select through a memo kept across the candidates, then Apply, must
 // match both memo-less SearchN/RandomChange and the interleaved reference
 // on twin clones with twin RNGs: the same Change (similarity by bits),
@@ -116,10 +116,7 @@ func TestSplitSearchMatchesReference(t *testing.T) {
 
 						r, targets := rep, DrawTargets(split, rep, rs, margin, 4)
 						if len(targets) == 0 {
-							r = nil
-							if tg := RandomTarget(split, rs); tg >= 0 {
-								targets = []int{tg}
-							}
+							r, targets = nil, RandomTargets(split, rs)
 						}
 						got, ok := memo.Select(split, res, simr.SignalDiffers, r, targets)
 						if ok {
@@ -147,7 +144,7 @@ func TestSplitSearchMatchesReference(t *testing.T) {
 						}
 					}
 					if k < cands {
-						if _, ok := memo.RandomChange(cand, res, simr.SignalDiffers, rng); !ok {
+						if _, ok := RandomChange(cand, res, rng); !ok {
 							t.Fatalf("candidate %d: no change applied", k)
 						}
 					}

@@ -109,6 +109,17 @@ func (s *Simulator) Simulate(app *netlist.Circuit) (*Result, error) {
 	return s.IncrementalRun(app, app.DiffGates(s.base))
 }
 
+// SimulateWithin is Simulate for a reader that looks only at the gates in
+// within, a fan-in-closed set of the candidate's gate IDs such as
+// netlist.Circuit.TFI returns (cone-of-influence reduction): only changed
+// gates inside the set seed the walk, and only fan-outs inside it are
+// queued. Every gate in the set gets its exact waveform and SignalDiffers;
+// a base gate outside it keeps the golden waveform and reports no
+// difference. A fallback to FullRun is exact everywhere.
+func (s *Simulator) SimulateWithin(app *netlist.Circuit, within []bool) (*Result, error) {
+	return s.run(app, app.DiffGates(s.base), within)
+}
+
 // IncrementalRun simulates a candidate that shares the base circuit's gate
 // ID space, given the IDs of the gates whose function or fan-in adjacency
 // differs from the base (see netlist.DiffGates). The candidate may also
@@ -120,6 +131,12 @@ func (s *Simulator) Simulate(app *netlist.Circuit) (*Result, error) {
 // transparently. The returned Result is exact and owned by the Simulator
 // (valid until the next call).
 func (s *Simulator) IncrementalRun(app *netlist.Circuit, changed []int) (*Result, error) {
+	return s.run(app, changed, nil)
+}
+
+// run is IncrementalRun restricted to within (nil: every gate); see
+// SimulateWithin.
+func (s *Simulator) run(app *netlist.Circuit, changed []int, within []bool) (*Result, error) {
 	nb := len(s.base.Gates)
 	if len(app.Gates) < nb || len(app.PIs) != len(s.base.PIs) {
 		return s.FullRun(app)
@@ -158,7 +175,7 @@ func (s *Simulator) IncrementalRun(app *netlist.Circuit, changed []int) (*Result
 		s.res.Signals[id] = sig
 	}
 	for _, id := range changed {
-		if id < nb {
+		if id < nb && (within == nil || within[id]) {
 			s.queue.Push(id)
 		}
 	}
@@ -183,7 +200,7 @@ func (s *Simulator) IncrementalRun(app *netlist.Circuit, changed []int) (*Result
 			s.res.Signals[id] = gold
 			continue
 		}
-		s.differ(id, sig)
+		s.differ(id, sig, within)
 		arenaNext++
 	}
 	return &s.res, nil
@@ -247,13 +264,15 @@ func (s *Simulator) slot(k int) []uint64 {
 }
 
 // differ records that gate id's recomputed waveform sig differs from the
-// golden one and queues the gate's fanouts.
-func (s *Simulator) differ(id int, sig []uint64) {
+// golden one and queues the gate's fanouts inside within (nil: all).
+func (s *Simulator) differ(id int, sig []uint64, within []bool) {
 	s.res.Signals[id] = sig
 	s.differs[id] = true
 	s.dirty = append(s.dirty, id)
 	for _, fo := range s.fanouts[id] {
-		s.queue.Push(fo)
+		if within == nil || within[fo] {
+			s.queue.Push(fo)
+		}
 	}
 }
 

@@ -19,6 +19,16 @@ import (
 // TFI ∪ constants can never create a loop, exactly like real LACs.
 func applyRandomLAC(t *testing.T, c *netlist.Circuit, rng *rand.Rand) int {
 	t.Helper()
+	target := randomLAC(c, rng)
+	if target < 0 {
+		t.Fatal("no physical gates to approximate")
+	}
+	return target
+}
+
+// randomLAC is applyRandomLAC's move; it returns -1, changing nothing,
+// when the circuit has no live physical gate.
+func randomLAC(c *netlist.Circuit, rng *rand.Rand) int {
 	live := c.Live()
 	var phys []int
 	for id, g := range c.Gates {
@@ -27,7 +37,7 @@ func applyRandomLAC(t *testing.T, c *netlist.Circuit, rng *rand.Rand) int {
 		}
 	}
 	if len(phys) == 0 {
-		t.Fatal("no physical gates to approximate")
+		return -1
 	}
 	target := phys[rng.Intn(len(phys))]
 	tfi := c.TFI(target)

@@ -165,20 +165,22 @@ func BenchmarkEvaluateBatchPaperER(b *testing.B) {
 	}
 }
 
-// BenchmarkLACSearchPaper runs DCGWO's searching action — clone, simulate,
-// time, pick the most similar switch for one of four Tc targets, apply —
-// on a population slice of Cavlc LAC candidates at the paper preset's
-// sample size. The switch-selection memo lives across iterations, as it
-// lives across a run; every iteration replays the same random draws.
+// BenchmarkLACSearchPaper runs DCGWO's searching action as a flow runs it
+// — clone, time, draw Tc's targets (a random LAC's target when Tc is
+// empty), then the Evaluator's search: simulate the targets' fan-in,
+// pick the most similar switch for one of four targets, apply — on a
+// population slice of Cavlc LAC candidates at the paper preset's sample
+// size. The Evaluator, and so its switch-selection memo, lives across
+// iterations, as it lives across a run; every iteration replays the same
+// random draws.
 func BenchmarkLACSearchPaper(b *testing.B) {
 	base := benchBase(b, benchSearchCircuit)
 	lib := als.NewLibrary()
 	v := sim.Random(rand.New(rand.NewSource(benchWorkloadSeed)), len(base.PIs), benchPaperVectors)
-	s, err := sim.NewSimulator(base, v, nil)
+	eval, err := core.NewEvaluator(base, lib, core.MetricER, 0.8, v)
 	if err != nil {
 		b.Fatal(err)
 	}
-	memo := lac.NewMemo(s.Golden())
 	cands := benchCandidates(b, base, benchWorkloadBatch, benchWorkloadLACs)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -186,16 +188,16 @@ func BenchmarkLACSearchPaper(b *testing.B) {
 		rng := rand.New(rand.NewSource(benchWorkloadSeed))
 		for _, cand := range cands {
 			clone := cand.Clone()
-			res, err := s.Simulate(clone)
-			if err != nil {
-				b.Fatal(err)
-			}
 			rep, err := sta.Analyze(clone, lib)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, ok := memo.SearchN(clone, res, s.SignalDiffers, rep, rng, 0.1, 4); !ok {
-				memo.RandomChange(clone, res, s.SignalDiffers, rng)
+			targets := lac.DrawTargets(clone, rep, rng, 0.1, 4)
+			if len(targets) == 0 {
+				rep, targets = nil, lac.RandomTargets(clone, rng)
+			}
+			if err := eval.Search(clone, rep, targets); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
