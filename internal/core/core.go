@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/cell"
@@ -285,11 +286,18 @@ type Evaluator struct {
 
 // arena is one evaluation worker's private scratch: a simulator bound to
 // the accurate circuit's golden waveforms and a re-timer bound to its
-// timing report, and the scratch of the last greedy round it served.
+// timing report, the error estimator's and the searches' working memory,
+// and the scratch of the last greedy round it served.
 type arena struct {
 	sim *sim.Simulator
 	rt  *sta.Retimer
-	rb  rebased
+	es  errest.Scratch
+	// within, tfi and stack hold a search's fan-in walks: tfi[k] is
+	// target k's transitive fan-in, within their union.
+	within []bool
+	tfi    [][]bool
+	stack  []int
+	rb     rebased
 }
 
 // NewEvaluator simulates the accurate circuit on n sampled vectors and
@@ -407,11 +415,26 @@ func (e *Evaluator) search(a *arena, c *netlist.Circuit, rep *sta.Report, target
 	if len(targets) == 0 {
 		return nil
 	}
-	res, err := a.sim.SimulateWithin(c, c.TFI(targets...))
+	n := len(c.Gates)
+	a.within = slices.Grow(a.within[:0], n)[:n]
+	clear(a.within)
+	a.tfi = append(a.tfi, make([][]bool, max(0, len(targets)-len(a.tfi)))...)
+	for k, t := range targets {
+		in := slices.Grow(a.tfi[k][:0], n)[:n]
+		clear(in)
+		a.stack = c.MarkTFI(in, a.stack, t)
+		for id, ok := range in {
+			if ok {
+				a.within[id] = true
+			}
+		}
+		a.tfi[k] = in
+	}
+	res, err := a.sim.SimulateWithin(c, a.within)
 	if err != nil {
 		return err
 	}
-	if ch, ok := e.memo.Select(c, res, a.sim.SignalDiffers, rep, targets); ok {
+	if ch, ok := e.memo.Select(c, res, a.sim.SignalDiffers, rep, targets, a.tfi[:len(targets)]); ok {
 		lac.Apply(c, ch)
 	}
 	return nil
@@ -436,15 +459,14 @@ func (e *Evaluator) Evaluate(c *netlist.Circuit) (*Individual, error) {
 // bit-identical at any hit pattern — which is what keeps batch evaluation
 // order-independent even with a shared cache.
 func (e *Evaluator) evaluateWith(a *arena, c *netlist.Circuit) (*Individual, error) {
-	s := a.sim
 	if !e.cacheEnabled {
 		e.cache.fallbacks.Add(1)
-		return e.evaluateFresh(s, c)
+		return e.evaluateFresh(a, c)
 	}
 	changed, key, ok := e.candidateDiff(c, make([]byte, 0, 64))
 	if !ok {
 		e.cache.fallbacks.Add(1)
-		return e.evaluateFresh(s, c)
+		return e.evaluateFresh(a, c)
 	}
 	e.cache.lookups.Add(1)
 	t, f := e.cache.get(key)
@@ -471,7 +493,7 @@ func (e *Evaluator) evaluateDiff(a *arena, c *netlist.Circuit, changed []int) (*
 	if err != nil {
 		return nil, err
 	}
-	m, err := e.est.MetricsDelta(c, res, s.SignalDiffers)
+	m, err := e.est.MetricsDelta(c, res, s.SignalDiffers, &a.es)
 	if err != nil {
 		return nil, err
 	}
@@ -484,12 +506,12 @@ func (e *Evaluator) evaluateDiff(a *arena, c *netlist.Circuit, changed []int) (*
 // evaluateFresh is the cache-ineligible evaluation: exactly the pre-reuse
 // pipeline (diff, incremental simulation, touched-PO error estimation) and
 // a full STA.
-func (e *Evaluator) evaluateFresh(s *sim.Simulator, c *netlist.Circuit) (*Individual, error) {
-	res, err := s.Simulate(c)
+func (e *Evaluator) evaluateFresh(a *arena, c *netlist.Circuit) (*Individual, error) {
+	res, err := a.sim.Simulate(c)
 	if err != nil {
 		return nil, err
 	}
-	m, err := e.est.MetricsDelta(c, res, s.SignalDiffers)
+	m, err := e.est.MetricsDelta(c, res, a.sim.SignalDiffers, &a.es)
 	if err != nil {
 		return nil, err
 	}

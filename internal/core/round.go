@@ -105,7 +105,7 @@ func (e *Evaluator) evaluateEdit(a *arena, r *round, k int) (*Individual, error)
 			c := r.parent.Clone()
 			lac.Apply(c, ch)
 			e.cache.fallbacks.Add(1)
-			ind, err := e.evaluateFresh(a.sim, c)
+			ind, err := e.evaluateFresh(a, c)
 			if ind != nil {
 				ind.Circuit = nil
 			}
@@ -127,7 +127,7 @@ func (e *Evaluator) evaluateEdit(a *arena, r *round, k int) (*Individual, error)
 	var ind *Individual
 	if err == nil {
 		var m errest.Metrics
-		m, err = e.est.MetricsDelta(c, res, func(id int) bool { return r.touched[id] || rb.sim.SignalDiffers(id) })
+		m, err = e.est.MetricsDelta(c, res, func(id int) bool { return r.touched[id] || rb.sim.SignalDiffers(id) }, &a.es)
 		if err == nil {
 			poArrival := make([]float64, len(c.POs))
 			cpd, depth := rb.rt.Time(c, changed, poArrival)

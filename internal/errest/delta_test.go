@@ -82,6 +82,7 @@ func TestMetricsDeltaMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sc := new(Scratch)
 		for trial := 0; trial < 40; trial++ {
 			cand := base.Clone()
 			for k := rng.Intn(3) + 1; k > 0; k-- {
@@ -95,12 +96,12 @@ func TestMetricsDeltaMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			delta, err := est.MetricsDelta(cand, res, simr.SignalDiffers)
+			delta, err := est.MetricsDelta(cand, res, simr.SignalDiffers, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			metricsEqual(t, "exact oracle", delta, full)
-			conservative, err := est.MetricsDelta(cand, res, func(int) bool { return true })
+			conservative, err := est.MetricsDelta(cand, res, func(int) bool { return true }, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +130,7 @@ func TestMetricsDeltaUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := est.MetricsDelta(cand, res, simr.SignalDiffers)
+	m, err := est.MetricsDelta(cand, res, simr.SignalDiffers, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,10 @@ import (
 )
 
 // checkDistancePaths compares MetricsDelta, the error-distance kernel's
-// caller, under the given touched oracle with the plain transposed scan on
-// one simulated candidate. An ER-only estimator must match the scan's ER
-// and PerPO and report NMED 0.
-func checkDistancePaths(t *testing.T, what string, e *Estimator, app *netlist.Circuit, res *sim.Result, touched func(int) bool) {
+// caller, under the given touched oracle and with scratch sc, with the
+// plain transposed scan on one simulated candidate. An ER-only estimator
+// must match the scan's ER and PerPO and report NMED 0.
+func checkDistancePaths(t *testing.T, what string, e *Estimator, app *netlist.Circuit, res *sim.Result, touched func(int) bool, sc *Scratch) {
 	t.Helper()
 	want, err := e.MetricsFromResult(app, res)
 	if err != nil {
@@ -23,7 +23,7 @@ func checkDistancePaths(t *testing.T, what string, e *Estimator, app *netlist.Ci
 	if e.erOnly {
 		want.NMED = 0
 	}
-	got, err := e.MetricsDelta(app, res, touched)
+	got, err := e.MetricsDelta(app, res, touched, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,8 @@ func TestERModeMatchesScan(t *testing.T) {
 
 // checkLACCandidates accumulates random LACs on the named circuit at n
 // vectors until enough candidates differ from it, checking the kernel's
-// caller on each with an estimator in the given mode.
+// caller on each with an estimator in the given mode. One scratch serves
+// every call, as an evaluation arena's does.
 func checkLACCandidates(t *testing.T, name string, n int, erOnly bool) {
 	base := gen.MustBuild(name)
 	base.Const0()
@@ -83,6 +84,7 @@ func checkLACCandidates(t *testing.T, name string, n int, erOnly bool) {
 		candidates = 3
 	}
 	cand := base.Clone()
+	sc := new(Scratch)
 	differing := 0
 	for lacs := 1; differing < candidates; lacs++ {
 		if lacs > 80 {
@@ -94,8 +96,8 @@ func checkLACCandidates(t *testing.T, name string, n int, erOnly bool) {
 			t.Fatal(err)
 		}
 		what := fmt.Sprintf("after %d LACs", lacs)
-		checkDistancePaths(t, what, est, cand, res, simr.SignalDiffers)
-		checkDistancePaths(t, what+", all touched", est, cand, res, func(int) bool { return true })
+		checkDistancePaths(t, what, est, cand, res, simr.SignalDiffers, sc)
+		checkDistancePaths(t, what+", all touched", est, cand, res, func(int) bool { return true }, sc)
 		for _, po := range cand.POs {
 			if simr.SignalDiffers(po) {
 				differing++
@@ -165,6 +167,69 @@ func FuzzErrorDistance(f *testing.F) {
 		}
 		touched := func(id int) bool { return touchedPO[id] }
 		what := fmt.Sprintf("%d POs, %d vectors, ER-only %v", nPO, n, erOnly)
-		checkDistancePaths(t, what, est, c, res, touched)
+		checkDistancePaths(t, what, est, c, res, touched, new(Scratch))
 	})
+}
+
+// TestScratchReuseAcrossCandidates sends one scratch through back-to-back
+// candidates whose touched sets shrink and grow — every PO, the lowest
+// two, the top one, none — in both estimator modes, at 1000 and 131072
+// vectors and on both sides of the exact-sum bound (20 and 53 POs; 57 in
+// ER-only mode). Masks left over from a wider candidate must not leak
+// into the next one: each result must equal MetricsFromResult bit for
+// bit.
+func TestScratchReuseAcrossCandidates(t *testing.T) {
+	type step struct {
+		name    string
+		touched func(po, nPO int) bool
+		density int // words of 256 in which a touched PO flips bits
+	}
+	steps := []step{
+		{"all POs, dense", func(int, int) bool { return true }, 256},
+		{"lowest two, sparse", func(po, _ int) bool { return po < 2 }, 32},
+		{"all POs, sparse", func(int, int) bool { return true }, 16},
+		{"top PO", func(po, nPO int) bool { return po == nPO-1 }, 128},
+		{"none", func(int, int) bool { return false }, 0},
+		{"lowest PO, dense", func(po, _ int) bool { return po == 0 }, 256},
+	}
+	for _, erOnly := range []bool{false, true} {
+		for _, nPO := range []int{20, 53, 57} {
+			if nPO > 53 && !erOnly {
+				continue
+			}
+			for _, n := range []int{1000, 1 << 17} {
+				t.Run(fmt.Sprintf("erOnly=%v/%dPOs/%d", erOnly, nPO, n), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(n + nPO)))
+					c := identityCircuit(nPO)
+					est, err := New(c, sim.Random(rng, nPO, n))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if erOnly {
+						est.SetEROnly()
+					}
+					sc := new(Scratch)
+					words := est.vectors.Words()
+					for _, st := range steps {
+						res := &sim.Result{N: n, Signals: make([][]uint64, len(c.Gates))}
+						touchedPO := map[int]bool{}
+						for i, po := range c.POs {
+							sig := append([]uint64(nil), est.goldenPO[i]...)
+							if st.touched(i, nPO) {
+								touchedPO[po] = true
+								for w := range sig {
+									if rng.Intn(256) < st.density {
+										sig[w] ^= rng.Uint64()
+									}
+								}
+								sig[words-1] &= sim.TailMask(n)
+							}
+							res.Signals[po] = sig
+						}
+						checkDistancePaths(t, st.name, est, c, res, func(id int) bool { return touchedPO[id] }, sc)
+					}
+				})
+			}
+		}
+	}
 }

@@ -9,15 +9,19 @@
 // the estimates are unbiased with negligible variance; the sample size is
 // configurable so tests and benchmarks can trade accuracy for speed.
 //
-// An Estimator in ER-only mode (SetEROnly) serves ER-constrained runs: its
-// touched-PO path, MetricsDelta, counts ER and PerPO alone and leaves NMED
-// 0. New, Evaluate and MetricsFromResult ignore the mode.
+// MetricsDelta, the touched-PO path of every Evaluator, reads each touched
+// PO once, in one pass from the highest port index down, for ER, PerPO
+// and the bit-sliced error distance alike; MetricsFromResult is the plain
+// scan it is checked against. In ER-only mode (SetEROnly), for
+// ER-constrained runs, MetricsDelta leaves NMED 0. New, Evaluate and
+// MetricsFromResult ignore the mode.
 package errest
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -196,119 +200,109 @@ func (e *Estimator) rowValue(rows []uint64, b int) float64 {
 	return v
 }
 
+// Scratch is MetricsDelta's working memory, the touched POs and two
+// per-word lane masks; the zero value is ready. An evaluation arena keeps
+// one, so a call allocates only its PerPO. It serves one call at a time.
+type Scratch struct {
+	planes    []int    // touched PO indices, descending
+	diff, neg []uint64 // per word: lanes where a visited PO differs; lanes with Vapp > Vori
+}
+
 // MetricsDelta computes metrics from a simulation of the approximate
 // circuit given an oracle telling which PO gates' waveforms may differ
 // from the accurate circuit's (an over-approximation is fine; typically
-// sim.(*Simulator).SignalDiffers after an incremental run). POs outside
-// the touched set contribute exactly nothing to ER, NMED and PerPO — their
-// waveforms equal the golden ones — so for up to 53 POs the scan runs over
-// the touched POs only. The result is bit-identical to MetricsFromResult
-// on the same simulation: where N·(2^nPO − 1) < 2^53, the error distances
-// sum to an exact integer below 2^53, which the bit-sliced kernel computes
-// in int64; otherwise the running float sum may round, so each vector's
-// exact distance is added in MetricsFromResult's vector order. Beyond 53
-// POs an output value rounds, and how it rounds depends on untouched bits
-// too, so MetricsDelta runs MetricsFromResult, as it does without an
-// oracle. In ER-only mode it scans the touched POs at any width and
-// returns NMED 0: ER and PerPO are popcounts of golden-vs-approximate
-// differences, which decode no output value and to which an untouched PO
-// adds nothing, so they still equal MetricsFromResult's bit for bit.
-func (e *Estimator) MetricsDelta(app *netlist.Circuit, res *sim.Result, touched func(gateID int) bool) (Metrics, error) {
+// sim.(*Simulator).SignalDiffers after an incremental run), with sc as
+// working memory. POs outside the touched set contribute exactly nothing
+// to ER, NMED and PerPO, so for up to 53 POs it makes one pass over the
+// touched POs, highest port index first, reading each one's waveforms
+// once. A word's differing lanes x = gold ⊕ app add |x| to the PO's
+// count and join the word's any-difference mask, which counts ER. The
+// error distance is bit-sliced (Biham, FSE 1997): a lane has Vapp > Vori
+// iff its approximate bit is 1 at its highest differing position, which
+// the descending pass visits first, so the sign mask takes the lane's bit
+// there (neg |= app ∧ x ∧ ¬any, before any |= x) and no lower PO changes
+// it. Where the sign is clear, a differing position p adds 2^p when the
+// golden bit is 1 and subtracts it when 0, and the reverse where it is
+// set: PO p adds (2·|x ∧ (gold ⊕ neg)| − |x|)·2^p. The result is
+// bit-identical to MetricsFromResult on the same simulation: where
+// N·(2^nPO − 1) < 2^53 every partial sum is an integer below 2^53, summed
+// in int64; otherwise the float sum may round, so each differing vector's
+// exact distance is added in MetricsFromResult's vector order, walking the
+// any mask. Beyond 53 POs an output value rounds, and how depends on
+// untouched bits too, so MetricsDelta runs MetricsFromResult, as it does
+// without an oracle. In ER-only mode it scans the touched POs at any
+// width and returns NMED 0: ER and PerPO are popcounts of differences, to
+// which an untouched PO adds nothing, so they still match bit for bit.
+func (e *Estimator) MetricsDelta(app *netlist.Circuit, res *sim.Result, touched func(gateID int) bool, sc *Scratch) (Metrics, error) {
 	if len(app.POs) != e.nPO {
 		return Metrics{}, fmt.Errorf("errest: circuit %q has %d POs, accurate has %d", app.Name, len(app.POs), e.nPO)
 	}
 	if touched == nil || e.nPO > 53 && !e.erOnly {
 		return e.MetricsFromResult(app, res)
 	}
-	planes := e.touchedPlanes(app, res, touched)
 	n := e.vectors.N
 	m := Metrics{PerPO: make([]float64, e.nPO)}
-	for _, p := range planes {
-		m.PerPO[p.pos] = float64(sim.CountDiff(p.app, p.gold)) / float64(n)
+	sc.planes = sc.planes[:0]
+	for i := e.nPO - 1; i >= 0; i-- {
+		if touched(app.POs[i]) {
+			sc.planes = append(sc.planes, i)
+		}
 	}
+	words := e.vectors.Words()
+	sc.diff = slices.Grow(sc.diff[:0], words)[:words]
+	sc.neg = slices.Grow(sc.neg[:0], words)[:words]
+	diff, neg := sc.diff, sc.neg
+	clear(diff)
+	clear(neg)
 	// Every distance and partial sum is an integer below 2^53 (nPO ≤ 53
 	// holds here outside ER-only mode, which never reaches a distance).
-	exact := float64(e.vectors.N)*e.norm < 1<<53
-	erCount := 0
+	exact := !e.erOnly && float64(n)*e.norm < 1<<53
 	var total int64
-	sumED := 0.0
-	for w := 0; w < e.vectors.Words(); w++ {
-		var anyDiff uint64
-		for _, p := range planes {
-			anyDiff |= p.app[w] ^ p.gold[w]
+	for _, i := range sc.planes {
+		gold := e.goldenPO[i][:words]
+		sig := res.Signals[app.POs[i]][:words]
+		count, agree := 0, 0
+		if d := diff[:len(gold)]; e.erOnly {
+			for w, g := range gold {
+				x := g ^ sig[w]
+				count += bits.OnesCount64(x)
+				d[w] |= x
+			}
+		} else {
+			ng := neg[:len(gold)]
+			for w, g := range gold {
+				a := sig[w]
+				x := g ^ a
+				nw := ng[w] | a&x&^d[w]
+				ng[w], d[w] = nw, d[w]|x
+				count += bits.OnesCount64(x)
+				agree += bits.OnesCount64(x & (g ^ nw))
+			}
 		}
-		if anyDiff == 0 {
-			continue
-		}
-		erCount += bits.OnesCount64(anyDiff)
-		if e.erOnly {
-			continue
-		}
+		m.PerPO[i] = float64(count) / float64(n)
 		if exact {
-			total += distance(planes, w)
+			total += int64(2*agree-count) << i
+		}
+	}
+	erCount := 0
+	sumED := float64(total)
+	for w, x := range diff {
+		erCount += bits.OnesCount64(x)
+		if e.erOnly || exact {
 			continue
 		}
-		for rest := anyDiff; rest != 0; rest &= rest - 1 {
+		for rest := x; rest != 0; rest &= rest - 1 {
 			b := uint(bits.TrailingZeros64(rest))
 			d := 0.0 // Vori - Vapp: exact, every partial sum is below 2^54
-			for _, p := range planes {
-				d += (float64(p.gold[w]>>b&1) - float64(p.app[w]>>b&1)) * e.pow2[p.pos]
+			for _, i := range sc.planes {
+				d += (float64(e.goldenPO[i][w]>>b&1) - float64(res.Signals[app.POs[i]][w]>>b&1)) * e.pow2[i]
 			}
 			sumED += math.Abs(d)
 		}
 	}
-	if exact {
-		sumED = float64(total)
-	}
 	m.ER = float64(erCount) / float64(n)
 	m.NMED = sumED / e.norm / float64(n)
 	return m, nil
-}
-
-// plane is one touched PO of an error-distance sum, as a bit slice: PO
-// port index pos, weighing 2^pos, with its golden and approximate
-// waveforms.
-type plane struct {
-	pos       int
-	gold, app []uint64
-}
-
-// touchedPlanes returns the planes of the POs whose gates touched reports,
-// in ascending PO order.
-func (e *Estimator) touchedPlanes(app *netlist.Circuit, res *sim.Result, touched func(gateID int) bool) []plane {
-	planes := make([]plane, 0, len(app.POs))
-	for i, po := range app.POs {
-		if touched(po) {
-			planes = append(planes, plane{pos: i, gold: e.goldenPO[i], app: res.Signals[po]})
-		}
-	}
-	return planes
-}
-
-// distance is the error-distance kernel: Σ |Vori - Vapp| over the 64
-// vectors of word w, as an exact integer, where planes list in
-// ascending PO order every position at which the two values may differ
-// (up to 53 of them). The word's 64 vectors are bit-sliced (Biham, FSE
-// 1997). A first pass marks the lanes where Vapp > Vori: the approximate
-// bit at the highest differing position is 1, and each higher plane
-// overrides the lower ones. In a lane with Vori ≥ Vapp a differing
-// position adds 2^i where the golden bit is 1 and subtracts it where it is
-// 0; in a marked lane the signs swap. So plane i adds
-// 2^i·(2·|x ∧ (g ⊕ neg)| − |x|) for the differing lanes x.
-func distance(planes []plane, w int) int64 {
-	var neg uint64
-	for _, p := range planes {
-		a := p.app[w]
-		x := p.gold[w] ^ a
-		neg = neg&^x | a&x
-	}
-	var sum int64
-	for _, p := range planes {
-		g := p.gold[w]
-		x := g ^ p.app[w]
-		sum += int64(2*bits.OnesCount64(x&(g^neg))-bits.OnesCount64(x)) << p.pos
-	}
-	return sum
 }
 
 // ER is a convenience wrapper returning only the error rate.

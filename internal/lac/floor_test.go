@@ -31,17 +31,25 @@ func referenceSelect(c *netlist.Circuit, res *sim.Result, r *sta.Report, targets
 	return best, true
 }
 
-// checkSelect runs the memoized and the memo-less Select on one target
-// list and compares both with referenceSelect: the same Target, Switch,
-// Kind and similarity bits, or no pick on both sides.
+// checkSelect runs the memoized Select, with and without the targets'
+// fan-in masks, and the memo-less Select on one target list and compares
+// each with referenceSelect: the same Target, Switch, Kind and similarity
+// bits, or no pick on both sides.
 func checkSelect(t *testing.T, what string, memo *Memo, c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, targets []int) {
 	t.Helper()
 	want, wantOK := referenceSelect(c, res, r, targets)
+	tfi := make([][]bool, len(targets))
+	for k, target := range targets {
+		if target >= 0 && target < len(c.Gates) {
+			tfi[k] = c.TFI(target)
+		}
+	}
 	for _, got := range []struct {
 		how string
 		m   *Memo
-	}{{"memo", memo}, {"memo-less", nil}} {
-		ch, ok := got.m.Select(c, res, differs, r, targets)
+		tfi [][]bool
+	}{{"memo", memo, nil}, {"memo, fan-in masks", memo, tfi}, {"memo-less", nil, nil}} {
+		ch, ok := got.m.Select(c, res, differs, r, targets, got.tfi)
 		if ok != wantOK || ok && !sameChange(ch, want) {
 			t.Fatalf("%s, targets %v, %s: got %+v, %v; want %+v, %v", what, targets, got.how, ch, ok, want, wantOK)
 		}
@@ -165,7 +173,7 @@ func TestSelectFloorKeepsEarlierTie(t *testing.T) {
 		{[]int{z, x}, Change{Target: z, Switch: c.Const0(), Kind: WireByConst, Similarity: 0.75}},
 	} {
 		checkSelect(t, "floor tie", memo, c, res, never, r, tc.targets)
-		if got, _ := (*Memo)(nil).Select(c, res, nil, r, tc.targets); !sameChange(got, tc.want) {
+		if got, _ := (*Memo)(nil).Select(c, res, nil, r, tc.targets, nil); !sameChange(got, tc.want) {
 			t.Fatalf("targets %v: got %+v, want %+v", tc.targets, got, tc.want)
 		}
 	}

@@ -118,13 +118,13 @@ func PickTarget(tc []int, rng *rand.Rand) int {
 // shortening at equal error cost. It returns false when the target has no
 // usable candidate.
 func BestSwitch(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int) (Change, bool) {
-	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, false, -1, -1)
+	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, false, -1, -1, nil)
 }
 
 // BestSwitchInv is BestSwitch with the inverted-wire substitution also in
 // the candidate set (SASIMI's full catalogue).
 func BestSwitchInv(c *netlist.Circuit, res *sim.Result, r *sta.Report, target int) (Change, bool) {
-	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, true, -1, -1)
+	return (*Memo)(nil).bestSwitch(c, res, nil, r, target, true, -1, -1, nil)
 }
 
 // Memo is one run's memo of golden diff counts for switch selection. Most
@@ -223,12 +223,15 @@ func diffCount(a, b []uint64, n, floor float64) int {
 // fingerprint search). Inverted wires score 1 - s as well, so they count
 // in full. ones is the target's count of ones in res, or -1 for
 // bestSwitch to count it; the constants' similarities derive from it as
-// errest.ConstSimilarity computes them.
-func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, target int, allowInv bool, floor float64, ones int) (Change, bool) {
+// errest.ConstSimilarity computes them. tfi is the target's transitive
+// fan-in mask, or nil for bestSwitch to walk it.
+func (m *Memo) bestSwitch(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, target int, allowInv bool, floor float64, ones int, tfi []bool) (Change, bool) {
 	if target < 0 || target >= len(c.Gates) || c.Gates[target].Func.IsPseudo() {
 		return Change{}, false
 	}
-	tfi := c.TFI(target)
+	if tfi == nil {
+		tfi = c.TFI(target)
+	}
 	best := Change{Target: target, Switch: -1, Similarity: -1}
 	better := func(sim float64, id int) bool {
 		if sim != best.Similarity {
@@ -352,7 +355,9 @@ func RandomTargets(c *netlist.Circuit, rng *rand.Rand) []int {
 // targets: the first highest-similarity pick in draw order. differs must
 // be the SignalDiffers of the simulation that produced res; r breaks
 // similarity ties toward the earlier-arriving switch (nil: no tie-break,
-// as in RandomChange).
+// as in RandomChange). tfi, when not nil, holds each target's transitive
+// fan-in mask (netlist.Circuit.MarkTFI), so selection walks none; a
+// target whose signal is golden takes its count of ones from the memo.
 //
 // Target k's non-memo pairs count against a cross-target floor F_k: the
 // best pick so far or the highest constant similarity of the physical
@@ -365,7 +370,7 @@ func RandomTargets(c *netlist.Circuit, rng *rand.Rand) []int {
 // loses, as its full pick would. So the full count's winner w has F_w at
 // most its full pick p_w and reports p_w exactly; every later floor is
 // then p_w, which no loser's report reaches.
-func (m *Memo) Select(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, targets []int) (Change, bool) {
+func (m *Memo) Select(c *netlist.Circuit, res *sim.Result, differs func(int) bool, r *sta.Report, targets []int, tfi [][]bool) (Change, bool) {
 	// later and the targets' counts of ones stay on the stack for DCGWO's
 	// few tries; each physical target is counted once.
 	var laterBuf [8]float64
@@ -379,13 +384,21 @@ func (m *Memo) Select(c *netlist.Circuit, res *sim.Result, differs func(int) boo
 	for k := len(targets) - 1; k >= 0; k-- {
 		later[k], ones[k] = hi, -1
 		if t := targets[k]; t >= 0 && t < len(c.Gates) && !c.Gates[t].Func.IsPseudo() {
-			ones[k] = sim.CountOnes(res.Signals[t])
+			if m.serves(res) && t < len(m.ones) && !differs(t) {
+				ones[k] = m.ones[t]
+			} else {
+				ones[k] = sim.CountOnes(res.Signals[t])
+			}
 			hi = max(hi, 1-float64(ones[k])/n, float64(ones[k])/n)
 		}
 	}
 	best := Change{Similarity: -1}
 	for k, target := range targets {
-		if ch, ok := m.bestSwitch(c, res, differs, r, target, false, max(best.Similarity, later[k]), ones[k]); ok && ch.Similarity > best.Similarity {
+		var in []bool
+		if tfi != nil {
+			in = tfi[k]
+		}
+		if ch, ok := m.bestSwitch(c, res, differs, r, target, false, max(best.Similarity, later[k]), ones[k], in); ok && ch.Similarity > best.Similarity {
 			best = ch
 		}
 	}
@@ -417,7 +430,7 @@ func RandomChange(c *netlist.Circuit, res *sim.Result, rng *rand.Rand) (Change, 
 
 // selectApply applies the memo-less Select's change, if any.
 func selectApply(c *netlist.Circuit, res *sim.Result, r *sta.Report, targets []int) (Change, bool) {
-	ch, ok := (*Memo)(nil).Select(c, res, nil, r, targets)
+	ch, ok := (*Memo)(nil).Select(c, res, nil, r, targets, nil)
 	if ok {
 		Apply(c, ch)
 	}

@@ -118,7 +118,7 @@ func TestSplitSearchMatchesReference(t *testing.T) {
 						if len(targets) == 0 {
 							r, targets = nil, RandomTargets(split, rs)
 						}
-						got, ok := memo.Select(split, res, simr.SignalDiffers, r, targets)
+						got, ok := memo.Select(split, res, simr.SignalDiffers, r, targets, nil)
 						if ok {
 							Apply(split, got)
 						}
@@ -194,7 +194,7 @@ func TestConcurrentMemoMatchesSerial(t *testing.T) {
 		cd := candidate{c: c.Clone(), res: res, differs: s.SignalDiffers, rep: rep}
 		for target, g := range cd.c.Gates {
 			if !g.Func.IsPseudo() {
-				ch, _ := (*Memo)(nil).Select(cd.c, res, nil, rep, []int{target})
+				ch, _ := (*Memo)(nil).Select(cd.c, res, nil, rep, []int{target}, nil)
 				cd.want = append(cd.want, ch)
 			}
 		}
@@ -215,7 +215,7 @@ func TestConcurrentMemoMatchesSerial(t *testing.T) {
 					if g.Func.IsPseudo() {
 						continue
 					}
-					got, _ := memo.Select(cd.c, cd.res, cd.differs, cd.rep, []int{target})
+					got, _ := memo.Select(cd.c, cd.res, cd.differs, cd.rep, []int{target}, nil)
 					if !sameChange(got, cd.want[k]) {
 						errs[w] = fmt.Errorf("goroutine %d, target %d: got %+v, want %+v", w, target, got, cd.want[k])
 						return
@@ -246,7 +246,7 @@ func TestSelectKeepsFirstOfEqualPicks(t *testing.T) {
 	c.AddOutput("z", z)
 	res, r := simAndTime(t, c)
 	for _, targets := range [][]int{{y, z}, {z, y}} {
-		got, ok := (*Memo)(nil).Select(c, res, nil, r, targets)
+		got, ok := (*Memo)(nil).Select(c, res, nil, r, targets, nil)
 		if !ok || got.Target != targets[0] || got.Similarity != 0.75 {
 			t.Fatalf("targets %v: got %+v, %v; want target %d at similarity 0.75", targets, got, ok, targets[0])
 		}

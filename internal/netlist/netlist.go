@@ -383,7 +383,15 @@ func (c *Circuit) Live() []bool {
 // included).
 func (c *Circuit) TFI(roots ...int) []bool {
 	in := make([]bool, len(c.Gates))
-	stack := append([]int(nil), roots...)
+	c.MarkTFI(in, nil, roots...)
+	return in
+}
+
+// MarkTFI marks the transitive fan-in of roots (roots included) in in,
+// which holds one entry per gate, without walking on from a fan-in
+// already marked. stack is working memory, returned for reuse.
+func (c *Circuit) MarkTFI(in []bool, stack []int, roots ...int) []int {
+	stack = append(stack[:0], roots...)
 	for _, r := range roots {
 		in[r] = true
 	}
@@ -397,7 +405,7 @@ func (c *Circuit) TFI(roots ...int) []bool {
 			}
 		}
 	}
-	return in
+	return stack
 }
 
 // TFO returns the transitive fan-out mask of the given gates (roots
