@@ -278,6 +278,32 @@ func TestSessionOptionValidation(t *testing.T) {
 	}
 }
 
+// TestFlowConfigRangesEveryMethod: a v1 FlowConfig outside the ranges the
+// options enforce fails for every method, not only DCGWO. A negative
+// budget used to let the baselines return the exact circuit as Best,
+// whose error 0 exceeds it.
+func TestFlowConfigRangesEveryMethod(t *testing.T) {
+	circuit, lib := als.Benchmark("c880"), als.NewLibrary()
+	cases := []struct {
+		name   string
+		mutate func(*als.FlowConfig)
+	}{
+		{"negative budget", func(c *als.FlowConfig) { c.ErrorBudget = -1 }},
+		{"tiny population", func(c *als.FlowConfig) { c.Population = 3 }},
+		{"tiny vectors", func(c *als.FlowConfig) { c.Vectors = 32 }},
+		{"depth weight above one", func(c *als.FlowConfig) { c.DepthWeight = 2 }},
+	}
+	for _, m := range als.AllMethods() {
+		for _, tc := range cases {
+			cfg := als.FlowConfig{Metric: als.MetricER, ErrorBudget: 0.05, Method: m, Iterations: 2, Vectors: 256}
+			tc.mutate(&cfg)
+			if res, err := als.Flow(circuit, lib, cfg); err == nil {
+				t.Errorf("%v, %s: flow succeeded (Best error %v)", m, tc.name, res.Err)
+			}
+		}
+	}
+}
+
 // TestSessionTopKBoundsFront: the front honors WithTopK.
 func TestSessionTopKBoundsFront(t *testing.T) {
 	sess, err := als.NewSession(als.Benchmark("c880"), als.NewLibrary(),

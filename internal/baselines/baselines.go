@@ -1,7 +1,9 @@
 // Package baselines implements the four comparison methods of the paper's
-// evaluation on the same substrate (simulation, STA, LACs, error
-// estimation) as DCGWO, so the experiments compare optimizer strategies
-// and nothing else:
+// evaluation as strategies over DCGWO's own substrate, core.Optimizer:
+// one set-up (core.New: the constant-materialized base, the Monte-Carlo
+// vectors, the Evaluator with its selection memo), one initial population,
+// one searching action and one evaluation pipeline, so the experiments
+// compare optimizer strategies and nothing else:
 //
 //   - VECBEE-SASIMI [Su et al., TCAD'22]: area-driven greedy
 //     substitution — repeatedly apply the highest-similarity LAC with the
@@ -14,6 +16,14 @@
 //   - Single-chase GWO [Mirjalili et al.]: the traditional grey wolf
 //     optimizer with one guidance hierarchy and plain fitness-truncation
 //     selection (no population division, no non-dominated sorting).
+//
+// A run takes a core.Config: MaxIter bounds the greedy rounds, GA
+// generations and GWO iterations, PopulationSize is the GA and GWO
+// population. The baselines keep their own search parameters: Tc within
+// 5% of the CPD, one Tc draw per searching action and one LAC per initial
+// individual. VaACS's mutants and GWO's children are queued on the
+// Evaluator's pipeline the moment they are drawn, as DCGWO's are; a greedy
+// round is one pipeline batch (core.Evaluator.EvaluateRound).
 package baselines
 
 import (
@@ -27,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lac"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 	"repro/internal/sta"
 )
 
@@ -63,70 +72,16 @@ func (m Method) String() string {
 // Methods lists all baselines in the tables' column order.
 func Methods() []Method { return []Method{VecbeeSasimi, VaACS, HEDALS, SingleChaseGWO} }
 
-// Config tunes a baseline run. Rounds/population are scaled so every
-// method gets a comparable evaluation budget to DCGWO.
-type Config struct {
-	// Metric and ErrorBudget mirror core.Config.
-	Metric      core.Metric
-	ErrorBudget float64
-	// Rounds bounds greedy iterations / GA generations / GWO iterations.
-	Rounds int
-	// Population is the GA/GWO population size.
-	Population int
-	// CandidatesPerRound bounds how many LAC candidates a greedy method
-	// evaluates per round.
-	CandidatesPerRound int
-	// Vectors is the Monte-Carlo sample size.
-	Vectors int
-	// CritMargin widens the critical-path candidate set.
-	CritMargin float64
-	// DepthWeight is the fitness weight used for reporting Fit; greedy
-	// baselines optimize their own single objective regardless.
-	DepthWeight float64
-	// EvalWorkers caps the goroutines an evaluation batch keeps busy, the
-	// caller's included (0 = GOMAXPROCS); mirrors core.Config.EvalWorkers.
-	EvalWorkers int
-	// Progress, when non-nil, is invoked once per round/generation with
-	// the best individual found so far, mirroring core.Config.Progress.
-	// It draws no randomness, so installing it never perturbs results.
-	Progress func(core.IterStats)
-	// OnImproved, when non-nil, is invoked every time the running best
-	// feasible individual improves, mirroring core.Config.OnImproved. It
-	// draws no randomness, so installing it never perturbs results.
-	OnImproved func(*core.Individual)
-	// Seed fixes the run.
-	Seed int64
-}
-
-// DefaultConfig mirrors the evaluation budget of core.DefaultConfig.
-func DefaultConfig(m core.Metric, budget float64) Config {
-	return Config{
-		Metric:             m,
-		ErrorBudget:        budget,
-		Rounds:             20,
-		Population:         30,
-		CandidatesPerRound: 24,
-		Vectors:            1 << 14,
-		CritMargin:         0.05,
-		DepthWeight:        0.8,
-		Seed:               1,
-	}
-}
-
-// Result mirrors core.Result for a baseline run. Front is the feasible
-// non-dominated set the method ends with: the final population's front
-// for the population methods (VaACS, single-chase GWO), and the best/
-// current pair for the greedy methods (which keep no population).
-type Result struct {
-	Best        *core.Individual
-	Front       []*core.Individual
-	Evaluations int
-	// Cache reports the evaluation cache's effectiveness over the run.
-	Cache core.CacheStats
-}
+const (
+	// critMargin widens Tc, and HEDALS's target pool, to paths within 5%
+	// of the CPD.
+	critMargin = 0.05
+	// candidatesPerRound caps the targets a greedy round evaluates.
+	candidatesPerRound = 24
+)
 
 // Run executes the selected baseline on the accurate circuit.
-func Run(method Method, accurate *netlist.Circuit, lib *cell.Library, cfg Config) (*Result, error) {
+func Run(method Method, accurate *netlist.Circuit, lib *cell.Library, cfg core.Config) (*core.Result, error) {
 	return RunContext(context.Background(), method, accurate, lib, cfg)
 }
 
@@ -134,24 +89,20 @@ func Run(method Method, accurate *netlist.Circuit, lib *cell.Library, cfg Config
 // once per greedy round / GA generation / GWO iteration, and a cancelled
 // run returns an error wrapping ctx.Err(). The check draws no randomness,
 // so an uncancelled run is bit-identical to Run and a cancelled-then-rerun
-// flow reproduces the original result exactly.
-func RunContext(ctx context.Context, method Method, accurate *netlist.Circuit, lib *cell.Library, cfg Config) (*Result, error) {
-	base := accurate.Clone()
-	base.Const0()
-	base.Const1()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	vectors := sim.Random(rng, len(base.PIs), cfg.Vectors)
-	eval, err := core.NewEvaluator(base, lib, cfg.Metric, cfg.DepthWeight, vectors)
+// flow reproduces the original result exactly. cfg is validated as
+// core.New validates DCGWO's; its CritMargin, SearchTries and InitLACs are
+// replaced by the baselines' own. Progress and OnImproved are called as
+// DCGWO calls them; the Result has no History.
+func RunContext(ctx context.Context, method Method, accurate *netlist.Circuit, lib *cell.Library, cfg core.Config) (*core.Result, error) {
+	cfg.CritMargin, cfg.SearchTries, cfg.InitLACs = critMargin, 1, 1
+	opt, err := core.New(accurate, lib, cfg)
 	if err != nil {
 		return nil, err
 	}
-	eval.SetMaxWorkers(cfg.EvalWorkers)
-	r := &runner{ctx: ctx, cfg: cfg, lib: lib, base: base, eval: eval, rng: rng}
+	r := &runner{ctx: ctx, cfg: cfg, opt: opt, eval: opt.Evaluator(), rng: opt.Rand()}
 	switch method {
-	case VecbeeSasimi:
-		return r.greedy(objectiveArea)
-	case HEDALS:
-		return r.greedy(objectiveDelay)
+	case VecbeeSasimi, HEDALS:
+		return r.greedy(method)
 	case VaACS:
 		return r.genetic()
 	case SingleChaseGWO:
@@ -162,9 +113,8 @@ func RunContext(ctx context.Context, method Method, accurate *netlist.Circuit, l
 
 type runner struct {
 	ctx  context.Context
-	cfg  Config
-	lib  *cell.Library
-	base *netlist.Circuit
+	cfg  core.Config
+	opt  *core.Optimizer
 	eval *core.Evaluator
 	rng  *rand.Rand
 }
@@ -173,9 +123,9 @@ type runner struct {
 // for the best individual so far; it consumes no randomness.
 func (r *runner) checkpoint(round int, best *core.Individual) error {
 	if err := r.ctx.Err(); err != nil {
-		return fmt.Errorf("baselines: cancelled at round %d/%d: %w", round, r.cfg.Rounds, err)
+		return fmt.Errorf("baselines: cancelled at round %d/%d: %w", round, r.cfg.MaxIter, err)
 	}
-	if r.cfg.Progress != nil && best != nil {
+	if r.cfg.Progress != nil {
 		r.cfg.Progress(core.IterStats{
 			Iter:        round,
 			BestFit:     best.Fit,
@@ -193,40 +143,47 @@ func (r *runner) checkpoint(round int, best *core.Individual) error {
 // improved reports a new running best to the OnImproved hook; like
 // checkpoint it consumes no randomness.
 func (r *runner) improved(best *core.Individual) {
-	if r.cfg.OnImproved != nil && best != nil {
+	if r.cfg.OnImproved != nil {
 		r.cfg.OnImproved(best)
 	}
 }
 
-// front assembles the Result.Front from the method's final candidates via
-// the shared core helper (feasible, deduplicated, non-dominated, best
+// result ends a run: its Front comes from the method's final candidates
+// via the shared core helper (feasible, deduplicated, non-dominated, best
 // always retained, deterministic order).
-func (r *runner) front(best *core.Individual, others []*core.Individual) []*core.Individual {
-	return core.FeasibleFront(best, others, r.cfg.ErrorBudget, r.eval.RefDelay(), r.eval.RefArea())
+func (r *runner) result(best *core.Individual, others []*core.Individual) *core.Result {
+	return &core.Result{
+		Best:        best,
+		Front:       core.FeasibleFront(best, others, r.cfg.ErrorBudget, r.eval.RefDelay(), r.eval.RefArea()),
+		Evaluations: r.eval.Count(),
+		Cache:       r.eval.CacheStats(),
+	}
 }
 
-// objective scores a candidate individual for the greedy methods; lower is
-// better.
-type objective func(ind *core.Individual) float64
-
-func objectiveArea(ind *core.Individual) float64  { return ind.Area }
-func objectiveDelay(ind *core.Individual) float64 { return ind.Delay }
+// score is a greedy method's objective, lower is better: HEDALS minimizes
+// delay, VECBEE-S area.
+func (m Method) score(ind *core.Individual) float64 {
+	if m == HEDALS {
+		return ind.Delay
+	}
+	return ind.Area
+}
 
 // greedy implements both VECBEE-SASIMI (area objective, targets anywhere)
 // and HEDALS (delay objective, targets on critical paths): per round,
 // enumerate candidate LACs, evaluate each as a change of the current
 // circuit, and commit the best feasible improvement. Rounds without a
 // feasible improvement end the run.
-func (r *runner) greedy(score objective) (*Result, error) {
+func (r *runner) greedy(m Method) (*core.Result, error) {
 	r.eval.BeginGeneration()
-	cur, err := r.eval.Evaluate(r.base.Clone())
+	cur, err := r.eval.Evaluate(r.opt.Base().Clone())
 	if err != nil {
 		return nil, err
 	}
 	best := cur
 	r.improved(best)
 	failures := 0
-	for round := 0; round < r.cfg.Rounds; round++ {
+	for round := 0; round < r.cfg.MaxIter; round++ {
 		if err := r.checkpoint(round, best); err != nil {
 			return nil, err
 		}
@@ -235,23 +192,23 @@ func (r *runner) greedy(score objective) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := sta.Analyze(cur.Circuit, r.lib)
+		rep, err := sta.Analyze(cur.Circuit, r.eval.Lib())
 		if err != nil {
 			return nil, err
 		}
 		// The greedy methods use SASIMI's full catalogue, inverted wires
 		// included. The workers select each target's change and evaluate
 		// it against cur; the pick below scans them in target order.
-		kids, changes, err := r.eval.EvaluateRound(cur.Circuit, res, rep, r.pickTargets(cur.Circuit, rep, score))
+		kids, changes, err := r.eval.EvaluateRound(cur.Circuit, res, rep, r.pickTargets(m, cur.Circuit, rep))
 		if err != nil {
 			return nil, err
 		}
 		pick := -1
 		for i, child := range kids {
-			if child.Err > r.cfg.ErrorBudget || score(child) >= score(cur) {
+			if child.Err > r.cfg.ErrorBudget || m.score(child) >= m.score(cur) {
 				continue
 			}
-			if pick < 0 || score(child) < score(kids[pick]) {
+			if pick < 0 || m.score(child) < m.score(kids[pick]) {
 				pick = i
 			}
 		}
@@ -273,16 +230,16 @@ func (r *runner) greedy(score objective) (*Result, error) {
 			r.improved(best)
 		}
 	}
-	return &Result{Best: best, Front: r.front(best, []*core.Individual{cur}), Evaluations: r.eval.Count(), Cache: r.eval.CacheStats()}, nil
+	return r.result(best, []*core.Individual{cur}), nil
 }
 
 // pickTargets selects candidate target gates for one greedy round: HEDALS
-// draws from the critical paths; SASIMI samples live physical gates
-// uniformly. Both are capped at CandidatesPerRound.
-func (r *runner) pickTargets(c *netlist.Circuit, rep *sta.Report, score objective) []int {
+// draws from the critical paths, VECBEE-S samples live physical gates
+// uniformly. Both are capped at candidatesPerRound.
+func (r *runner) pickTargets(m Method, c *netlist.Circuit, rep *sta.Report) []int {
 	var pool []int
-	if isDelayObjective(score) {
-		pool = rep.CriticalGates(c, r.cfg.CritMargin)
+	if m == HEDALS {
+		pool = rep.CriticalGates(c, critMargin)
 	} else {
 		live := c.Live()
 		for id, g := range c.Gates {
@@ -292,58 +249,27 @@ func (r *runner) pickTargets(c *netlist.Circuit, rep *sta.Report, score objectiv
 		}
 	}
 	r.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	if len(pool) > r.cfg.CandidatesPerRound {
-		pool = pool[:r.cfg.CandidatesPerRound]
+	if len(pool) > candidatesPerRound {
+		pool = pool[:candidatesPerRound]
 	}
 	return pool
 }
 
-func isDelayObjective(score objective) bool {
-	probe := &core.Individual{Delay: 2, Area: 1}
-	return score(probe) == 2
-}
-
-// seedPopulation builds the initial population shared by the GA and GWO
-// baselines: the exact circuit plus batch-evaluated single-LAC mutants.
-func (r *runner) seedPopulation(exact *core.Individual, popSize int) ([]*core.Individual, error) {
-	pop := []*core.Individual{exact}
-	if popSize <= 1 {
-		return pop, nil
-	}
-	seeds := make([]*netlist.Circuit, 0, popSize-1)
-	for len(pop)+len(seeds) < popSize {
-		c, err := r.mutateClone(exact)
-		if err != nil {
-			return nil, err
-		}
-		seeds = append(seeds, c)
-	}
-	inds, err := r.eval.EvaluateBatch(seeds)
-	if err != nil {
-		return nil, err
-	}
-	return append(pop, inds...), nil
-}
-
 // genetic implements the VaACS-style GA: elitist selection on a
 // delay-driven fitness, offspring by LAC mutation and reproduction-style
-// crossover, infeasible individuals discarded. Offspring are generated
-// serially (preserving the rng stream) and evaluated in parallel batches.
-func (r *runner) genetic() (*Result, error) {
-	popSize := r.cfg.Population
-	r.eval.BeginGeneration()
-	exact, err := r.eval.Evaluate(r.base.Clone())
+// crossover, infeasible individuals discarded. Offspring are drawn
+// serially (preserving the rng stream) and queued on the pipeline, which
+// completes each mutant's LAC and evaluates it while the next is drawn.
+func (r *runner) genetic() (*core.Result, error) {
+	popSize := r.cfg.PopulationSize
+	pop, err := r.opt.InitialPopulation()
 	if err != nil {
 		return nil, err
 	}
-	pop, err := r.seedPopulation(exact, popSize)
-	if err != nil {
-		return nil, err
-	}
-	best := exact
+	best := pop[0] // the exact circuit
 	r.improved(best)
 	wt := 0.9 * r.eval.RefDelay()
-	for gen := 0; gen < r.cfg.Rounds; gen++ {
+	for gen := 0; gen < r.cfg.MaxIter; gen++ {
 		if err := r.checkpoint(gen, best); err != nil {
 			return nil, err
 		}
@@ -362,23 +288,23 @@ func (r *runner) genetic() (*Result, error) {
 		}
 		elite := pop[:max(2, popSize/4)]
 		next := append([]*core.Individual(nil), elite...)
-		offspring := make([]*netlist.Circuit, 0, popSize-len(next))
-		for len(next)+len(offspring) < popSize {
-			p1 := elite[r.rng.Intn(len(elite))]
-			if r.rng.Float64() < 0.5 {
-				p2 := pop[r.rng.Intn(len(pop))]
-				if child := core.Reproduce(p1, p2, wt, 0.1); child != nil {
-					offspring = append(offspring, child)
-					continue
-				}
-			}
-			child, err := r.mutateClone(p1)
-			if err != nil {
-				return nil, err
-			}
-			offspring = append(offspring, child)
+		p, err := r.eval.StartPipeline(popSize - len(next))
+		if err != nil {
+			return nil, err
 		}
-		inds, err := r.eval.EvaluateBatch(offspring)
+		for range popSize - len(next) {
+			p1 := elite[r.rng.Intn(len(elite))]
+			var t core.Task
+			if r.rng.Float64() < 0.5 {
+				t.C = core.Reproduce(p1, pop[r.rng.Intn(len(pop))], wt, 0.1)
+			}
+			if t.C == nil { // a mutant: one similarity-guided LAC on a random target
+				t.C = p1.Circuit.Clone()
+				t.Targets = lac.RandomTargets(t.C, r.rng)
+			}
+			p.Submit(t)
+		}
+		inds, err := p.Wait()
 		if err != nil {
 			return nil, err
 		}
@@ -390,78 +316,35 @@ func (r *runner) genetic() (*Result, error) {
 			r.improved(best)
 		}
 	}
-	return &Result{Best: best, Front: r.front(best, pop), Evaluations: r.eval.Count(), Cache: r.eval.CacheStats()}, nil
-}
-
-// mutateClone clones the individual and applies one similarity-guided LAC
-// on a random target (consuming rng); evaluation is left to the caller so
-// independent mutants can be batched.
-func (r *runner) mutateClone(ind *core.Individual) (*netlist.Circuit, error) {
-	clone := ind.Circuit.Clone()
-	return clone, r.eval.Search(clone, nil, lac.RandomTargets(clone, r.rng))
+	return r.result(best, pop), nil
 }
 
 // singleChaseGWO implements the traditional GWO baseline: every non-alpha
 // wolf consults the alpha only (one chase), actions decided by the same
 // W-threshold rule, survivors picked by plain fitness truncation — no
-// population division and no Pareto selection.
-func (r *runner) singleChaseGWO() (*Result, error) {
-	popSize := r.cfg.Population
-	r.eval.BeginGeneration()
-	exact, err := r.eval.Evaluate(r.base.Clone())
+// population division and no Pareto selection. Each wolf's child is
+// queued on the pipeline the moment it is drawn.
+func (r *runner) singleChaseGWO() (*core.Result, error) {
+	popSize := r.cfg.PopulationSize
+	pop, err := r.opt.InitialPopulation()
 	if err != nil {
 		return nil, err
 	}
-	pop, err := r.seedPopulation(exact, popSize)
-	if err != nil {
-		return nil, err
-	}
-	best := bestFeasible(pop, r.cfg.ErrorBudget)
+	exact := pop[0]
+	best := core.BestFeasible(pop, r.cfg.ErrorBudget)
 	r.improved(best)
-	wt := 0.9 * r.eval.RefDelay()
-	const threshold = 0.5
-	for iter := 1; iter <= r.cfg.Rounds; iter++ {
+	for iter := 1; iter <= r.cfg.MaxIter; iter++ {
 		if err := r.checkpoint(iter-1, best); err != nil {
 			return nil, err
 		}
 		r.eval.BeginGeneration()
-		a := 2 - 2*float64(iter)/float64(r.cfg.Rounds)
+		a := 2 - 2*float64(iter)/float64(r.cfg.MaxIter)
 		sort.Slice(pop, func(i, j int) bool { return pop[i].Fit > pop[j].Fit })
-		alpha := pop[0]
-		candidates := append([]*core.Individual(nil), pop...)
-		// Per-wolf actions consume rng serially; the resulting children
-		// are independent and evaluated as one batch.
-		offspring := make([]*netlist.Circuit, 0, len(pop)-1)
-		for _, ci := range pop[1:] {
-			d := math.Abs(r.rng.Float64()*2*alpha.Fit - ci.Fit)
-			w := (2*r.rng.Float64() - 1) * a * d
-			var childC *netlist.Circuit
-			if w > threshold {
-				childC = core.Reproduce(ci, alpha, wt, 0.1)
-			}
-			if childC == nil {
-				// One searching action, or a random LAC when Tc is empty.
-				clone := ci.Circuit.Clone()
-				rep, err := sta.Analyze(clone, r.lib)
-				if err != nil {
-					return nil, err
-				}
-				targets := lac.DrawTargets(clone, rep, r.rng, r.cfg.CritMargin, 1)
-				if len(targets) == 0 {
-					rep, targets = nil, lac.RandomTargets(clone, r.rng)
-				}
-				if err := r.eval.Search(clone, rep, targets); err != nil {
-					return nil, err
-				}
-				childC = clone
-			}
-			offspring = append(offspring, childC)
-		}
-		kids, err := r.eval.EvaluateBatch(offspring)
+		kids, err := r.hunt(pop[0], pop[1:], a)
 		if err != nil {
 			return nil, err
 		}
-		candidates = append(candidates, kids...)
+		candidates := append(append([]*core.Individual(nil), pop...), kids...)
 		// Plain truncation: feasible under the FULL budget (no asymptotic
 		// relaxation — that refinement is DCGWO's), fittest first.
 		feasible := candidates[:0:0]
@@ -478,27 +361,40 @@ func (r *runner) singleChaseGWO() (*Result, error) {
 			feasible = feasible[:popSize]
 		}
 		pop = feasible
-		if b := bestFeasible(pop, r.cfg.ErrorBudget); b != nil && (best == nil || b.Fit > best.Fit) {
+		if b := core.BestFeasible(pop, r.cfg.ErrorBudget); b.Fit > best.Fit {
 			best = b
 			r.improved(best)
 		}
 	}
-	return &Result{Best: best, Front: r.front(best, pop), Evaluations: r.eval.Count(), Cache: r.eval.CacheStats()}, nil
+	return r.result(best, pop), nil
 }
 
-func bestFeasible(pop []*core.Individual, budget float64) *core.Individual {
-	var best *core.Individual
-	for _, ind := range pop {
-		if ind.Err <= budget && (best == nil || ind.Fit > best.Fit) {
-			best = ind
+// hunt draws one GWO generation: each wolf consults the alpha and
+// reproduces with it when W exceeds the threshold (and the merge makes a
+// child), else takes one searching action. Every draw happens here in the
+// wolves' order, and each child is queued the moment it is drawn.
+func (r *runner) hunt(alpha *core.Individual, wolves []*core.Individual, a float64) ([]*core.Individual, error) {
+	const threshold = 0.5
+	wt := 0.9 * r.eval.RefDelay()
+	p, err := r.eval.StartPipeline(len(wolves))
+	if err != nil {
+		return nil, err
+	}
+	defer p.Finish()
+	for _, ci := range wolves {
+		d := math.Abs(r.rng.Float64()*2*alpha.Fit - ci.Fit)
+		w := (2*r.rng.Float64() - 1) * a * d
+		var t core.Task
+		if w > threshold {
+			t.C = core.Reproduce(ci, alpha, wt, 0.1)
 		}
+		if t.C == nil {
+			// One searching action, or a random LAC when Tc is empty.
+			if t, err = r.opt.SearchClone(ci); err != nil {
+				return nil, err
+			}
+		}
+		p.Submit(t)
 	}
-	return best
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return p.Wait()
 }

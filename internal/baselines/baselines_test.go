@@ -1,10 +1,14 @@
 package baselines
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cell"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/netlist"
 )
 
@@ -38,11 +42,10 @@ func adder8() *netlist.Circuit {
 	return c
 }
 
-func smallConfig(m core.Metric, budget float64) Config {
-	cfg := DefaultConfig(m, budget)
-	cfg.Rounds = 5
-	cfg.Population = 8
-	cfg.CandidatesPerRound = 10
+func smallConfig(m core.Metric, budget float64) core.Config {
+	cfg := core.DefaultConfig(m, budget)
+	cfg.MaxIter = 5
+	cfg.PopulationSize = 8
 	cfg.Vectors = 1024
 	cfg.Seed = 5
 	return cfg
@@ -155,8 +158,60 @@ func TestUnknownMethod(t *testing.T) {
 	}
 }
 
-func TestObjectiveProbe(t *testing.T) {
-	if !isDelayObjective(objectiveDelay) || isDelayObjective(objectiveArea) {
-		t.Error("objective probe misclassifies")
+// fingerprint renders what a run must reproduce exactly: Best and every
+// Front member (fitness, delay, area and error by bits, and Best's
+// gates), Evaluations and Cache.
+func fingerprint(res *core.Result) string {
+	var b strings.Builder
+	ind := func(x *core.Individual) {
+		fmt.Fprintf(&b, "fit %x delay %x area %x err %x\n", math.Float64bits(x.Fit),
+			math.Float64bits(x.Delay), math.Float64bits(x.Area), math.Float64bits(x.Err))
+	}
+	ind(res.Best)
+	for _, g := range res.Best.Circuit.Gates {
+		fmt.Fprintf(&b, " %d/%d%v", g.Func, g.Drive, g.Fanin)
+	}
+	b.WriteString("\nfront\n")
+	for _, x := range res.Front {
+		ind(x)
+	}
+	fmt.Fprintf(&b, "evaluations %d cache %+v", res.Evaluations, res.Cache)
+	return b.String()
+}
+
+// TestBaselinesMatchAcrossWorkers runs every baseline with 1, 2 and 4
+// evaluation workers — no worker goroutine, then one and three beside
+// the optimizer goroutine, which draws while they complete VaACS's
+// mutants, GWO's searches and the greedy rounds' edits — on c880 under
+// ER and Max16 under NMED at the quick preset. Every run must match the
+// one-worker run exactly. Run it under -race with -cpu 1,2,4.
+func TestBaselinesMatchAcrossWorkers(t *testing.T) {
+	for _, w := range []struct {
+		circuit string
+		metric  core.Metric
+		budget  float64
+		seed    int64
+	}{
+		{"c880", core.MetricER, 0.05, 1},
+		{"Max16", core.MetricNMED, 0.0244, 2},
+	} {
+		for _, m := range Methods() {
+			var want string
+			for _, workers := range []int{1, 2, 4} {
+				cfg := core.DefaultConfig(w.metric, w.budget)
+				cfg.PopulationSize, cfg.MaxIter, cfg.Vectors = 10, 8, 2048
+				cfg.Seed, cfg.EvalWorkers = w.seed, workers
+				res, err := Run(m, gen.MustBuild(w.circuit), lib, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fingerprint(res)
+				if workers == 1 {
+					want = got
+				} else if got != want {
+					t.Fatalf("%v on %s: %d workers differ from 1:\n%s\nwant\n%s", m, w.circuit, workers, got, want)
+				}
+			}
+		}
 	}
 }

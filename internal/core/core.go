@@ -212,7 +212,7 @@ type IterStats struct {
 	Cache CacheStats
 }
 
-// Result is the outcome of one DCGWO run.
+// Result is the outcome of one optimizer run, DCGWO's or a baseline's.
 type Result struct {
 	// Best is the highest-fitness individual meeting the final budget.
 	Best *Individual
@@ -220,9 +220,12 @@ type Result struct {
 	// (plus Best) under the depth/area objectives — the delay/area
 	// trade-off set the population explored, of which Best is the
 	// single-fitness summary. It is assembled by FeasibleFront after the
-	// optimization loop, so collecting it never perturbs the run.
+	// optimization loop, so collecting it never perturbs the run. The
+	// greedy baselines keep no population: their front is drawn from Best
+	// and their last current circuit.
 	Front []*Individual
-	// History holds per-iteration convergence stats.
+	// History holds DCGWO's per-iteration convergence stats (nil for the
+	// baselines).
 	History []IterStats
 	// Evaluations counts circuit evaluations performed.
 	Evaluations int
@@ -244,13 +247,14 @@ type Result struct {
 // sta.Retimer over its changed gates' cones against the accurate
 // circuit's report. All three are exact, so an Evaluator returns
 // bit-identical Individuals to full re-simulation and full STA; other
-// candidates get both. EvaluateBatch, DCGWO generations and greedy
-// rounds (EvaluateRound, which evaluates against the round's parent) run
-// on one pipeline, one arena (simulator and re-timer) per worker;
-// evaluation is pure (no RNG, no shared mutable state), so results are
-// deterministic and identical to serial evaluation. The Evaluator also
-// completes the population optimizers' searching actions (Search), through
-// the run's switch-selection memo.
+// candidates get both. Every method's generations — DCGWO's, VaACS's and
+// single-chase GWO's children, the greedy rounds (EvaluateRound, which
+// evaluates against the round's parent) — and EvaluateBatch run on one
+// pipeline, one arena (simulator and re-timer) per worker; evaluation is
+// pure (no RNG, no shared mutable state), so results are deterministic
+// and identical to serial evaluation. The Evaluator also completes the
+// population optimizers' searching actions (a Task's targets, or Search),
+// through the run's switch-selection memo.
 type Evaluator struct {
 	lib      *cell.Library
 	est      *errest.Estimator
@@ -551,24 +555,26 @@ func (e *Evaluator) finish(c *netlist.Circuit, m errest.Metrics, cpd float64, de
 	return ind
 }
 
-// EvaluateBatch queues independent candidates on the Evaluator's
-// pipeline, drains it and returns their Individuals in input order. Each
-// worker owns an arena (a sim.Simulator bound to the accurate circuit's
-// golden waveforms and an sta.Retimer bound to its timing report), and
-// evaluation is pure, so the results — and the evaluation count, bumped
-// once by len(cs) — are bit-identical to evaluating the slice serially.
+// EvaluateBatch queues independent, complete candidates on the
+// Evaluator's pipeline, drains it and returns their Individuals in input
+// order. Each worker owns an arena (a sim.Simulator bound to the accurate
+// circuit's golden waveforms and an sta.Retimer bound to its timing
+// report), and evaluation is pure, so the results — and the evaluation
+// count, bumped once by len(cs) — are bit-identical to evaluating the
+// slice serially. The optimizers queue their children one at a time
+// (StartPipeline); the benchmark's layer probe times evaluation here.
 func (e *Evaluator) EvaluateBatch(cs []*netlist.Circuit) ([]*Individual, error) {
 	if len(cs) == 0 {
 		return []*Individual{}, nil
 	}
-	p, err := e.startPipeline(len(cs))
+	p, err := e.StartPipeline(len(cs))
 	if err != nil {
 		return nil, err
 	}
 	for _, c := range cs {
-		p.submit(task{c: c})
+		p.Submit(Task{C: c})
 	}
-	return p.wait()
+	return p.Wait()
 }
 
 // newArena builds an arena. Pipelines take theirs from the pool and

@@ -14,7 +14,9 @@ import (
 	"repro/internal/sta"
 )
 
-// Optimizer runs DCGWO on one accurate circuit.
+// Optimizer runs DCGWO on one accurate circuit. It is also the substrate
+// the baseline optimizers (internal/baselines) run on: the same set-up,
+// initial population, searching action and pipeline.
 type Optimizer struct {
 	cfg  Config
 	lib  *cell.Library
@@ -58,6 +60,11 @@ func New(accurate *netlist.Circuit, lib *cell.Library, cfg Config) (*Optimizer, 
 // optimizers and the experiment harness).
 func (o *Optimizer) Evaluator() *Evaluator { return o.eval }
 
+// Rand returns the run's random source, which New seeded with Config.Seed
+// and drew the Monte-Carlo vectors from. A baseline optimizer makes its
+// own draws from it, in its own serial order.
+func (o *Optimizer) Rand() *rand.Rand { return o.rng }
+
 // Base returns the constant-materialized clone of the accurate circuit
 // whose gate ID space the population shares.
 func (o *Optimizer) Base() *netlist.Circuit { return o.base }
@@ -68,37 +75,73 @@ func (o *Optimizer) RefDelay() float64 { return o.eval.RefDelay() }
 // RefArea returns Areaori of the accurate circuit.
 func (o *Optimizer) RefArea() float64 { return o.eval.RefArea() }
 
-// searchClone draws one circuit-searching action on a fresh clone of the
-// individual: time the clone, build Tc and draw the targets, or a random
-// LAC's target when the netlist offers no searching move (e.g. the
-// critical path is a bare wire). No draw depends on a similarity count
-// (see lac.DrawTargets), so the Evaluator may complete the search on any
-// goroutine.
-func (o *Optimizer) searchClone(ind *Individual) (task, error) {
+// SearchClone draws one circuit-searching action on a fresh clone of the
+// individual: time the clone, build Tc (CritMargin) and draw SearchTries
+// targets, or a random LAC's target when the netlist offers no searching
+// move (e.g. the critical path is a bare wire). No draw depends on a
+// similarity count (see lac.DrawTargets), so the pipeline may complete the
+// search on any goroutine.
+func (o *Optimizer) SearchClone(ind *Individual) (Task, error) {
 	clone := ind.Circuit.Clone()
 	rep, err := sta.Analyze(clone, o.lib)
 	if err != nil {
-		return task{}, err
+		return Task{}, err
 	}
 	targets := lac.DrawTargets(clone, rep, o.rng, o.cfg.CritMargin, max(o.cfg.SearchTries, 1))
 	if len(targets) == 0 {
 		rep, targets = nil, lac.RandomTargets(clone, o.rng)
 	}
-	return task{c: clone, rep: rep, targets: targets}, nil
+	return Task{C: clone, Rep: rep, Targets: targets}, nil
 }
 
 // reproduceWith merges ind with the partner by circuit reproduction. A nil
 // child breaks DCGWO's invariants (one shared gate ID space and acyclic
 // parents, see reproduce), so it is an error.
-func (o *Optimizer) reproduceWith(ind, partner *Individual) (task, error) {
+func (o *Optimizer) reproduceWith(ind, partner *Individual) (Task, error) {
 	if o.cfg.DisableReproduction {
-		return o.searchClone(ind)
+		return o.SearchClone(ind)
 	}
 	child := reproduce(ind, partner, o.wt, o.cfg.WeightErr)
 	if child == nil {
-		return task{}, fmt.Errorf("core: circuit reproduction made no child: a parent left the base's gate ID space or the merge made a loop")
+		return Task{}, fmt.Errorf("core: circuit reproduction made no child: a parent left the base's gate ID space or the merge made a loop")
 	}
-	return task{c: child}, nil
+	return Task{C: child}, nil
+}
+
+// InitialPopulation evaluates P0 at a generation boundary: the accurate
+// circuit first, then PopulationSize−1 clones of it, each mutated by
+// InitLACs random LACs (searching-style similarity picks on random
+// targets). A clone's LACs but the last are applied here, because the
+// next draw reads the clone; the last one's target is drawn here and the
+// clone is queued with it, so the pipeline completes the LAC and
+// evaluates the clone while the next clone is drawn.
+func (o *Optimizer) InitialPopulation() ([]*Individual, error) {
+	o.eval.BeginGeneration()
+	first, err := o.eval.Evaluate(o.base.Clone())
+	if err != nil {
+		return nil, err
+	}
+	p, err := o.eval.StartPipeline(o.cfg.PopulationSize - 1)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Finish()
+	for range o.cfg.PopulationSize - 1 {
+		t := Task{C: o.base.Clone()}
+		for range o.cfg.InitLACs {
+			// Apply the previous draw (none the first time), then draw.
+			if err := o.eval.Search(t.C, nil, t.Targets); err != nil {
+				return nil, err
+			}
+			t.Targets = lac.RandomTargets(t.C, o.rng)
+		}
+		p.Submit(t)
+	}
+	inds, err := p.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return append([]*Individual{first}, inds...), nil
 }
 
 // Run executes the full DCGWO loop and returns the best approximate
@@ -115,33 +158,11 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: optimization cancelled before start: %w", err)
 	}
-	pop := make([]*Individual, 0, cfg.PopulationSize)
-
-	// Initial population P0: the accurate circuit plus clones mutated by
-	// random LACs (searching-style similarity picks on random targets).
-	// The mutated clones are independent, so they are evaluated as one
-	// parallel batch after the (serial, rng-consuming) mutation pass.
-	o.eval.BeginGeneration()
-	first, err := o.eval.Evaluate(o.base.Clone())
+	pop, err := o.InitialPopulation()
 	if err != nil {
 		return nil, err
 	}
-	pop = append(pop, first)
-	clones := make([]*netlist.Circuit, 0, cfg.PopulationSize-1)
-	for len(clones) < cfg.PopulationSize-1 {
-		clone := o.base.Clone()
-		for k := 0; k < cfg.InitLACs; k++ {
-			if err := o.eval.Search(clone, nil, lac.RandomTargets(clone, o.rng)); err != nil {
-				return nil, err
-			}
-		}
-		clones = append(clones, clone)
-	}
-	inds, err := o.eval.EvaluateBatch(clones)
-	if err != nil {
-		return nil, err
-	}
-	pop = append(pop, inds...)
+	first := pop[0]
 
 	// Quadratic relaxation Err(iter) = b·iter² + Err0 (paper §III-B),
 	// with b chosen so the constraint reaches the budget at
@@ -154,7 +175,7 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 	relaxIters := relaxAt * float64(cfg.MaxIter)
 	bQuad := (cfg.ErrorBudget - err0) / (relaxIters * relaxIters)
 
-	best := bestFeasible(pop, cfg.ErrorBudget)
+	best := BestFeasible(pop, cfg.ErrorBudget)
 	if best != nil && cfg.OnImproved != nil {
 		cfg.OnImproved(best)
 	}
@@ -260,15 +281,15 @@ func (o *Optimizer) chase(pop []*Individual, a float64) ([]*Individual, error) {
 	leader, elite, omega := pop[0], pop[1:4], pop[4:]
 	eliteMean := (elite[0].Fit + elite[1].Fit + elite[2].Fit) / 3
 
-	p, err := o.eval.startPipeline(cfg.PopulationSize)
+	p, err := o.eval.StartPipeline(cfg.PopulationSize)
 	if err != nil {
 		return nil, err
 	}
-	defer p.finish()
+	defer p.Finish()
 	var children []*Individual // nil: the next queued child
-	queue := func(t task, err error) error {
+	queue := func(t Task, err error) error {
 		if err == nil {
-			p.submit(t)
+			p.Submit(t)
 			children = append(children, nil)
 		}
 		return err
@@ -282,7 +303,7 @@ func (o *Optimizer) chase(pop []*Individual, a float64) ([]*Individual, error) {
 		if w > cfg.EliteThreshold {
 			err = queue(o.reproduceWith(ci, superior(pop, ci, o.rng)))
 		} else {
-			err = queue(o.searchClone(ci))
+			err = queue(o.SearchClone(ci))
 		}
 		if err != nil {
 			return nil, err
@@ -306,7 +327,7 @@ func (o *Optimizer) chase(pop []*Individual, a float64) ([]*Individual, error) {
 				err = queue(o.reproduceWith(searched, partner))
 			}
 		case o.rng.Float64() < 0.5:
-			err = queue(o.searchClone(ci))
+			err = queue(o.SearchClone(ci))
 		default:
 			err = queue(o.reproduceWith(ci, partner))
 		}
@@ -316,11 +337,11 @@ func (o *Optimizer) chase(pop []*Individual, a float64) ([]*Individual, error) {
 	}
 
 	// The leader searches after the double chase to keep varying.
-	if err := queue(o.searchClone(leader)); err != nil {
+	if err := queue(o.SearchClone(leader)); err != nil {
 		return nil, err
 	}
 
-	queued, err := p.wait()
+	queued, err := p.Wait()
 	if err != nil {
 		return nil, err
 	}
@@ -334,14 +355,14 @@ func (o *Optimizer) chase(pop []*Individual, a float64) ([]*Individual, error) {
 
 // searchInline searches a clone of ind and evaluates it at once.
 func (o *Optimizer) searchInline(ind *Individual) (*Individual, error) {
-	t, err := o.searchClone(ind)
+	t, err := o.SearchClone(ind)
 	if err != nil {
 		return nil, err
 	}
-	if err := o.eval.Search(t.c, t.rep, t.targets); err != nil {
+	if err := o.eval.Search(t.C, t.Rep, t.Targets); err != nil {
 		return nil, err
 	}
-	return o.eval.Evaluate(t.c)
+	return o.eval.Evaluate(t.C)
 }
 
 // superior returns a random population member with strictly better fitness
@@ -359,9 +380,9 @@ func superior(pop []*Individual, ci *Individual, rng *rand.Rand) *Individual {
 	return better[rng.Intn(len(better))]
 }
 
-// bestFeasible returns the highest-fitness individual within the final
-// error budget, or nil.
-func bestFeasible(pop []*Individual, budget float64) *Individual {
+// BestFeasible returns the highest-fitness individual within the error
+// budget, the first of equals, or nil.
+func BestFeasible(pop []*Individual, budget float64) *Individual {
 	var best *Individual
 	for _, ind := range pop {
 		if ind.Err <= budget && (best == nil || ind.Fit > best.Fit) {

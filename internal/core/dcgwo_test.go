@@ -225,13 +225,13 @@ func TestBestFeasible(t *testing.T) {
 		{Fit: 1.5, Err: 0.01},
 		{Fit: 1.2, Err: 0.0},
 	}
-	if got := bestFeasible(pop, 0.05); got != pop[1] {
-		t.Error("bestFeasible must pick the fittest within budget")
+	if got := BestFeasible(pop, 0.05); got != pop[1] {
+		t.Error("BestFeasible must pick the fittest within budget")
 	}
-	if got := bestFeasible(pop, 1.0); got != pop[0] {
+	if got := BestFeasible(pop, 1.0); got != pop[0] {
 		t.Error("loose budget admits the fittest overall")
 	}
-	if got := bestFeasible(pop[:1], 0.1); got != nil {
+	if got := BestFeasible(pop[:1], 0.1); got != nil {
 		t.Error("no feasible individual must yield nil")
 	}
 }

@@ -9,18 +9,19 @@ import (
 	"repro/internal/sta"
 )
 
-// A pipeline is the Evaluator's one evaluation pool. Its caller queues
-// each candidate as soon as it exists — a complete circuit, a searching
+// A Pipeline is the Evaluator's one evaluation pool, which every
+// optimizer's generation runs on. Its caller, one goroutine, queues each
+// candidate as soon as it exists — a complete circuit, a searching
 // action's clone with its draws, or a greedy round's target — and worker
-// goroutines complete and evaluate it while the caller goes on. Of its
-// EvalWorkers arenas, all but the last go to worker goroutines; the
-// caller is the last worker: it runs each task at once when there is no
-// worker goroutine, and drains the queue alongside the workers at the
-// barrier (wait).
-type pipeline struct {
+// goroutines complete and evaluate it while the caller goes on drawing.
+// Of its EvalWorkers arenas, all but the last go to worker goroutines;
+// the caller is the last worker: it runs each task at once when there is
+// no worker goroutine, and drains the queue alongside the workers at the
+// barrier (Wait).
+type Pipeline struct {
 	e      *Evaluator
 	arenas []*arena // the last one is the caller's
-	tasks  chan task
+	tasks  chan Task
 	out    []*Individual // out[i] is task i's result
 	n      int           // tasks queued
 	done   bool
@@ -29,27 +30,30 @@ type pipeline struct {
 	err    error // the first failure, written by its CAS winner
 }
 
-// task is one queued candidate: c, which a search for targets (tie-broken
-// by rep) completes first when there are any, or, with a non-nil round,
-// the round's edit i (see EvaluateRound).
-type task struct {
-	i       int
-	c       *netlist.Circuit
-	rep     *sta.Report
-	targets []int
-	round   *round
+// Task is one queued candidate: the circuit C, which the Evaluator's
+// search for Targets (tie-broken by Rep; see Search) completes first when
+// there are any; a search needs C in the accurate circuit's gate ID
+// space. The pipeline numbers tasks itself, and a greedy round's tasks
+// carry the round's edit instead (see EvaluateRound).
+type Task struct {
+	C       *netlist.Circuit
+	Rep     *sta.Report
+	Targets []int
+
+	i     int
+	round *round
 }
 
-// startPipeline starts a pipeline for at most capacity tasks, which the
-// queue holds, so submit never blocks. The caller ends it with wait, or
-// finish on error paths; either stops the workers and returns the arenas.
-func (e *Evaluator) startPipeline(capacity int) (*pipeline, error) {
+// StartPipeline starts a pipeline for at most capacity tasks, which the
+// queue holds, so Submit never blocks. The caller ends it with Wait, or
+// Finish on error paths; either stops the workers and returns the arenas.
+func (e *Evaluator) StartPipeline(capacity int) (*Pipeline, error) {
 	workers := e.maxWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(1, min(workers, capacity))
-	p := &pipeline{e: e, tasks: make(chan task, capacity), out: make([]*Individual, capacity)}
+	p := &Pipeline{e: e, tasks: make(chan Task, capacity), out: make([]*Individual, capacity)}
 	// Pooled arenas, never e.serial, so a Simulate result outlives a batch.
 	e.poolMu.Lock()
 	k := max(0, len(e.pool)-workers)
@@ -59,7 +63,7 @@ func (e *Evaluator) startPipeline(capacity int) (*pipeline, error) {
 	for len(p.arenas) < workers {
 		a, err := e.newArena()
 		if err != nil {
-			p.finish()
+			p.Finish()
 			return nil, err
 		}
 		p.arenas = append(p.arenas, a)
@@ -76,8 +80,8 @@ func (e *Evaluator) startPipeline(capacity int) (*pipeline, error) {
 	return p, nil
 }
 
-// submit queues one candidate; it numbers t in submission order.
-func (p *pipeline) submit(t task) {
+// Submit queues one candidate; it numbers t in submission order.
+func (p *Pipeline) Submit(t Task) {
 	t.i = p.n
 	p.n++
 	if len(p.arenas) == 1 {
@@ -88,26 +92,26 @@ func (p *pipeline) submit(t task) {
 }
 
 // run completes and evaluates one task in arena a, unless a task failed.
-func (p *pipeline) run(a *arena, t task) {
+func (p *Pipeline) run(a *arena, t Task) {
 	if p.failed.Load() {
 		return
 	}
 	var err error
 	if t.round != nil {
 		p.out[t.i], err = p.e.evaluateEdit(a, t.round, t.i)
-	} else if err = p.e.search(a, t.c, t.rep, t.targets); err == nil {
-		p.out[t.i], err = p.e.evaluateWith(a, t.c)
+	} else if err = p.e.search(a, t.C, t.Rep, t.Targets); err == nil {
+		p.out[t.i], err = p.e.evaluateWith(a, t.C)
 	}
 	if err != nil && p.failed.CompareAndSwap(false, true) {
 		p.err = err
 	}
 }
 
-// wait is the barrier: it returns the Individuals in submission order, or
-// the first error. A round's target without a change has a nil one, which
-// is no evaluation.
-func (p *pipeline) wait() ([]*Individual, error) {
-	p.finish()
+// Wait is the barrier: it returns the Individuals in submission order, or
+// the first error, and counts one evaluation per Individual. A round's
+// target without a change has a nil one, which is no evaluation.
+func (p *Pipeline) Wait() ([]*Individual, error) {
+	p.Finish()
 	if p.err != nil {
 		return nil, p.err
 	}
@@ -119,9 +123,9 @@ func (p *pipeline) wait() ([]*Individual, error) {
 	return p.out[:p.n], nil
 }
 
-// finish closes the queue, drains it alongside the workers, waits for
+// Finish closes the queue, drains it alongside the workers, waits for
 // them and returns every arena to the pool. Later calls do nothing.
-func (p *pipeline) finish() {
+func (p *Pipeline) Finish() {
 	if p.done {
 		return
 	}

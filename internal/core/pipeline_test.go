@@ -99,20 +99,20 @@ func TestSearchPlanMatchesSearch(t *testing.T) {
 			ind := &Individual{Circuit: c}
 			opt.rng = rand.New(rand.NewSource(int64(k)))
 			twinRNG := rand.New(rand.NewSource(int64(k)))
-			task, err := opt.searchClone(ind)
+			task, err := opt.SearchClone(ind)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := task.c
+			got := task.C
 			if k%2 == 0 {
-				err = opt.eval.Search(got, task.rep, task.targets)
+				err = opt.eval.Search(got, task.Rep, task.Targets)
 			} else {
-				p, perr := opt.eval.startPipeline(1)
+				p, perr := opt.eval.StartPipeline(1)
 				if perr != nil {
 					t.Fatal(perr)
 				}
-				err = opt.eval.search(p.arenas[0], got, task.rep, task.targets)
-				p.finish()
+				err = opt.eval.search(p.arenas[0], got, task.Rep, task.Targets)
+				p.Finish()
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -65,14 +65,14 @@ func (e *Evaluator) EvaluateRound(parent *netlist.Circuit, res *sim.Result, rep 
 	for _, po := range parent.POs {
 		r.touched[po] = !slices.Equal(res.Signals[po], golden.Signals[po])
 	}
-	p, err := e.startPipeline(len(targets))
+	p, err := e.StartPipeline(len(targets))
 	if err != nil {
 		return nil, nil, err
 	}
 	for range targets {
-		p.submit(task{round: r})
+		p.Submit(Task{round: r})
 	}
-	out, err := p.wait()
+	out, err := p.Wait()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -149,6 +149,11 @@ func (j Job) RunContext(ctx context.Context, lib *cell.Library, evalWorkers int)
 	if err != nil {
 		return JobResult{}, fmt.Errorf("exp: job %s: %w", j, err)
 	}
+	return ResultOf(fr), nil
+}
+
+// ResultOf is the JobResult of a finished flow, wherever it ran.
+func ResultOf(fr *als.FlowResult) JobResult {
 	return JobResult{
 		RatioCPD:    fr.RatioCPD,
 		Err:         fr.Err,
@@ -158,7 +163,7 @@ func (j Job) RunContext(ctx context.Context, lib *cell.Library, evalWorkers int)
 		AreaCon:     fr.AreaCon,
 		AreaFinal:   fr.AreaFinal,
 		RuntimeNS:   int64(fr.Runtime),
-	}, nil
+	}
 }
 
 // cellJob builds the job for one (circuit, method) cell under this Opts.

@@ -852,16 +852,7 @@ func (s *Server) execute(ctx context.Context, j *jobState, sp *flowSpec) (exp.Jo
 	for i, sol := range front {
 		views[i] = SolutionView{RatioCPD: sol.RatioCPD, Err: sol.Err, Area: sol.Area}
 	}
-	return exp.JobResult{
-		RatioCPD:    res.RatioCPD,
-		Err:         res.Err,
-		Evaluations: res.Evaluations,
-		CPDOri:      res.CPDOri,
-		CPDFac:      res.CPDFac,
-		AreaCon:     res.AreaCon,
-		AreaFinal:   res.AreaFinal,
-		RuntimeNS:   int64(res.Runtime),
-	}, views, nil
+	return exp.ResultOf(res), views, nil
 }
 
 // JobView is the API's point-in-time snapshot of one job.

@@ -220,6 +220,15 @@ func (s *Session) Err() error {
 	return s.err
 }
 
+// baselineOf maps each baseline Method onto its optimizer; MethodDCGWO
+// has none.
+var baselineOf = map[Method]baselines.Method{
+	MethodVecbeeSasimi:   baselines.VecbeeSasimi,
+	MethodVaACS:          baselines.VaACS,
+	MethodHEDALS:         baselines.HEDALS,
+	MethodSingleChaseGWO: baselines.SingleChaseGWO,
+}
+
 // runHooks are the observation points runFlow offers its callers. Every
 // hook draws no randomness and observes no mutable optimizer state, so an
 // instrumented run is bit-identical to a bare one — which is why the v1
@@ -302,55 +311,32 @@ func runFlow(ctx context.Context, accurate *netlist.Circuit, lib *cell.Library, 
 		}
 	}
 
+	// One configuration for every method: the baselines replace only the
+	// search parameters of their own (see internal/baselines).
+	ccfg := core.DefaultConfig(cfg.Metric, cfg.ErrorBudget)
+	ccfg.PopulationSize = cfg.Population
+	ccfg.MaxIter = cfg.Iterations
+	ccfg.Vectors = cfg.Vectors
+	ccfg.DepthWeight = cfg.DepthWeight
+	ccfg.EvalWorkers = cfg.EvalWorkers
+	ccfg.Progress = progress
+	ccfg.OnImproved = onImproved
+	ccfg.Seed = cfg.Seed
+
 	start := time.Now()
-	var best *core.Individual
-	var coreFront []*core.Individual
-	var history []core.IterStats
-	var cache core.CacheStats
-	evaluations := 0
-	if cfg.Method == MethodDCGWO {
-		ccfg := core.DefaultConfig(cfg.Metric, cfg.ErrorBudget)
-		ccfg.PopulationSize = cfg.Population
-		ccfg.MaxIter = cfg.Iterations
-		ccfg.Vectors = cfg.Vectors
-		ccfg.DepthWeight = cfg.DepthWeight
-		ccfg.EvalWorkers = cfg.EvalWorkers
-		ccfg.Progress = progress
-		ccfg.OnImproved = onImproved
-		ccfg.Seed = cfg.Seed
-		opt, err := core.New(accurate, lib, ccfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := opt.RunContext(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		best, coreFront, history, evaluations = res.Best, res.Front, res.History, res.Evaluations
-		cache = res.Cache
+	var run *core.Result
+	if m, ok := baselineOf[cfg.Method]; ok {
+		run, err = baselines.RunContext(ctx, m, accurate, lib, ccfg)
 	} else {
-		bcfg := baselines.DefaultConfig(cfg.Metric, cfg.ErrorBudget)
-		bcfg.Rounds = cfg.Iterations
-		bcfg.Population = cfg.Population
-		bcfg.Vectors = cfg.Vectors
-		bcfg.DepthWeight = cfg.DepthWeight
-		bcfg.EvalWorkers = cfg.EvalWorkers
-		bcfg.Progress = progress
-		bcfg.OnImproved = onImproved
-		bcfg.Seed = cfg.Seed
-		method := map[Method]baselines.Method{
-			MethodVecbeeSasimi:   baselines.VecbeeSasimi,
-			MethodVaACS:          baselines.VaACS,
-			MethodHEDALS:         baselines.HEDALS,
-			MethodSingleChaseGWO: baselines.SingleChaseGWO,
-		}[cfg.Method]
-		res, err := baselines.RunContext(ctx, method, accurate, lib, bcfg)
-		if err != nil {
-			return nil, nil, err
+		var opt *core.Optimizer
+		if opt, err = core.New(accurate, lib, ccfg); err == nil {
+			run, err = opt.RunContext(ctx)
 		}
-		best, coreFront, evaluations = res.Best, res.Front, res.Evaluations
-		cache = res.Cache
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	best := run.Best
 	if best == nil {
 		return nil, nil, fmt.Errorf("%w (budget %v)", ErrInfeasible, cfg.ErrorBudget)
 	}
@@ -370,7 +356,7 @@ func runFlow(ctx context.Context, accurate *netlist.Circuit, lib *cell.Library, 
 
 	var front Front
 	if hooks.wantFront {
-		front, err = buildFront(ctx, coreFront, best, post, lib, areaCon, ref.CPD, hooks.topK)
+		front, err = buildFront(ctx, run.Front, best, post, lib, areaCon, ref.CPD, hooks.topK)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -392,11 +378,11 @@ func runFlow(ctx context.Context, accurate *netlist.Circuit, lib *cell.Library, 
 		AreaFinal:   post.Area,
 		Err:         best.Err,
 		Runtime:     elapsed,
-		Evaluations: evaluations,
+		Evaluations: run.Evaluations,
 		Approx:      best.Circuit,
 		Final:       post.Circuit,
-		History:     history,
-		Cache:       evalCacheStatsFrom(cache),
+		History:     run.History,
+		Cache:       evalCacheStatsFrom(run.Cache),
 	}, front, nil
 }
 
